@@ -21,7 +21,7 @@ from scipy import integrate
 
 from .ergodicity import InvariantMeasure
 from .errors import DegenerateVolatilityError, UsageError
-from .hjb_solvers import ControlProblemSpec, QuadraticControlStructure
+from .hjb_solvers import SQRT2, ControlProblemSpec, QuadraticControlStructure
 from .jump_processes import (
     BROWNIAN_STREAM,
     JUMP_STREAM,
@@ -29,8 +29,6 @@ from .jump_processes import (
     sample_stable_increment,
     stream_rng,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 class CallPayoff:
@@ -100,58 +98,40 @@ class MertonSpec:
 
 def pricing_problem(spec: PricingSpec) -> ControlProblemSpec:
     """Uncontrolled lognormal pricing model as a control-problem description."""
-    sigma_fn = spec.sigma_fn
-    r = spec.r
-
-    def drift(x, y, u):
-        return r * np.asarray(x, dtype=float)
-
-    def vol(x, y, u):
-        return SQRT2 * np.asarray(x, dtype=float) * np.asarray(sigma_fn(np.asarray(y, dtype=float)))
-
+    structure = QuadraticControlStructure(
+        beta0=spec.r, beta1=0.0, sigma_of_y=spec.sigma_fn, vol_u_power=0
+    )
     g = spec.payoff
     probe = np.array([0.5, 1.0, 10.0, 100.0])
     growth_k = float(np.max(np.abs(g(probe)) / (1.0 + probe**2))) + 1.0
     return ControlProblemSpec(
-        drift=drift,
-        vol=vol,
+        drift=structure.drift,
+        vol=structure.vol,
         control_grid=np.array([0.0]),
         payoff=g,
         discount=spec.discount,
         horizon=spec.horizon,
         growth_K=growth_k,
         multiplicative=True,
-        structure=QuadraticControlStructure(
-            beta0=r, beta1=0.0, sigma_of_y=sigma_fn, vol_u_power=0
-        ),
+        structure=structure,
     )
 
 
 def merton_problem(spec: MertonSpec, n_controls: int = 41) -> ControlProblemSpec:
     """Wealth-process control problem on an equispaced control grid."""
-    sigma_fn = spec.sigma_fn
-    r, excess = spec.r, spec.alpha_drift - spec.r
-
-    def drift(w, y, u):
-        return np.asarray(w, dtype=float) * (r + excess * u)
-
-    def vol(w, y, u):
-        return SQRT2 * np.asarray(w, dtype=float) * u * np.asarray(
-            sigma_fn(np.asarray(y, dtype=float))
-        )
-
+    structure = QuadraticControlStructure(
+        beta0=spec.r, beta1=spec.alpha_drift - spec.r, sigma_of_y=spec.sigma_fn, vol_u_power=1
+    )
     return ControlProblemSpec(
-        drift=drift,
-        vol=vol,
+        drift=structure.drift,
+        vol=structure.vol,
         control_grid=np.linspace(spec.R1, spec.R, n_controls),
         payoff=spec.utility,
         discount=0.0,
         horizon=spec.horizon,
         growth_K=spec.a / spec.gamma + 1.0,
         multiplicative=True,
-        structure=QuadraticControlStructure(
-            beta0=r, beta1=excess, sigma_of_y=sigma_fn, vol_u_power=1
-        ),
+        structure=structure,
     )
 
 

@@ -3,6 +3,11 @@
 Both solvers march the terminal payoff backwards with a monotone explicit
 treatment of the local Bellman part (central second differences, first-order
 upwind first differences, step size from the scheme's positivity bound).  The
+model must be the multiplicative one of :class:`QuadraticControlStructure` on
+x >= 0, so the objective is a parabola in the control: its minimum over the
+uniform control grid is found from the endpoints and the grid neighbours of
+the vertex, separately for the controls whose drift is upwinded forward and
+those upwinded backward, which equals the upwinded scan over every control.  The
 stiff nonlocal part in the factor variable is linear, so it is folded into an
 implicit solve: the generator restricted to the factor grid is assembled once
 from closed-form cell masses of the jump measure (small jumps below one grid
@@ -21,7 +26,6 @@ grids.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -41,15 +45,12 @@ from .levy_measures import (
 )
 
 CFL_SAFETY = 0.9
-
-
-class BoundaryPolicy(enum.Enum):
-    NO_BC_INTERIOR_SCHEME = "no-bc-interior-scheme"
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class QuadraticControlStructure:
-    """Multiplicative single-asset structure the fast solver path exploits.
+    """Multiplicative single-asset model the grid solvers are built on.
 
     Drift ``x (beta0 + beta1 u)`` and volatility ``sqrt(2) x sigma(y) u^power``
     with power 0 (no control on the noise) or 1 (proportional exposure).  The
@@ -62,11 +63,17 @@ class QuadraticControlStructure:
     sigma_of_y: Callable[[np.ndarray], np.ndarray]
     vol_u_power: int  # 0 or 1
 
-    def drift_coefficient(self, u):
-        return self.beta0 + self.beta1 * u
+    def __post_init__(self):
+        if self.vol_u_power not in (0, 1):
+            raise UsageError("vol_u_power must be 0 or 1")
 
-    def nonnegative_drift_on(self, controls: np.ndarray) -> bool:
-        return bool(np.all(self.beta0 + self.beta1 * np.asarray(controls) >= 0.0))
+    def drift(self, x, y, u):
+        return np.asarray(x, dtype=float) * (self.beta0 + self.beta1 * u)
+
+    def vol(self, x, y, u):
+        return SQRT2 * np.asarray(x, dtype=float) * u**self.vol_u_power * np.asarray(
+            self.sigma_of_y(np.asarray(y, dtype=float))
+        )
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,10 @@ class ControlProblemSpec:
     Coefficients are assumed Lipschitz, bounded in y, and vanishing at x = 0,
     which makes the x = 0 boundary characteristic: the schemes never impose a
     lateral boundary condition there.  ``growth_K`` records the constant in
-    the quadratic payoff bound |g| <= K (1 + x^2).
+    the quadratic payoff bound |g| <= K (1 + x^2).  The grid solvers read the
+    model from ``structure`` (the applications pass its ``drift`` and ``vol``
+    methods as the coefficients) and minimize over the points ``u_lo + k du``,
+    so the control grid must be increasing and uniform.
     """
 
     drift: Callable
@@ -88,31 +98,20 @@ class ControlProblemSpec:
     discount: float
     horizon: float
     growth_K: float
-    dim_x: int = 1
-    growth_order: int = 2
     multiplicative: bool = False
     structure: Optional[QuadraticControlStructure] = None
 
     def __post_init__(self):
-        if self.dim_x != 1:
-            raise UsageError("solvers cover one slow dimension (per-asset solves)")
         if self.discount < 0.0:
             raise UsageError("discount must be nonnegative")
         if self.horizon <= 0.0:
             raise UsageError("horizon must be positive")
-        if len(np.asarray(self.control_grid)) == 0:
+        controls = np.asarray(self.control_grid, dtype=float)
+        if len(controls) == 0:
             raise UsageError("control grid must be nonempty")
-
-    def bellman(self, x, y, p, X):
-        """Vectorized Bellman Hamiltonian min_u {-1/2 vol^2 X - drift p} over y."""
-        y = np.asarray(y, dtype=float)
-        best = None
-        for u in np.asarray(self.control_grid):
-            vol = np.asarray(self.vol(x, y, float(u)), dtype=float)
-            dri = np.asarray(self.drift(x, y, float(u)), dtype=float)
-            val = -0.5 * vol * vol * X - dri * p
-            best = val if best is None else np.minimum(best, val)
-        return best
+        du = np.diff(controls)
+        if len(du) and (np.any(du <= 0.0) or np.max(np.abs(du - du[0])) > 1e-9 * du[0]):
+            raise UsageError("control grid must be increasing and uniform")
 
 
 def hamiltonian_eval(spec: ControlProblemSpec, x, y, p, X) -> tuple[float, float]:
@@ -163,7 +162,6 @@ class ValueField:
     x_grid: np.ndarray
     values: np.ndarray
     y_grid: Optional[np.ndarray] = None
-    boundary_policy: BoundaryPolicy = BoundaryPolicy.NO_BC_INTERIOR_SCHEME
     epsilon: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -329,59 +327,56 @@ def assemble_factor_generator(
 
 
 class _LocalBellman:
-    """Explicit monotone evaluation of the local Bellman part on the grid."""
+    """Explicit monotone evaluation of the local Bellman part on the grid.
+
+    With x >= 0 the drift ``x (beta0 + beta1 u)`` has the sign of its affine
+    coefficient, so the sorted control grid splits into at most two runs: the
+    controls with coefficient >= 0 (forward difference) and the rest (backward
+    difference).  The grid-min is taken on each run and the smaller kept,
+    which equals the upwinded scan over every control.
+    """
 
     def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray,
                  weights: Optional[np.ndarray]):
-        self.spec = spec
+        st = spec.structure
+        if st is None:
+            raise UsageError("the grid solvers need the problem's QuadraticControlStructure")
+        if x[0] < 0.0:
+            raise UsageError("x grid must be nonnegative: the drift's sign is read off its coefficient")
         self.x = x
         self.dx = float(x[1] - x[0])
-        self.y_vals = y_vals          # factor grid (pide) or measure atoms (effective)
         self.weights = weights        # None for pide, atom weights for effective
-        st = spec.structure
+        self.sig2 = np.asarray(st.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
+        self.beta0, self.beta1 = st.beta0, st.beta1
+        self.power = st.vol_u_power
         controls = np.asarray(spec.control_grid, dtype=float)
-        self.fast = (
-            st is not None
-            and st.vol_u_power in (0, 1)
-            and st.nonnegative_drift_on(controls)
+        u_lo, u_hi = float(controls[0]), float(controls[-1])
+        self.du = float(controls[1] - controls[0]) if len(controls) > 1 else 0.0
+        forward = self.beta0 + self.beta1 * controls >= 0.0
+        self.runs = [
+            (float(run[0]), float(run[-1]), fwd)
+            for run, fwd in ((controls[forward], True), (controls[~forward], False))
+            if len(run)
+        ]
+        a_max = float(np.max(self.sig2)) * float(x[-1]) ** 2
+        if self.power == 1:
+            a_max *= max(u_lo**2, u_hi**2)
+        b_max = float(x[-1]) * max(
+            abs(self.beta0 + self.beta1 * u_lo),
+            abs(self.beta0 + self.beta1 * u_hi),
         )
-        if self.fast:
-            self.sig2 = np.asarray(st.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
-            self.u_lo, self.u_hi = float(controls.min()), float(controls.max())
-            self.du = float(controls[1] - controls[0]) if len(controls) > 1 else 0.0
-            self.beta0, self.beta1 = st.beta0, st.beta1
-            self.power = st.vol_u_power
-            a_max = float(np.max(self.sig2)) * float(np.max(np.abs(x))) ** 2
-            if self.power == 1:
-                a_max *= max(self.u_lo**2, self.u_hi**2)
-            b_max = float(np.max(np.abs(x))) * max(
-                abs(self.beta0 + self.beta1 * self.u_lo),
-                abs(self.beta0 + self.beta1 * self.u_hi),
-            )
-            self.a_over_dx2 = a_max / self.dx**2
-            self.b_over_dx = b_max / self.dx
-        else:
-            # tensors (n_u, n_x, n_y): built once, coefficients are static
-            xm, ym = np.meshgrid(x, y_vals, indexing="ij")
-            a_list, b_list = [], []
-            for u in controls:
-                vol = np.asarray(spec.vol(xm, ym, float(u)), dtype=float)
-                a_list.append(0.5 * vol * vol * np.ones_like(xm))
-                b_list.append(np.asarray(spec.drift(xm, ym, float(u)), dtype=float) * np.ones_like(xm))
-            self.a_t = np.stack(a_list)
-            self.b_t = np.stack(b_list)
-            self.a_over_dx2 = float(np.max(self.a_t)) / self.dx**2
-            self.b_over_dx = float(np.max(np.abs(self.b_t))) / self.dx
+        self.a_over_dx2 = a_max / self.dx**2
+        self.b_over_dx = b_max / self.dx
 
-    def _candidates(self, p_coef: np.ndarray, q_coef: np.ndarray) -> np.ndarray:
-        """Grid-min of P u^2 + Q u over the control grid, 4 candidates."""
-        us = [np.full_like(p_coef, self.u_lo), np.full_like(p_coef, self.u_hi)]
+    def _candidates(self, p_coef: np.ndarray, q_coef: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """Grid-min of P u^2 + Q u over the controls in [lo, hi], 4 candidates."""
+        us = [np.full_like(p_coef, lo), np.full_like(p_coef, hi)]
         if self.du > 0.0:
             with np.errstate(divide="ignore", invalid="ignore"):
-                vertex = np.where(p_coef > 0.0, -q_coef / (2.0 * p_coef), self.u_lo)
-            snapped = self.u_lo + np.floor((vertex - self.u_lo) / self.du) * self.du
-            us.append(np.clip(snapped, self.u_lo, self.u_hi))
-            us.append(np.clip(snapped + self.du, self.u_lo, self.u_hi))
+                vertex = np.where(p_coef > 0.0, -q_coef / (2.0 * p_coef), lo)
+            snapped = lo + np.floor((vertex - lo) / self.du) * self.du
+            us.append(np.clip(snapped, lo, hi))
+            us.append(np.clip(snapped + self.du, lo, hi))
         best = None
         for u in us:
             val = p_coef * u * u + q_coef * u
@@ -391,41 +386,26 @@ class _LocalBellman:
     def hamiltonian(self, v: np.ndarray) -> np.ndarray:
         """H evaluated with discrete derivatives; collapses the y axis iff weighted."""
         fwd, bwd, d2 = _upwind_derivatives(v, self.dx, axis=0)
-        if self.fast:
-            x = self.x if v.ndim == 1 else self.x[:, None]
-            # drift is nonnegative on the grid, so upwinding is forward
-            if v.ndim == 1:
-                # effective solve: y axis lives in the atoms, broadcast to it
-                p_par = (-(x**2) * d2)[:, None] * self.sig2[None, :]
-                drift_lin = (-x * fwd)[:, None]
-            else:
-                p_par = (-(x**2) * d2) * self.sig2[None, :]
-                drift_lin = -x * fwd
-            if self.power == 1:
-                h = self._candidates(p_par, self.beta1 * drift_lin) + self.beta0 * drift_lin
-            else:
-                h = p_par + drift_lin * (self.beta0 + self.beta1 * 0.0)
-                if self.du > 0.0:
-                    # control enters the drift only: linear in u, endpoint wins
-                    h = np.minimum(
-                        p_par + drift_lin * (self.beta0 + self.beta1 * self.u_lo),
-                        p_par + drift_lin * (self.beta0 + self.beta1 * self.u_hi),
-                    )
-            if self.weights is not None:
-                return h @ self.weights
-            return h
-        # general route: full control scan on static tensors
+        x = self.x[:, None]
         if v.ndim == 1:
+            # effective solve: y axis lives in the atoms, broadcast to it
             fwd, bwd, d2 = fwd[:, None], bwd[:, None], d2[:, None]
-        best = None
-        for k in range(self.a_t.shape[0]):
-            b = self.b_t[k]
-            adv = np.where(b >= 0.0, b * fwd, b * bwd)
-            val = -self.a_t[k] * d2 - adv
-            best = val if best is None else np.minimum(best, val)
+        p_par = (-(x**2) * d2) * self.sig2[None, :]
+        h = None
+        for lo, hi, forward in self.runs:
+            drift_lin = -x * (fwd if forward else bwd)
+            if self.power == 1:
+                run_h = self._candidates(p_par, self.beta1 * drift_lin, lo, hi) + self.beta0 * drift_lin
+            else:
+                # control enters the drift only: linear in u, an endpoint wins
+                run_h = np.minimum(
+                    p_par + drift_lin * (self.beta0 + self.beta1 * lo),
+                    p_par + drift_lin * (self.beta0 + self.beta1 * hi),
+                )
+            h = run_h if h is None else np.minimum(h, run_h)
         if self.weights is not None:
-            return best @ self.weights
-        return best
+            return h @ self.weights
+        return h
 
 
 def _collapse_sigma_atoms(mu: InvariantMeasure, max_atoms: int = 64):

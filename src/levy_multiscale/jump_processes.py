@@ -221,14 +221,6 @@ def simulate_fast_path(cfg: FastProcessConfig) -> PathSample:
     return PathSample(times=times, values=values[0], seed=cfg.seed)
 
 
-def fast_terminal_values(cfg: FastProcessConfig, n_paths: int) -> np.ndarray:
-    """Terminal states of a path batch without storing the trajectories."""
-    y = None
-    for y in iter_fast_values(cfg, n_paths):
-        pass
-    return y
-
-
 def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]:
     """Euler-Maruyama for the slow state with the factor read at left endpoints.
 

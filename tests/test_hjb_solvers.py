@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from levy_multiscale.hjb_solvers import (
     ControlProblemSpec,
     Grids,
     ValueField,
+    _LocalBellman,
     assemble_factor_generator,
     effective_solve,
     hamiltonian_eval,
@@ -31,10 +33,10 @@ def tanh_sigma(base, amp):
     return lambda y: base + amp * np.tanh(np.asarray(y, dtype=float))
 
 
-def merton_spec(sigma_fn=None, R=2.0, T=1.0):
+def merton_spec(sigma_fn=None, R=2.0, T=1.0, R1=0.0):
     return MertonSpec(
         r=0.05, alpha_drift=0.1, sigma_fn=sigma_fn or const_sigma(0.2),
-        R1=0.0, R=R, gamma=0.5, a=1.0, horizon=T, w0=1.0,
+        R1=R1, R=R, gamma=0.5, a=1.0, horizon=T, w0=1.0,
     )
 
 
@@ -71,6 +73,56 @@ class TestHamiltonianEval:
         want = -0.5 * (math.sqrt(2) * 2.0 * sig) ** 2 * (-0.5) - 0.05 * 2.0 * 1.0
         assert val == pytest.approx(want, rel=1e-12)
         assert u == 0.0
+
+
+class TestSignChangingDrift:
+    """Merton with shorting: r + (alpha - r) u changes sign on [-2, 2]."""
+
+    prob = merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=-2.0, R=2.0))
+    x = np.linspace(0.0, 3.0, 13)
+
+    def upwinded_scan(self, x, y, fwd, bwd, d2):
+        """Brute-force minimum: forward difference where the coefficient is >= 0."""
+        st = self.prob.structure
+        controls = np.asarray(self.prob.control_grid)
+        forward = st.beta0 + st.beta1 * controls >= 0.0
+        runs = [
+            hamiltonian_eval(dataclasses.replace(self.prob, control_grid=controls[sel]), x, y, p, d2)[0]
+            for sel, p in ((forward, fwd), (~forward, bwd))
+        ]
+        return min(runs), runs[1] < runs[0]
+
+    def differences(self, v):
+        dx = self.x[1] - self.x[0]
+        fwd = (v[2:] - v[1:-1]) / dx
+        bwd = (v[1:-1] - v[:-2]) / dx
+        d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
+        return fwd, bwd, d2
+
+    def test_factor_grid_shape_matches_upwinded_scan(self):
+        y = np.linspace(-2.0, 2.0, 5)
+        v = np.sin(2.0 * self.x)[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
+        h = _LocalBellman(self.prob, self.x, y, None).hamiltonian(v)
+        fwd, bwd, d2 = self.differences(v)
+        backward_wins = 0
+        for i in range(len(self.x) - 2):
+            for j, yj in enumerate(y):
+                want, bwd_won = self.upwinded_scan(self.x[i + 1], yj, fwd[i, j], bwd[i, j], d2[i, j])
+                backward_wins += bwd_won
+                assert h[i + 1, j] == pytest.approx(want, abs=1e-12)
+        assert 0 < backward_wins < (len(self.x) - 2) * len(y)
+
+    def test_weighted_shape_matches_upwinded_scan(self):
+        atoms, weights = np.array([-1.0, 0.5, 2.0]), np.array([0.2, 0.5, 0.3])
+        v = np.sin(2.0 * self.x)
+        h = _LocalBellman(self.prob, self.x, atoms, weights).hamiltonian(v)
+        fwd, bwd, d2 = self.differences(v)
+        for i in range(len(self.x) - 2):
+            want = sum(
+                w * self.upwinded_scan(self.x[i + 1], a, fwd[i], bwd[i], d2[i])[0]
+                for a, w in zip(atoms, weights)
+            )
+            assert h[i + 1] == pytest.approx(want, abs=1e-12)
 
 
 class TestEffectiveSolve:
@@ -276,3 +328,22 @@ class TestGridsValidation:
                 control_grid=np.array([]), payoff=lambda x: x,
                 discount=0.0, horizon=1.0, growth_K=1.0,
             )
+
+    def test_control_grid_must_be_increasing_and_uniform(self):
+        prob = merton_problem(merton_spec())
+        for grid in ([0.0, 0.1, 0.5, 1.0], [1.0, 0.5, 0.0], [0.0, 0.0]):
+            with pytest.raises(UsageError):
+                dataclasses.replace(prob, control_grid=np.array(grid))
+
+    def test_solvers_reject_negative_x_nodes(self, invariant_measure_15):
+        prob = merton_problem(merton_spec())
+        x = np.linspace(-1.5, 1.5, 31)
+        with pytest.raises(UsageError):
+            effective_solve(prob, invariant_measure_15, Grids(x=x))
+        with pytest.raises(UsageError):
+            pide_solve(prob, SYM15, epsilon=0.5, grids=Grids(x=x, y=np.linspace(-2.0, 2.0, 9)))
+
+    def test_solvers_need_structure(self, invariant_measure_15):
+        prob = dataclasses.replace(merton_problem(merton_spec()), structure=None)
+        with pytest.raises(UsageError):
+            effective_solve(prob, invariant_measure_15, Grids(x=np.linspace(0.0, 2.0, 21)))
