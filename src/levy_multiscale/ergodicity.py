@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
 
 from .errors import AssumptionError, UsageError
-from .jump_processes import FastProcessConfig, iter_fast_values, simulate_fast_paths
+from .jump_processes import FastProcessConfig, iter_fast_values
 from .levy_measures import (
     LevyMeasureModel,
     compensator_drift,
@@ -134,10 +134,7 @@ def stationary_samples(
     stride = 2.0 / cfg.lam
     per_path = math.ceil(n_samples / n_paths)
     horizon = burn_in + stride * per_path
-    run_cfg = FastProcessConfig(
-        model=cfg.model, lam=cfg.lam, y0=cfg.y0,
-        horizon=horizon, dt=cfg.dt, seed=cfg.seed,
-    )
+    run_cfg = replace(cfg, horizon=horizon)
     dt = run_cfg.step
     burn_steps = int(round(burn_in / dt))
     stride_steps = max(1, int(round(stride / dt)))
@@ -198,9 +195,7 @@ def ergodic_time_average(
     """Monte Carlo estimate of ``(1/t) int_0^t E f(Y(s)) ds``."""
     if t <= 0.0:
         raise UsageError("t must be positive")
-    run_cfg = FastProcessConfig(
-        model=cfg.model, lam=cfg.lam, y0=cfg.y0, horizon=t, dt=cfg.dt, seed=cfg.seed
-    )
+    run_cfg = replace(cfg, horizon=t)
     total = 0.0
     count = 0
     for y in iter_fast_values(run_cfg, n_paths):
@@ -227,9 +222,7 @@ def abel_average(
     if delta <= 0.0:
         raise UsageError("delta must be positive")
     horizon = 10.0 / delta
-    run_cfg = FastProcessConfig(
-        model=cfg.model, lam=cfg.lam, y0=cfg.y0, horizon=horizon, dt=cfg.dt, seed=cfg.seed
-    )
+    run_cfg = replace(cfg, horizon=horizon)
     dt = run_cfg.step
     acc = 0.0
     mass = 0.0

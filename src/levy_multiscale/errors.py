@@ -1,9 +1,4 @@
-"""Exception hierarchy shared across the package.
-
-The CLI maps these onto its stable exit-code contract:
-usage errors -> 1, assumption failures -> 2, numerical failures -> 3,
-I/O failures -> 4.
-"""
+"""Exception hierarchy shared across the package."""
 
 from __future__ import annotations
 
@@ -13,11 +8,11 @@ class LevyMultiscaleError(Exception):
 
 
 class UsageError(LevyMultiscaleError):
-    """Invalid arguments, configs, or calling conventions (exit code 1)."""
+    """Invalid arguments, configs, or calling conventions."""
 
 
 class AssumptionError(LevyMultiscaleError):
-    """A jump-measure standing assumption required by an operation fails (exit code 2)."""
+    """A jump-measure standing assumption required by an operation fails."""
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
@@ -25,7 +20,7 @@ class AssumptionError(LevyMultiscaleError):
 
 
 class NumericalError(LevyMultiscaleError):
-    """Quadrature, linear solve, or scheme-stability failure (exit code 3).
+    """Quadrature, linear solve, or scheme-stability failure.
 
     Carries whatever partial result and achieved tolerance are available.
     """
@@ -46,7 +41,3 @@ class CFLViolation(NumericalError):
 
 class DegenerateVolatilityError(LevyMultiscaleError):
     """Harmonic volatility average is undefined because sigma vanishes on a node."""
-
-
-class OutputError(LevyMultiscaleError):
-    """Failure writing artifact files (exit code 4)."""

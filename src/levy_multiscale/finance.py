@@ -13,7 +13,7 @@ stationary law (quadratic mean), the limit portfolio problem averages
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,13 +22,7 @@ from scipy import integrate
 from .ergodicity import InvariantMeasure
 from .errors import DegenerateVolatilityError, UsageError
 from .hjb_solvers import SQRT2, ControlProblemSpec, QuadraticControlStructure
-from .jump_processes import (
-    BROWNIAN_STREAM,
-    JUMP_STREAM,
-    FastProcessConfig,
-    sample_stable_increment,
-    stream_rng,
-)
+from .jump_processes import BROWNIAN_STREAM, FastProcessConfig, iter_fast_values, stream_rng
 
 
 class CallPayoff:
@@ -41,10 +35,6 @@ class CallPayoff:
 
     def __call__(self, x):
         return np.maximum(np.asarray(x, dtype=float) - self.strike, 0.0)
-
-
-def identity_payoff(x):
-    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -163,19 +153,20 @@ def _simulate_price_factors(
     """Multiplicative growth factors at requested steps for each start factor.
 
     One jump stream and one Brownian stream drive all start values (the factor
-    map is affine in its start point), giving exact common random numbers
-    across both the y-window and, for fixed step count, across epsilon.
-    Multiplicative Euler steps floor at zero, preserving nonnegativity.
+    map is affine in its start point, see ``iter_fast_values``), giving exact
+    common random numbers across both the y-window and, for fixed step count,
+    across epsilon.  Multiplicative Euler steps floor at zero, preserving
+    nonnegativity.
     """
-    lam = 1.0 / epsilon
+    if abs(fast.lam * epsilon - 1.0) > 1e-9:
+        raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
     dt = fast.step
+    # pin the step: the default step depends on the horizon
+    run = replace(fast, horizon=spec.horizon, dt=dt)
     n_steps = int(round(spec.horizon / dt))
     sq_dt = math.sqrt(dt)
-    a = math.exp(-lam * dt)
-    tau = lam * dt
     r = spec.r
 
-    jump_rng = stream_rng(fast.seed, JUMP_STREAM)
     brown_rng = stream_rng(fast.seed, BROWNIAN_STREAM)
 
     snap_set = set(snapshot_steps)
@@ -183,21 +174,14 @@ def _simulate_price_factors(
     out = np.empty((len(y0_values), len(snapshot_steps), n_paths))
     snap_pos = {k: j for j, k in enumerate(sorted(snap_set))}
 
-    driven = np.zeros(n_paths)
-    decay = 1.0
-    for k in range(n_steps + 1):
+    for k, ys in enumerate(iter_fast_values(run, n_paths, starts=y0_values)):
         if k in snap_set:
             out[:, snap_pos[k], :] = factors
         if k == n_steps:
             break
         dw = brown_rng.normal(0.0, sq_dt, size=n_paths)
-        for j, y0 in enumerate(y0_values):
-            sig = np.asarray(spec.sigma_fn(y0 * decay + driven), dtype=float)
-            growth = 1.0 + r * dt + SQRT2 * sig * dw
-            factors[j] *= np.maximum(growth, 0.0)
-        dz = sample_stable_increment(fast.model, tau, jump_rng, size=n_paths)
-        driven = a * driven + dz
-        decay *= a
+        sig = np.asarray(spec.sigma_fn(ys), dtype=float)
+        factors *= np.maximum(1.0 + r * dt + SQRT2 * sig * dw, 0.0)
     return out
 
 
@@ -210,8 +194,6 @@ def price_mc(
     """Monte Carlo discounted-payoff price at the spot, with its standard error."""
     if n_paths < 1000:
         raise UsageError("need at least 1000 paths")
-    if abs(fast.lam * epsilon - 1.0) > 1e-9:
-        raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
     n_steps = int(round(spec.horizon / fast.step))
     factors = _simulate_price_factors(
         spec, epsilon, fast, n_paths, [n_steps], np.array([fast.y0])

@@ -167,10 +167,6 @@ def sample_stable_increment(
     return float(out[0]) if size is None else out
 
 
-def _decay(cfg: FastProcessConfig) -> float:
-    return math.exp(-cfg.lam * cfg.step)
-
-
 def _n_steps(cfg: FastProcessConfig) -> int:
     return int(round(cfg.horizon / cfg.step))
 
@@ -178,31 +174,40 @@ def _n_steps(cfg: FastProcessConfig) -> int:
 def iter_fast_values(
     cfg: FastProcessConfig,
     n_paths: int,
-    rng: Optional[np.random.Generator] = None,
-    allow_subordinator: bool = False,
+    starts: Optional[np.ndarray] = None,
 ) -> Iterator[np.ndarray]:
     """Stream the factor states at grid times 0, dt, 2*dt, ... across a path batch.
 
-    Yields the state *before* each update, n_steps + 1 arrays in total, so
-    consumers see left endpoints.  The recursion is
+    This is the package's one fast-factor recursion; every Monte Carlo
+    consumer reads it.  Yields the state *before* each update, n_steps + 1
+    arrays in total, so consumers see left endpoints.  The recursion is
 
         Y_{k+1} = exp(-lam * dt) * Y_k + dZ_k,   dZ_k over internal time lam * dt,
 
     i.e. exact exponential decay with the whole jump increment applied at the
-    end of the step.
+    end of the step.  The jump stream is ``stream_rng(cfg.seed, JUMP_STREAM)``.
+
+    Without ``starts`` the batch starts at ``cfg.y0`` and each yield has shape
+    ``(n_paths,)``.  With a 1-D array ``starts`` the batch is driven from 0 and
+    fanned out over the start points, which the affine factor map allows:
+    ``Y^y(t_k) = y exp(-lam t_k) + Y^0(t_k)``, yielded with shape
+    ``(len(starts), n_paths)``.  Every start point then sees the same jumps.
     """
-    if rng is None:
-        rng = stream_rng(cfg.seed, JUMP_STREAM)
-    a = _decay(cfg)
+    rng = stream_rng(cfg.seed, JUMP_STREAM)
+    a = math.exp(-cfg.lam * cfg.step)
     tau = cfg.lam * cfg.step
-    y = np.full(n_paths, float(cfg.y0))
+    if starts is not None:
+        starts = np.asarray(starts, dtype=float)
+        if starts.ndim != 1:
+            raise UsageError("starts must be a 1-D array of start points")
+        starts = starts[:, None]
+    y = np.full(n_paths, float(cfg.y0) if starts is None else 0.0)
+    decay = 1.0
     for _ in range(_n_steps(cfg)):
-        yield y
-        dz = sample_stable_increment(
-            cfg.model, tau, rng, size=n_paths, allow_subordinator=allow_subordinator
-        )
-        y = a * y + dz
-    yield y
+        yield y if starts is None else starts * decay + y
+        y = a * y + sample_stable_increment(cfg.model, tau, rng, size=n_paths)
+        decay *= a
+    yield y if starts is None else starts * decay + y
 
 
 def simulate_fast_paths(cfg: FastProcessConfig, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,22 +241,19 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
     dt = fast.step
     sq_dt = math.sqrt(dt)
 
-    jump_rng = stream_rng(fast.seed, JUMP_STREAM)
     brown_rng = stream_rng(fast.seed, BROWNIAN_STREAM)
 
     times = np.arange(n + 1) * dt
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
     x = float(cfg.x0)
-    y = float(fast.y0)
     controls = np.asarray(prob.control_grid, dtype=float)
     policy = cfg.control_policy
 
     multiplicative = bool(getattr(prob, "multiplicative", False))
-    a = _decay(fast)
-    tau = fast.lam * dt
 
-    for k in range(n + 1):
+    for k, batch in enumerate(iter_fast_values(fast, 1)):
+        y = float(batch[0])
         xs[k] = x
         ys[k] = y
         if k == n:
@@ -273,8 +275,6 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
             x = 0.0
         else:
             x = x + drift * dt + vol * dw
-        dz = sample_stable_increment(fast.model, tau, jump_rng)
-        y = a * y + dz
 
     return (
         PathSample(times=times, values=xs, seed=fast.seed),

@@ -221,16 +221,6 @@ class CounterexampleProfile:
 
     c: float
 
-    @property
-    def params(self) -> dict:
-        return {
-            "junction_order": 3,
-            "tail_power": -3,
-            "plateau_level": 0.0,
-            "plateau_from": -self.c,
-            "bound": 0.25,
-        }
-
     def _t(self, y):
         return -self.c - y
 
@@ -315,9 +305,10 @@ def approximate_corrector(
 ):
     """Monte Carlo approximate corrector ``chi(y) = -E int_0^inf H(Y^y(t)) e^{-dt t} dt``.
 
-    One driven path batch (started at 0) serves the whole y-grid: the factor
-    map is affine in its start point, ``Y^y(t) = y e^{-t} + Y^0(t)``, so the
-    grid shares common random numbers exactly and the y-profile is smooth.
+    One driven path batch serves the whole y-grid (``iter_fast_values`` with
+    ``starts``): the factor map is affine in its start point,
+    ``Y^y(t) = y e^{-t} + Y^0(t)``, so the grid shares common random numbers
+    exactly and the y-profile is smooth.
     Discount weights integrate ``e^{-delta t}`` exactly over each step with the
     Hamiltonian held at the left endpoint.
     """
@@ -327,17 +318,14 @@ def approximate_corrector(
         model=cq.model, lam=1.0, y0=0.0, horizon=horizon, dt=cq.dt, seed=cq.seed
     )
     dt = cfg.step
-    decay_step = math.exp(-dt)
     y_grid = np.asarray(cq.y_grid, dtype=float)
 
     acc = np.zeros((len(y_grid), cq.mc_paths))
-    decay = 1.0
-    for k, driven in enumerate(iter_fast_values(cfg, cq.mc_paths)):
+    for k, ys in enumerate(iter_fast_values(cfg, cq.mc_paths, starts=y_grid)):
         w = math.exp(-cq.delta * k * dt) * (1.0 - math.exp(-cq.delta * dt)) / cq.delta
-        for i, y in enumerate(y_grid):
-            h_vals = np.asarray(H_eval(x_bar, y * decay + driven, p_bar, big_x), dtype=float)
-            acc[i] += w * h_vals
-        decay *= decay_step
+        # H_eval is only promised to vectorise over one node axis: one call per row
+        for i, row in enumerate(ys):
+            acc[i] += w * np.asarray(H_eval(x_bar, row, p_bar, big_x), dtype=float)
 
     chi = -acc.mean(axis=1)
     if return_se:

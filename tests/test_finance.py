@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from levy_multiscale.ergodicity import two_atom_measure
-from levy_multiscale.errors import DegenerateVolatilityError
+from levy_multiscale.errors import DegenerateVolatilityError, UsageError
 from levy_multiscale.finance import (
     CallPayoff,
     PricingSpec,
     bs_oracle,
     effective_vol_harmonic,
     effective_vol_quadratic,
+    price_mc,
+    price_mc_surface,
 )
+from levy_multiscale.jump_processes import FastProcessConfig
+from levy_multiscale.levy_measures import Family, LevyMeasureModel
 
 
 def tanh_sigma(y):
@@ -41,3 +45,31 @@ class TestEffectiveVolatility:
         mu = two_atom_measure(0.0, 1.0)
         with pytest.raises(DegenerateVolatilityError):
             effective_vol_harmonic(lambda y: np.asarray(y, dtype=float), mu)
+
+
+class TestMonteCarloPricers:
+    EPS = 0.05
+    FAST = FastProcessConfig(LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5), lam=1.0 / EPS,
+                             y0=0.3, horizon=1.0, dt=0.005, seed=17)
+
+    def test_surface_at_maturity_spot_and_start_is_price_mc(self):
+        spec = pricing_spec(CallPayoff(1.0))
+        price, se = price_mc(spec, self.EPS, self.FAST, 1000)
+        est, est_se = price_mc_surface(
+            spec, self.EPS, self.FAST, 1000, np.array([spec.horizon]),
+            np.array([spec.x0]), np.array([self.FAST.y0]))
+        # common random numbers: the same paths, payoffs and reductions
+        assert est.shape == (1, 1, 1)
+        assert est[0, 0, 0] == price
+        assert est_se[0, 0, 0] == se
+
+    @pytest.mark.parametrize("pricer", ["price_mc", "price_mc_surface"])
+    def test_rate_disagreeing_with_epsilon_is_rejected(self, pricer):
+        spec = pricing_spec(CallPayoff(1.0))
+        fast = FastProcessConfig(self.FAST.model, lam=10.0, y0=0.0, horizon=1.0, seed=3)
+        with pytest.raises(UsageError, match="disagree"):
+            if pricer == "price_mc":
+                price_mc(spec, self.EPS, fast, 1000)
+            else:
+                price_mc_surface(spec, self.EPS, fast, 1000, np.array([1.0]),
+                                 np.array([1.0]), np.array([0.0]))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from levy_multiscale.jump_processes import (
     FastProcessConfig,
     SlowSystemConfig,
     compensator_drift,
+    iter_fast_values,
     sample_stable_increment,
     simulate_fast_path,
     simulate_fast_paths,
@@ -129,6 +131,23 @@ class TestFastPath:
             FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=2.0)
 
 
+class TestStartFanOut:
+    CFG = FastProcessConfig(SYM15, lam=2.0, y0=0.0, horizon=1.0, dt=0.01, seed=11)
+    STARTS = np.array([-1.5, 0.0, 0.7, 3.0])
+
+    def test_each_row_is_the_run_from_that_start(self):
+        fanned = np.stack(list(iter_fast_values(self.CFG, 64, starts=self.STARTS)))
+        assert fanned.shape == (101, len(self.STARTS), 64)
+        for i, s in enumerate(self.STARTS):
+            single = np.stack(list(iter_fast_values(replace(self.CFG, y0=s), 64)))
+            # same jumps; the two differ only by rounding
+            np.testing.assert_allclose(fanned[:, i], single, rtol=0.0, atol=1e-12)
+
+    def test_starts_must_be_one_dimensional(self):
+        with pytest.raises(UsageError):
+            next(iter_fast_values(self.CFG, 8, starts=self.STARTS.reshape(2, 2)))
+
+
 class _ToyPricing:
     """Single-asset model dX = r X dt + sqrt(2) sigma(y) X dW."""
 
@@ -212,6 +231,14 @@ class TestSlowSystem:
         fast = FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=0.01, seed=2)
         with pytest.raises(UsageError, match="step"):
             simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0, control_policy=bad_policy))
+
+    def test_factor_path_is_the_fast_path(self):
+        prob = _ToyPricing(r=0.05, sigma_fn=lambda y: 0.3 + 0.1 * math.tanh(y))
+        fast = FastProcessConfig(SYM15, lam=20.0, y0=0.4, horizon=1.0, seed=31)
+        xs, ys = simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0))
+        path = simulate_fast_path(fast)
+        assert np.array_equal(ys.times, path.times)
+        assert np.array_equal(ys.values, path.values)
 
     def test_negative_initial_state_rejected(self):
         prob = _ToyPricing(r=0.05, sigma_fn=lambda y: 0.2)
