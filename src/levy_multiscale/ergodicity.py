@@ -68,11 +68,6 @@ class InvariantMeasure:
         """Characteristic function of the quadrature measure."""
         return complex(np.sum(self.weights * np.exp(1j * u * self.nodes)))
 
-    def quantile(self, q: float) -> float:
-        cum = np.cumsum(self.weights)
-        idx = int(np.searchsorted(cum, q))
-        return float(self.nodes[min(idx, len(self.nodes) - 1)])
-
 
 def two_atom_measure(y1: float, y2: float, w1: float = 0.5) -> InvariantMeasure:
     """Explicit two-atom test measure used by hand-computable checks."""

@@ -158,6 +158,8 @@ def _simulate_price_factors(
     across epsilon.  Multiplicative Euler steps floor at zero, preserving
     nonnegativity.
     """
+    if n_paths < 1000:
+        raise UsageError("need at least 1000 paths")
     if abs(fast.lam * epsilon - 1.0) > 1e-9:
         raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
     dt = fast.step
@@ -192,8 +194,6 @@ def price_mc(
     n_paths: int,
 ) -> tuple[float, float]:
     """Monte Carlo discounted-payoff price at the spot, with its standard error."""
-    if n_paths < 1000:
-        raise UsageError("need at least 1000 paths")
     n_steps = int(round(spec.horizon / fast.step))
     factors = _simulate_price_factors(
         spec, epsilon, fast, n_paths, [n_steps], np.array([fast.y0])

@@ -10,14 +10,17 @@ the vertex, separately for the controls whose drift is upwinded forward and
 those upwinded backward, which equals the upwinded scan over every control.  The
 stiff nonlocal part in the factor variable is linear, so it is folded into an
 implicit solve: the generator restricted to the factor grid is assembled once
-from closed-form cell masses of the jump measure (small jumps below one grid
-spacing become an exact-variance diffusion stencil, jumps landing between
-nodes are split by linear interpolation, jumps leaving the grid take the edge
-value, as suits value functions bounded in the factor, the mean-reverting
-drift is central wherever that keeps the row monotone and upwind elsewhere,
-and the far-tail mass beyond the outer cut is reported as a diagnostic).  The
-matrix has nonnegative off-diagonal entries and zero row sums, so it is a
-consistent monotone scheme in the Barles-Souganidis sense.
+from closed-form cell masses of the jump measure, one pass over the offsets
+j - i (small jumps below one grid spacing become an exact-variance diffusion
+stencil, jumps landing between nodes are split by linear interpolation, so on
+the uniform grid their weights form a Toeplitz matrix, jumps leaving the grid
+take the edge value, as suits value functions bounded in the factor, the
+mean-reverting drift is central wherever that keeps the row monotone and
+upwind elsewhere).  The diagonal is minus the off-diagonal row sum, so the
+matrix has zero row sums and, by construction, nonnegative off-diagonal
+entries: a consistent monotone scheme in the Barles-Souganidis sense.  The
+smallest off-diagonal entry and the far-tail mass beyond the outer cut are
+reported as diagnostics.
 
 Scope: one slow dimension.  The multi-asset pricing system is diagonal, so
 per-asset solves cover it; nothing here attempts coupled multi-dimensional
@@ -45,6 +48,8 @@ from .levy_measures import (
 )
 
 CFL_SAFETY = 0.9
+#: Time slices kept by the solvers, evenly spread over the step grid.
+N_CHECKPOINTS = 51
 SQRT2 = math.sqrt(2.0)
 
 
@@ -133,7 +138,6 @@ class Grids:
     x: np.ndarray
     y: Optional[np.ndarray] = None
     dt: Optional[float] = None
-    n_checkpoints: int = 51
 
     def __post_init__(self):
         x = np.asarray(self.x)
@@ -177,9 +181,8 @@ class ValueField:
         return float(np.max(np.abs(self.values) / denom[None, :]))
 
 
-def _checkpoint_times(horizon: float, n_t: int, n_checkpoints: int) -> np.ndarray:
-    idx = np.unique(np.linspace(0, n_t, min(n_checkpoints, n_t + 1)).round().astype(int))
-    return idx
+def _checkpoint_times(n_t: int) -> np.ndarray:
+    return np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))
 
 
 def _upwind_derivatives(v: np.ndarray, dx: float, axis: int = 0):
@@ -222,19 +225,25 @@ def assemble_factor_generator(
 ) -> tuple[np.ndarray, dict]:
     """Dense matrix of the generator restricted to a uniform factor grid.
 
-    Jumps with |z| <= dy enter as an exact-variance diffusion stencil; larger
-    jumps landing inside the grid are split between the two nearest columns
-    so the mass and the first moment are exact; jumps leaving the grid, up to
+    Jumps with |z| <= dy enter as an exact-variance diffusion stencil.  Larger
+    jumps are binned into the cells [(k-1) dy, k dy], k >= 2, and each cell's
+    mass is split between offsets k-1 and k so that its mass and first moment
+    are exact; on a uniform grid these weights depend on the offset alone, so
+    the upward jumps form one Toeplitz matrix built once per offset.  Row i
+    reaches K = ny-1-i offsets before the edge: jumps leaving the grid, up to
     the outer cut, take the edge value (edge column), which is exact for
     functions constant beyond the grid and keeps the error bounded for
-    functions bounded in y.  The drift ``-(y + compensator) d/dy`` is added last, with
-    central differences on every row where the diffusion and jump weights on
-    both neighbours stay nonnegative after it, and first-order upwind
-    differences elsewhere.  Hence every off-diagonal entry is nonnegative.
+    functions bounded in y.  Downward jumps of the symmetric model are the
+    same matrix rotated by 180 degrees.  The drift ``-(y + compensator) d/dy``
+    is added last, with central differences on every row where the diffusion
+    and jump weights on both neighbours stay nonnegative after it, and
+    first-order upwind differences elsewhere.  Hence every off-diagonal entry
+    is nonnegative; the diagnostics key ``monotonicity_margin`` is the
+    smallest of them.
 
-    Row sums vanish exactly (constants are in the kernel): the diagonal only
-    absorbs the jump mass actually routed to columns, and jumps beyond the
-    outer cut are treated as landing at the start point.  The diagnostics key
+    The diagonal is set last to minus the row's off-diagonal sum, so row sums
+    vanish (constants are in the kernel) and jumps beyond the outer cut are
+    treated as landing at the start point.  The diagnostics key
     ``extrapolated_tail_mass`` is that mass beyond the outer cut,
     nu(|z| > M), which every row drops alike.
     """
@@ -246,80 +255,48 @@ def assemble_factor_generator(
     from .nonlocal_generator import default_outer_cut
 
     m_cut = max(default_outer_cut(model), y[-1] - y[0] + 1.0)
-    L = np.zeros((ny, ny))
-    dropped = 0.0
 
-    if model.intensity > 0.0:
-        # small jumps |z| <= dy: exact-variance central diffusion stencil
-        half_m2 = 0.5 * truncated_moment(model, 2, dy)
-        for i in range(1, ny - 1):
-            L[i, i - 1] += half_m2 / dy**2
-            L[i, i] += -2.0 * half_m2 / dy**2
-            L[i, i + 1] += half_m2 / dy**2
+    # cell k = [(k-1) dy, k dy]: the far share goes to offset k, the rest to k-1
+    cells = range(2, ny)
+    mass = np.array([interval_mass(model, (k - 1) * dy, k * dy) for k in cells])
+    moment = np.array([interval_first_moment(model, (k - 1) * dy, k * dy) for k in cells])
+    far = np.zeros(ny)
+    far[2:] = (moment - np.arange(1, ny - 1) * dy * mass) / dy
+    weight = far.copy()
+    weight[1:-1] += mass - far[2:]
+    # the edge column of a row with reach K >= 1 also takes nu([K dy, M])
+    edge = far[1:] + [interval_mass(model, k * dy, m_cut) for k in range(1, ny)]
 
-        # leftover compensator mean of jumps dy < |z| <= 1
-        comp = interval_first_moment(model, dy, 1.0)
-        if model.two_sided:
-            comp += interval_first_moment(model, -1.0, -dy)
+    L = np.triu(linalg.toeplitz(weight), 1)
+    L[:-1, -1] = edge[::-1]
+    if model.two_sided:
+        L += L[::-1, ::-1]
 
-        sides = (1.0, -1.0) if model.two_sided else (1.0,)
-        for i in range(ny):
-            for s in sides:
-                # resolved jumps: z in (dy, M], landing point linearly
-                # interpolated between grid columns
-                lo = dy
-                edge = (y[-1] - y[i]) if s > 0 else (y[i] - y[0])
-                hi_resolved = min(max(edge, lo), m_cut)
-                j_start = i
-                while True:
-                    j_next = j_start + 1 if s > 0 else j_start - 1
-                    if j_next < 0 or j_next >= ny:
-                        break
-                    a = abs(y[j_start] - y[i])
-                    b = abs(y[j_next] - y[i])
-                    a_eff, b_eff = max(a, lo), min(b, hi_resolved)
-                    if b_eff > a_eff:
-                        mass = interval_mass(model, s * b_eff, s * a_eff) if s < 0 else interval_mass(model, a_eff, b_eff)
-                        mom = interval_first_moment(model, s * b_eff, s * a_eff) if s < 0 else interval_first_moment(model, a_eff, b_eff)
-                        mom = abs(mom)
-                        w_far = (mom - a * mass) / (b - a)
-                        w_near = mass - w_far
-                        L[i, j_start] += w_near
-                        L[i, j_next] += w_far
-                        L[i, i] -= mass
-                    j_start = j_next
-                    if b >= hi_resolved:
-                        break
+    # strided views of the sub- and superdiagonal: sub[i] = L[i+1, i], sup[i] = L[i, i+1]
+    flat = L.reshape(-1)
+    sub, sup = flat[ny::ny + 1], flat[1::ny + 1]
+    # small jumps |z| <= dy: exact-variance central diffusion stencil
+    half_m2 = 0.5 * truncated_moment(model, 2, dy)
+    sub[:-1] += half_m2 / dy**2
+    sup[1:] += half_m2 / dy**2
 
-                # jumps leaving the grid (up to the outer cut) take the edge
-                # value; the cut exceeds the grid span, so this is never empty
-                start = max(edge, lo)
-                mass = interval_mass(model, start, m_cut) if s > 0 else interval_mass(model, -m_cut, -start)
-                L[i, ny - 1 if s > 0 else 0] += mass
-                L[i, i] -= mass
-                dropped += tail_mass(model, m_cut) / len(sides)
-    else:
-        comp = 0.0
+    # drift -(y + comp) d/dy, comp the leftover compensator mean of jumps
+    # dy < |z| <= 1: central wherever the weights already on both neighbours
+    # keep them nonnegative, upwind elsewhere (mean reversion points inward,
+    # so the needed neighbour exists wherever the coefficient is large)
+    comp = interval_first_moment(model, dy, 1.0)
+    if model.two_sided:
+        comp += interval_first_moment(model, -1.0, -dy)
+    beta = -(y + comp) / dy
+    central = np.zeros(ny, dtype=bool)
+    central[1:-1] = (sub[:-1] - 0.5 * beta[1:-1] >= 0.0) & (sup[1:] + 0.5 * beta[1:-1] >= 0.0)
+    sup += np.where(central, 0.5 * beta, np.maximum(beta, 0.0))[:-1]
+    sub += np.where(central, -0.5 * beta, np.maximum(-beta, 0.0))[1:]
 
-    # drift -(y + comp) d/dy, added last: central wherever the diffusion and
-    # jump weights already on both neighbours keep them nonnegative, upwind
-    # elsewhere (mean reversion points inward, so the needed neighbour exists
-    # wherever the coefficient is large)
-    for i in range(ny):
-        beta = -(y[i] + comp)
-        half = 0.5 * beta / dy
-        if 0 < i < ny - 1 and L[i, i - 1] - half >= 0.0 and L[i, i + 1] + half >= 0.0:
-            L[i, i - 1] -= half
-            L[i, i + 1] += half
-        elif beta >= 0.0 and i < ny - 1:
-            L[i, i] -= beta / dy
-            L[i, i + 1] += beta / dy
-        elif beta < 0.0 and i > 0:
-            L[i, i] -= -beta / dy
-            L[i, i - 1] += -beta / dy
-
+    flat[::ny + 1] = -L.sum(axis=1)
     diagnostics = {
-        "extrapolated_tail_mass": dropped / ny,
+        "extrapolated_tail_mass": tail_mass(model, m_cut),
+        "monotonicity_margin": float(np.min(L[~np.eye(ny, dtype=bool)])),
         "outer_cut": m_cut,
         "grid_spacing": dy,
     }
@@ -448,7 +425,7 @@ def effective_solve(
     dt = spec.horizon / n_t
 
     v = np.asarray(spec.payoff(x), dtype=float)
-    keep = _checkpoint_times(spec.horizon, n_t, grids.n_checkpoints)
+    keep = _checkpoint_times(n_t)
     slices = {n_t: v.copy()}
     for k in range(n_t - 1, -1, -1):
         v = v - dt * (local.hamiltonian(v) + c * v)
@@ -494,7 +471,7 @@ def pide_solve(
     lu, piv = linalg.lu_factor(lhs)
 
     v = np.repeat(np.asarray(spec.payoff(x), dtype=float)[:, None], len(y), axis=1)
-    keep = _checkpoint_times(spec.horizon, n_t, grids.n_checkpoints)
+    keep = _checkpoint_times(n_t)
     slices = {n_t: v.copy()}
     for k in range(n_t - 1, -1, -1):
         rhs = v - dt * (local.hamiltonian(v) + c * v)

@@ -93,13 +93,6 @@ class LevyMeasureModel:
     def two_sided(self) -> bool:
         return self.family is Family.SYMMETRIC_STABLE
 
-    @property
-    def support(self) -> str:
-        """Human-readable support descriptor."""
-        if self.two_sided:
-            return "R \\ {0}"
-        return "(0, +inf)"
-
     def in_support(self, z: float) -> bool:
         if z == 0.0:
             return False

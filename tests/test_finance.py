@@ -64,6 +64,16 @@ class TestMonteCarloPricers:
         assert est_se[0, 0, 0] == se
 
     @pytest.mark.parametrize("pricer", ["price_mc", "price_mc_surface"])
+    def test_fewer_than_1000_paths_are_refused(self, pricer):
+        spec = pricing_spec(CallPayoff(1.0))
+        with pytest.raises(UsageError, match="1000 paths"):
+            if pricer == "price_mc":
+                price_mc(spec, self.EPS, self.FAST, 999)
+            else:
+                price_mc_surface(spec, self.EPS, self.FAST, 1, np.array([1.0]),
+                                 np.array([1.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("pricer", ["price_mc", "price_mc_surface"])
     def test_rate_disagreeing_with_epsilon_is_rejected(self, pricer):
         spec = pricing_spec(CallPayoff(1.0))
         fast = FastProcessConfig(self.FAST.model, lam=10.0, y0=0.0, horizon=1.0, seed=3)

@@ -19,7 +19,12 @@ from levy_multiscale.hjb_solvers import (
     pide_solve,
     sup_norm_gap,
 )
-from levy_multiscale.levy_measures import Family, LevyMeasureModel
+from levy_multiscale.levy_measures import (
+    Family,
+    LevyMeasureModel,
+    interval_first_moment,
+    interval_mass,
+)
 from levy_multiscale.nonlocal_generator import GeneratorQuadrature, generator_apply
 
 SYM15 = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5)
@@ -186,6 +191,15 @@ class TestEffectiveSolve:
         assert exc.value.suggested_dt < 0.1
 
 
+# every jump branch of the assembly: alpha < 1, the alpha = 1 log moment, alpha > 1, one-sided
+GENERATOR_MODELS = [LevyMeasureModel(Family.SYMMETRIC_STABLE, a) for a in (0.7, 1.0, 1.5)] + [
+    LevyMeasureModel(Family.ONE_SIDED_STABLE, a) for a in (1.2, 1.5)
+]
+each_generator_model = pytest.mark.parametrize(
+    "model", GENERATOR_MODELS, ids=lambda m: f"{m.family.value}-{m.alpha}"
+)
+
+
 class TestFactorGeneratorMatrix:
     def test_rows_annihilate_constants(self):
         y = np.linspace(-8.0, 8.0, 65)
@@ -229,6 +243,47 @@ class TestFactorGeneratorMatrix:
                 q, math.cos, float(y[idx]), lambda v: -math.sin(v), lambda v: -math.cos(v)
             )
             assert vals[idx] == pytest.approx(want, abs=0.05)
+
+    @each_generator_model
+    def test_monotonicity_margin_is_the_smallest_offdiagonal_entry(self, model):
+        y = np.linspace(-6.0, 6.0, 49)
+        L, diag = assemble_factor_generator(model, y)
+        offdiag = L[~np.eye(len(y), dtype=bool)]
+        assert diag["monotonicity_margin"] >= 0.0
+        assert diag["monotonicity_margin"] == np.min(offdiag)
+        assert np.max(np.abs(L.sum(axis=1))) <= 1e-12 * np.max(np.abs(L))
+
+    @each_generator_model
+    def test_jump_weights_depend_on_the_offset_alone(self, model):
+        # away from the edge column, offsets k >= 2 carry only the jump
+        # weights, which on a uniform grid do not depend on the row
+        ny = 49
+        L, _ = assemble_factor_generator(model, np.linspace(-6.0, 6.0, ny))
+        for k in range(2, ny - 1):
+            band = np.array([L[i, i + k] for i in range(ny - 1 - k)])
+            assert np.ptp(band) <= 1e-15 * np.max(np.abs(L))
+
+    @each_generator_model
+    def test_exact_on_the_identity_clamped_at_the_edges(self, model):
+        # f(y) = y, held at its edge value beyond the grid: cell splitting is
+        # exact for linear functions, so each interior row equals the drift
+        # plus the jump integral of the clamped increment, in closed form;
+        # this pins the edge column, which the Toeplitz tests leave out
+        y = np.linspace(-6.0, 6.0, 49)
+        dy = y[1] - y[0]
+        L, diag = assemble_factor_generator(model, y)
+        m_cut = diag["outer_cut"]
+        comp = interval_first_moment(model, dy, 1.0) + interval_first_moment(model, -1.0, -dy)
+        for i in range(2, len(y) - 2):  # rows reaching at least two cells each way
+            up, down = (len(y) - 1 - i) * dy, i * dy
+            want = -(y[i] + comp)
+            want += interval_first_moment(model, dy, up) + up * interval_mass(model, up, m_cut)
+            want += interval_first_moment(model, -down, -dy) - down * interval_mass(model, -m_cut, -down)
+            assert (L @ y)[i] == pytest.approx(want, abs=1e-12 * np.max(np.abs(L)))
+
+    def test_symmetric_model_on_symmetric_grid_is_centrosymmetric(self):
+        L, _ = assemble_factor_generator(SYM15, np.linspace(-6.0, 6.0, 49))
+        assert np.max(np.abs(L - L[::-1, ::-1])) <= 1e-14 * np.max(np.abs(L))
 
 
 class TestPideSolve:
