@@ -22,7 +22,7 @@ from scipy import integrate
 from .ergodicity import InvariantMeasure
 from .errors import DegenerateVolatilityError, UsageError
 from .hjb_solvers import SQRT2, ControlProblemSpec, QuadraticControlStructure
-from .jump_processes import BROWNIAN_STREAM, FastProcessConfig, iter_fast_values, stream_rng
+from .jump_processes import FastProcessConfig, iter_slow_values
 
 
 class CallPayoff:
@@ -88,40 +88,28 @@ class MertonSpec:
 
 def pricing_problem(spec: PricingSpec) -> ControlProblemSpec:
     """Uncontrolled lognormal pricing model as a control-problem description."""
-    structure = QuadraticControlStructure(
-        beta0=spec.r, beta1=0.0, sigma_of_y=spec.sigma_fn, vol_u_power=0
-    )
-    g = spec.payoff
-    probe = np.array([0.5, 1.0, 10.0, 100.0])
-    growth_k = float(np.max(np.abs(g(probe)) / (1.0 + probe**2))) + 1.0
     return ControlProblemSpec(
-        drift=structure.drift,
-        vol=structure.vol,
+        structure=QuadraticControlStructure(
+            beta0=spec.r, beta1=0.0, sigma_of_y=spec.sigma_fn, vol_u_power=0
+        ),
         control_grid=np.array([0.0]),
-        payoff=g,
+        payoff=spec.payoff,
         discount=spec.discount,
         horizon=spec.horizon,
-        growth_K=growth_k,
-        multiplicative=True,
-        structure=structure,
     )
 
 
 def merton_problem(spec: MertonSpec, n_controls: int = 41) -> ControlProblemSpec:
     """Wealth-process control problem on an equispaced control grid."""
-    structure = QuadraticControlStructure(
-        beta0=spec.r, beta1=spec.alpha_drift - spec.r, sigma_of_y=spec.sigma_fn, vol_u_power=1
-    )
     return ControlProblemSpec(
-        drift=structure.drift,
-        vol=structure.vol,
+        structure=QuadraticControlStructure(
+            beta0=spec.r, beta1=spec.alpha_drift - spec.r, sigma_of_y=spec.sigma_fn,
+            vol_u_power=1,
+        ),
         control_grid=np.linspace(spec.R1, spec.R, n_controls),
         payoff=spec.utility,
         discount=0.0,
         horizon=spec.horizon,
-        growth_K=spec.a / spec.gamma + 1.0,
-        multiplicative=True,
-        structure=structure,
     )
 
 
@@ -152,38 +140,24 @@ def _simulate_price_factors(
 ) -> np.ndarray:
     """Multiplicative growth factors at requested steps for each start factor.
 
-    One jump stream and one Brownian stream drive all start values (the factor
-    map is affine in its start point, see ``iter_fast_values``), giving exact
-    common random numbers across both the y-window and, for fixed step count,
-    across epsilon.  Multiplicative Euler steps floor at zero, preserving
-    nonnegativity.
+    The factors are the slow state of :func:`pricing_problem` started at
+    x = 1, read from ``iter_slow_values`` with the start factors as
+    ``starts``.  One jump stream and one Brownian stream drive all start
+    values, giving exact common random numbers across both the y-window and,
+    for fixed step count, across epsilon.
     """
     if n_paths < 1000:
         raise UsageError("need at least 1000 paths")
     if abs(fast.lam * epsilon - 1.0) > 1e-9:
         raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
-    dt = fast.step
     # pin the step: the default step depends on the horizon
-    run = replace(fast, horizon=spec.horizon, dt=dt)
-    n_steps = int(round(spec.horizon / dt))
-    sq_dt = math.sqrt(dt)
-    r = spec.r
-
-    brown_rng = stream_rng(fast.seed, BROWNIAN_STREAM)
-
-    snap_set = set(snapshot_steps)
-    factors = np.ones((len(y0_values), n_paths))
-    out = np.empty((len(y0_values), len(snapshot_steps), n_paths))
-    snap_pos = {k: j for j, k in enumerate(sorted(snap_set))}
-
-    for k, ys in enumerate(iter_fast_values(run, n_paths, starts=y0_values)):
-        if k in snap_set:
-            out[:, snap_pos[k], :] = factors
-        if k == n_steps:
-            break
-        dw = brown_rng.normal(0.0, sq_dt, size=n_paths)
-        sig = np.asarray(spec.sigma_fn(ys), dtype=float)
-        factors *= np.maximum(1.0 + r * dt + SQRT2 * sig * dw, 0.0)
+    run = replace(fast, horizon=spec.horizon, dt=fast.step)
+    slot = {k: j for j, k in enumerate(sorted(set(snapshot_steps)))}
+    out = np.empty((len(y0_values), len(slot), n_paths))
+    paths = iter_slow_values(pricing_problem(spec), run, 1.0, n_paths, starts=y0_values)
+    for k, (factors, _) in enumerate(paths):
+        if k in slot:
+            out[:, slot[k], :] = factors
     return out
 
 
@@ -216,10 +190,13 @@ def price_mc_surface(
 
     ``taus`` are times to maturity; the pair process is time-homogeneous, so
     the estimate at (t, x, y) uses growth factors over [0, T - t].  Requested
-    taus are rounded to the step grid.
+    taus must lie in [0, T] and are rounded to the step grid.
     """
+    taus = np.asarray(taus, dtype=float)
+    if np.any((taus < 0.0) | (taus > spec.horizon)):
+        raise UsageError(f"taus must lie in [0, {spec.horizon:g}]")
     dt = fast.step
-    steps = sorted({int(round(t / dt)) for t in np.asarray(taus)})
+    steps = sorted({int(round(t / dt)) for t in taus})
     factors = _simulate_price_factors(
         spec, epsilon, fast, n_paths, steps, np.asarray(y_values, dtype=float)
     )

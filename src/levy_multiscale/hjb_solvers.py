@@ -83,28 +83,23 @@ class QuadraticControlStructure:
 
 @dataclass(frozen=True)
 class ControlProblemSpec:
-    """Coefficients, control grid, and payoff of the stochastic control problem.
+    """Model, control grid, and payoff of the stochastic control problem.
 
-    ``drift(x, y, u)`` and ``vol(x, y, u)`` are the SDE coefficients (any
-    root-two convention already included), vectorized over x and y arrays.
-    Coefficients are assumed Lipschitz, bounded in y, and vanishing at x = 0,
-    which makes the x = 0 boundary characteristic: the schemes never impose a
-    lateral boundary condition there.  ``growth_K`` records the constant in
-    the quadratic payoff bound |g| <= K (1 + x^2).  The grid solvers read the
-    model from ``structure`` (the applications pass its ``drift`` and ``vol``
-    methods as the coefficients) and minimize over the points ``u_lo + k du``,
-    so the control grid must be increasing and uniform.
+    ``structure`` is the one statement of the model: the slow state moves as
+    ``dX = structure.drift(X, Y, u) dt + structure.vol(X, Y, u) dW``, root-two
+    convention included.  The coefficients vanish at x = 0, which makes the
+    x = 0 boundary characteristic: the schemes never impose a lateral boundary
+    condition there.  The grid solvers, :func:`hamiltonian_eval` and the path
+    simulator (``jump_processes.iter_slow_values``) all read it.  The solvers
+    minimize over the points ``u_lo + k du``, so the control grid must be
+    increasing and uniform.
     """
 
-    drift: Callable
-    vol: Callable
+    structure: QuadraticControlStructure
     control_grid: np.ndarray
     payoff: Callable
     discount: float
     horizon: float
-    growth_K: float
-    multiplicative: bool = False
-    structure: Optional[QuadraticControlStructure] = None
 
     def __post_init__(self):
         if self.discount < 0.0:
@@ -121,11 +116,12 @@ class ControlProblemSpec:
 
 def hamiltonian_eval(spec: ControlProblemSpec, x, y, p, X) -> tuple[float, float]:
     """Bellman minimization over the finite control grid; first index wins ties."""
+    st = spec.structure
     controls = np.asarray(spec.control_grid, dtype=float)
     vals = np.empty(len(controls))
     for k, u in enumerate(controls):
-        vol = float(spec.vol(x, y, float(u)))
-        dri = float(spec.drift(x, y, float(u)))
+        vol = float(st.vol(x, y, float(u)))
+        dri = float(st.drift(x, y, float(u)))
         vals[k] = -0.5 * vol * vol * X - dri * p
     k = int(np.argmin(vals))
     return float(vals[k]), float(controls[k])
@@ -185,25 +181,20 @@ def _checkpoint_times(n_t: int) -> np.ndarray:
     return np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))
 
 
-def _upwind_derivatives(v: np.ndarray, dx: float, axis: int = 0):
-    """Forward/backward/second differences with one-sided closures.
+def _upwind_derivatives(v: np.ndarray, dx: float):
+    """Forward/backward/second differences along axis 0 with one-sided closures.
 
     The first row uses only forward information and the last only backward;
     curvature vanishes at both ends (payoffs here are asymptotically linear or
     sublinear, and x = 0 is characteristic).
     """
-    v = np.moveaxis(v, axis, 0)
     fwd = np.zeros_like(v)
     bwd = np.zeros_like(v)
     d2 = np.zeros_like(v)
     fwd[:-1] = (v[1:] - v[:-1]) / dx
     bwd[1:] = (v[1:] - v[:-1]) / dx
     d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-    return (
-        np.moveaxis(fwd, 0, axis),
-        np.moveaxis(bwd, 0, axis),
-        np.moveaxis(d2, 0, axis),
-    )
+    return fwd, bwd, d2
 
 
 def _cfl_step(a_max_over_dx2: float, b_max_over_dx: float, c: float, dt_req: Optional[float]):
@@ -362,7 +353,7 @@ class _LocalBellman:
 
     def hamiltonian(self, v: np.ndarray) -> np.ndarray:
         """H evaluated with discrete derivatives; collapses the y axis iff weighted."""
-        fwd, bwd, d2 = _upwind_derivatives(v, self.dx, axis=0)
+        fwd, bwd, d2 = _upwind_derivatives(v, self.dx)
         x = self.x[:, None]
         if v.ndim == 1:
             # effective solve: y axis lives in the atoms, broadcast to it
@@ -404,6 +395,41 @@ def _collapse_sigma_atoms(mu: InvariantMeasure, max_atoms: int = 64):
     return nodes, weights / weights.sum()
 
 
+def _march(
+    spec: ControlProblemSpec,
+    local: _LocalBellman,
+    grids: Grids,
+    v: np.ndarray,
+    implicit_step: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None,
+):
+    """March the terminal slice ``v`` back to t = 0 with explicit Bellman steps.
+
+    The step is the positivity bound's (or the requested one), shrunk so that
+    n_t steps span the horizon.  ``implicit_step(dt)``, if given, returns the
+    map applied after each explicit step.  Returns the checkpoint times, the
+    slices kept there, dt and n_t.
+    """
+    c = spec.discount
+    dt = _cfl_step(local.a_over_dx2, local.b_over_dx, c, grids.dt)
+    n_t = max(1, int(math.ceil(spec.horizon / dt)))
+    dt = spec.horizon / n_t
+    solve = None if implicit_step is None else implicit_step(dt)
+
+    keep = _checkpoint_times(n_t)
+    slot = {int(k): j for j, k in enumerate(keep)}
+    values = np.empty((len(keep),) + v.shape)
+    values[-1] = v
+    for k in range(n_t - 1, -1, -1):
+        v = v - dt * (local.hamiltonian(v) + c * v)
+        if solve is not None:
+            v = solve(v)
+        if not np.all(np.isfinite(v)):
+            raise NumericalError(f"backward march diverged at step {k}")
+        if k in slot:
+            values[slot[k]] = v
+    return keep * dt, values, dt, n_t
+
+
 def effective_solve(
     spec: ControlProblemSpec,
     mu: InvariantMeasure,
@@ -419,20 +445,8 @@ def effective_solve(
     x = np.asarray(grids.x, dtype=float)
     atoms, weights = _collapse_sigma_atoms(mu)
     local = _LocalBellman(spec, x, atoms, weights)
-    c = spec.discount
-    dt = _cfl_step(local.a_over_dx2, local.b_over_dx, c, grids.dt)
-    n_t = max(1, int(math.ceil(spec.horizon / dt)))
-    dt = spec.horizon / n_t
-
     v = np.asarray(spec.payoff(x), dtype=float)
-    keep = _checkpoint_times(n_t)
-    slices = {n_t: v.copy()}
-    for k in range(n_t - 1, -1, -1):
-        v = v - dt * (local.hamiltonian(v) + c * v)
-        if k in keep:
-            slices[k] = v.copy()
-    t_grid = np.array(sorted(slices)) * dt
-    values = np.stack([slices[k] for k in sorted(slices)])
+    t_grid, values, dt, n_t = _march(spec, local, grids, v)
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values,
         diagnostics={"dt": dt, "n_t": n_t, "atoms": len(atoms)},
@@ -460,32 +474,17 @@ def pide_solve(
     x = np.asarray(grids.x, dtype=float)
     y = np.asarray(grids.y, dtype=float)
     gen, gen_diag = assemble_factor_generator(model, y)
-
     local = _LocalBellman(spec, x, y, weights=None)
-    c = spec.discount
-    dt = _cfl_step(local.a_over_dx2, local.b_over_dx, c, grids.dt)
-    n_t = max(1, int(math.ceil(spec.horizon / dt)))
-    dt = spec.horizon / n_t
 
-    lhs = np.eye(len(y)) - (dt / epsilon) * gen
-    lu, piv = linalg.lu_factor(lhs)
+    def implicit_step(dt: float):
+        lu_piv = linalg.lu_factor(np.eye(len(y)) - (dt / epsilon) * gen)
+        return lambda rhs: linalg.lu_solve(lu_piv, rhs.T).T
 
     v = np.repeat(np.asarray(spec.payoff(x), dtype=float)[:, None], len(y), axis=1)
-    keep = _checkpoint_times(n_t)
-    slices = {n_t: v.copy()}
-    for k in range(n_t - 1, -1, -1):
-        rhs = v - dt * (local.hamiltonian(v) + c * v)
-        v = linalg.lu_solve((lu, piv), rhs.T).T
-        if k in keep:
-            slices[k] = v.copy()
-        if not np.all(np.isfinite(v)):
-            raise NumericalError(f"implicit factor solve diverged at step {k}")
-    t_grid = np.array(sorted(slices)) * dt
-    values = np.stack([slices[k] for k in sorted(slices)])
-    diagnostics = {"dt": dt, "n_t": n_t, **gen_diag}
+    t_grid, values, dt, n_t = _march(spec, local, grids, v, implicit_step)
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values, y_grid=y,
-        epsilon=epsilon, diagnostics=diagnostics,
+        epsilon=epsilon, diagnostics={"dt": dt, "n_t": n_t, **gen_diag},
     )
 
 

@@ -95,15 +95,18 @@ class PathSample:
 class SlowSystemConfig:
     """Controlled slow state coupled to a fast factor.
 
-    ``problem`` is a control-problem description (see hjb_solvers); only its
-    coefficient handles and control grid are used here.  ``control_policy``
-    maps (t, x, y) to a control value; ``None`` means the first grid control.
+    ``problem`` is a ``hjb_solvers.ControlProblemSpec``: its required
+    ``structure`` states the model and its first grid control is the default
+    control.  ``control_policy`` maps (t, x, y) to a control; it is called once
+    per step with the batch arrays x and y (one path here) and may return one
+    control per path or a scalar for every path.  ``None`` means the first
+    grid control.
     """
 
     problem: object
     fast: FastProcessConfig
     x0: float
-    control_policy: Optional[Callable[[float, float, float], float]] = None
+    control_policy: Optional[Callable[[float, np.ndarray, np.ndarray], object]] = None
 
     def __post_init__(self):
         if np.any(np.asarray(self.x0) < 0.0):
@@ -226,57 +229,67 @@ def simulate_fast_path(cfg: FastProcessConfig) -> PathSample:
     return PathSample(times=times, values=values[0], seed=cfg.seed)
 
 
-def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]:
-    """Euler-Maruyama for the slow state with the factor read at left endpoints.
+def iter_slow_values(
+    problem,
+    fast: FastProcessConfig,
+    x0: float,
+    n_paths: int,
+    starts: Optional[np.ndarray] = None,
+    policy: Optional[Callable] = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream the slow state and the factor at grid times 0, dt, ... across a batch.
 
-    Brownian increments come from a substream independent of the jump stream.
-    For multiplicative coefficient models (those vanishing at x = 0) the update
-    is applied in factor form with a floor at zero, so nonnegativity holds by
-    construction; a plain Euler step overshooting zero is absorbed there,
-    consistent with the coefficients vanishing on the boundary.
+    This is the package's one slow-state step; every consumer reads it.  It
+    yields (x, y) pairs, n_steps + 1 in total, with y from
+    ``iter_fast_values(fast, n_paths, starts)`` and x of the same shape,
+    starting at ``x0``.  The model is ``problem.structure``, whose drift b and
+    volatility s are linear in x, so Euler-Maruyama with the factor read at
+    left endpoints takes the floored factor form
+
+        X_{k+1} = X_k * max(1 + b(1, Y_k, u_k) dt + s(1, Y_k, u_k) dW_k, 0):
+
+    an Euler step that would overshoot zero is absorbed there, and x = 0 stays
+    absorbing.  The Brownian stream is ``stream_rng(fast.seed,
+    BROWNIAN_STREAM)``, one increment per path and step, shared by all start
+    points.  ``policy(t, x, y)`` is called once per step on the batch arrays;
+    a scalar return applies to every path, and ``None`` means the first grid
+    control.
     """
-    fast = cfg.fast
-    prob = cfg.problem
-    n = _n_steps(fast)
+    st = problem.structure
     dt = fast.step
     sq_dt = math.sqrt(dt)
-
-    brown_rng = stream_rng(fast.seed, BROWNIAN_STREAM)
-
-    times = np.arange(n + 1) * dt
-    xs = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    x = float(cfg.x0)
-    controls = np.asarray(prob.control_grid, dtype=float)
-    policy = cfg.control_policy
-
-    multiplicative = bool(getattr(prob, "multiplicative", False))
-
-    for k, batch in enumerate(iter_fast_values(fast, 1)):
-        y = float(batch[0])
-        xs[k] = x
-        ys[k] = y
+    n = _n_steps(fast)
+    rng = stream_rng(fast.seed, BROWNIAN_STREAM)
+    u = float(np.asarray(problem.control_grid, dtype=float)[0])
+    x = np.full((n_paths,) if starts is None else (len(starts), n_paths), float(x0))
+    for k, y in enumerate(iter_fast_values(fast, n_paths, starts)):
+        yield x, y
         if k == n:
-            break
-        t = times[k]
-        if policy is None:
-            u = float(controls[0])
-        else:
+            return
+        if policy is not None:
+            t = k * dt
             try:
-                u = float(policy(t, x, y))
+                u = policy(t, x, y)
             except Exception as exc:
                 raise UsageError(f"control policy failed at step {k} (t={t:g})") from exc
-        dw = brown_rng.normal(0.0, sq_dt)
-        drift = float(prob.drift(x, y, u))
-        vol = float(prob.vol(x, y, u))
-        if multiplicative and x > 0.0:
-            x = x * max(1.0 + (drift * dt + vol * dw) / x, 0.0)
-        elif multiplicative:
-            x = 0.0
-        else:
-            x = x + drift * dt + vol * dw
+        dw = rng.normal(0.0, sq_dt, size=n_paths)
+        x = x * np.maximum(1.0 + st.drift(1.0, y, u) * dt + st.vol(1.0, y, u) * dw, 0.0)
 
+
+def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]:
+    """One path of the slow state and its factor, read from :func:`iter_slow_values`.
+
+    ``cfg.problem.structure`` is the model; ``cfg.control_policy`` is called
+    once per step on the one-path batch arrays.  Nonnegativity holds by
+    construction.
+    """
+    fast = cfg.fast
+    times = np.arange(_n_steps(fast) + 1) * fast.step
+    path = np.array([
+        (x[0], y[0])
+        for x, y in iter_slow_values(cfg.problem, fast, cfg.x0, 1, policy=cfg.control_policy)
+    ])
     return (
-        PathSample(times=times, values=xs, seed=fast.seed),
-        PathSample(times=times, values=ys, seed=fast.seed),
+        PathSample(times=times, values=path[:, 0], seed=fast.seed),
+        PathSample(times=times, values=path[:, 1], seed=fast.seed),
     )

@@ -73,6 +73,13 @@ class TestMonteCarloPricers:
                 price_mc_surface(spec, self.EPS, self.FAST, 1, np.array([1.0]),
                                  np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("tau", [-0.5, 2.0])
+    def test_surface_refuses_taus_outside_the_horizon(self, tau):
+        spec = pricing_spec(CallPayoff(1.0))
+        with pytest.raises(UsageError, match="taus"):
+            price_mc_surface(spec, self.EPS, self.FAST, 1000, np.array([0.5, tau]),
+                             np.array([1.0]), np.array([0.0]))
+
     @pytest.mark.parametrize("pricer", ["price_mc", "price_mc_surface"])
     def test_rate_disagreeing_with_epsilon_is_rejected(self, pricer):
         spec = pricing_spec(CallPayoff(1.0))

@@ -11,6 +11,7 @@ from levy_multiscale.hjb_solvers import (
     CompactBox,
     ControlProblemSpec,
     Grids,
+    QuadraticControlStructure,
     ValueField,
     _LocalBellman,
     assemble_factor_generator,
@@ -282,8 +283,9 @@ class TestFactorGeneratorMatrix:
             assert (L @ y)[i] == pytest.approx(want, abs=1e-12 * np.max(np.abs(L)))
 
     def test_symmetric_model_on_symmetric_grid_is_centrosymmetric(self):
-        L, _ = assemble_factor_generator(SYM15, np.linspace(-6.0, 6.0, 49))
-        assert np.max(np.abs(L - L[::-1, ::-1])) <= 1e-14 * np.max(np.abs(L))
+        for y in (np.linspace(-6.0, 6.0, 49), np.linspace(-8.0, 8.0, 33)):
+            L, _ = assemble_factor_generator(SYM15, y)
+            assert np.max(np.abs(L - L[::-1, ::-1])) <= 1e-14 * np.max(np.abs(L))
 
 
 class TestPideSolve:
@@ -379,9 +381,10 @@ class TestGridsValidation:
     def test_spec_validation(self):
         with pytest.raises(UsageError):
             ControlProblemSpec(
-                drift=lambda x, y, u: x, vol=lambda x, y, u: x,
+                structure=QuadraticControlStructure(
+                    beta0=0.0, beta1=0.0, sigma_of_y=const_sigma(0.2), vol_u_power=0),
                 control_grid=np.array([]), payoff=lambda x: x,
-                discount=0.0, horizon=1.0, growth_K=1.0,
+                discount=0.0, horizon=1.0,
             )
 
     def test_control_grid_must_be_increasing_and_uniform(self):

@@ -1,11 +1,14 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from levy_multiscale.errors import UsageError
+from levy_multiscale.hjb_solvers import ControlProblemSpec, QuadraticControlStructure
 from levy_multiscale.levy_measures import Family, LevyMeasureModel, levy_exponent
 from levy_multiscale.jump_processes import (
     BROWNIAN_STREAM,
@@ -148,55 +151,41 @@ class TestStartFanOut:
             next(iter_fast_values(self.CFG, 8, starts=self.STARTS.reshape(2, 2)))
 
 
-class _ToyPricing:
+def _toy_pricing(r, sigma_fn):
     """Single-asset model dX = r X dt + sqrt(2) sigma(y) X dW."""
-
-    multiplicative = True
-    control_grid = np.array([0.0])
-
-    def __init__(self, r, sigma_fn):
-        self.r = r
-        self.sigma_fn = sigma_fn
-
-    def drift(self, x, y, u):
-        return self.r * x
-
-    def vol(self, x, y, u):
-        return math.sqrt(2.0) * self.sigma_fn(y) * x
+    return ControlProblemSpec(
+        structure=QuadraticControlStructure(beta0=r, beta1=0.0, sigma_of_y=sigma_fn,
+                                            vol_u_power=0),
+        control_grid=np.array([0.0]), payoff=lambda x: x, discount=0.0, horizon=1.0,
+    )
 
 
-class _ToyMerton:
-    multiplicative = True
-
-    def __init__(self, r, alpha_drift, sigma_fn, controls):
-        self.r = r
-        self.alpha_drift = alpha_drift
-        self.sigma_fn = sigma_fn
-        self.control_grid = np.asarray(controls)
-
-    def drift(self, w, y, u):
-        return w * (self.r + (self.alpha_drift - self.r) * u)
-
-    def vol(self, w, y, u):
-        return math.sqrt(2.0) * w * u * self.sigma_fn(y)
+def _toy_merton(r, alpha_drift, sigma_fn, controls):
+    """Wealth dW = W (r + (alpha - r) u) dt + sqrt(2) W u sigma(y) dB."""
+    return ControlProblemSpec(
+        structure=QuadraticControlStructure(beta0=r, beta1=alpha_drift - r, sigma_of_y=sigma_fn,
+                                            vol_u_power=1),
+        control_grid=np.asarray(controls, dtype=float), payoff=lambda x: x, discount=0.0,
+        horizon=1.0,
+    )
 
 
 class TestSlowSystem:
     def test_deterministic_growth_without_noise(self):
-        prob = _ToyPricing(r=0.05, sigma_fn=lambda y: 0.0)
+        prob = _toy_pricing(r=0.05, sigma_fn=lambda y: 0.0)
         fast = FastProcessConfig(NULL, lam=1.0, y0=0.0, horizon=1.0, dt=5e-4, seed=0)
         xs, _ = simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0))
         assert xs.values[-1] == pytest.approx(math.exp(0.05), rel=1e-5)
 
     def test_riskless_merton_growth(self):
-        prob = _ToyMerton(0.05, 0.1, lambda y: 0.2, controls=[0.0])
+        prob = _toy_merton(0.05, 0.1, lambda y: 0.2, controls=[0.0])
         fast = FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=2.0, dt=1e-3, seed=4)
         ws, _ = simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0))
         # u = 0 disables the noise entirely, so the growth is riskless
         assert ws.values[-1] == pytest.approx(math.exp(0.1), rel=1e-5)
 
     def test_state_stays_nonnegative(self):
-        prob = _ToyPricing(r=0.05, sigma_fn=lambda y: 0.3 + 0.1 * math.tanh(y))
+        prob = _toy_pricing(r=0.05, sigma_fn=lambda y: 0.3 + 0.1 * np.tanh(y))
         fast = FastProcessConfig(SYM15, lam=2.0, y0=0.0, horizon=1.0, dt=0.005, seed=21)
         for seed in range(5):
             cfg = SlowSystemConfig(
@@ -210,7 +199,7 @@ class TestSlowSystem:
 
     def test_discounted_martingale_small_batch(self):
         r = 0.05
-        prob = _ToyPricing(r=r, sigma_fn=lambda y: 0.3 + 0.1 * math.tanh(y))
+        prob = _toy_pricing(r=r, sigma_fn=lambda y: 0.3 + 0.1 * np.tanh(y))
         terminal = []
         for seed in range(200):
             fast = FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=0.005, seed=seed)
@@ -221,7 +210,7 @@ class TestSlowSystem:
         assert abs(disc.mean() - 1.0) < 3.0 * se
 
     def test_policy_failure_reports_step(self):
-        prob = _ToyMerton(0.05, 0.1, lambda y: 0.2, controls=[0.0, 1.0])
+        prob = _toy_merton(0.05, 0.1, lambda y: 0.2, controls=[0.0, 1.0])
 
         def bad_policy(t, x, y):
             if t > 0.5:
@@ -233,7 +222,7 @@ class TestSlowSystem:
             simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0, control_policy=bad_policy))
 
     def test_factor_path_is_the_fast_path(self):
-        prob = _ToyPricing(r=0.05, sigma_fn=lambda y: 0.3 + 0.1 * math.tanh(y))
+        prob = _toy_pricing(r=0.05, sigma_fn=lambda y: 0.3 + 0.1 * np.tanh(y))
         fast = FastProcessConfig(SYM15, lam=20.0, y0=0.4, horizon=1.0, seed=31)
         xs, ys = simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0))
         path = simulate_fast_path(fast)
@@ -241,7 +230,7 @@ class TestSlowSystem:
         assert np.array_equal(ys.values, path.values)
 
     def test_negative_initial_state_rejected(self):
-        prob = _ToyPricing(r=0.05, sigma_fn=lambda y: 0.2)
+        prob = _toy_pricing(r=0.05, sigma_fn=lambda y: 0.2)
         fast = FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=0.01, seed=2)
         with pytest.raises(UsageError):
             SlowSystemConfig(prob, fast, x0=-1.0)
@@ -257,3 +246,34 @@ class TestStreams:
         a = stream_rng(5, JUMP_STREAM).standard_normal(8)
         b = stream_rng(5, JUMP_STREAM).standard_normal(8)
         assert np.array_equal(a, b)
+
+
+def _readers(name: str) -> set[str]:
+    """``module.function`` for every function in the package that reads ``name``.
+
+    A read outside any function is reported as ``module.<module>``.
+    """
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = node.name
+            elif (isinstance(node, ast.Name) and node.id == name
+                  and isinstance(node.ctx, ast.Load)) or (
+                      isinstance(node, ast.Attribute) and node.attr == name):
+                readers.add(f"{path.stem}.{scope}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), "<module>")
+    return readers
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "levy_multiscale"
+
+
+class TestOneKernel:
+    def test_each_random_stream_has_one_consumer(self):
+        # the fast-factor recursion and the slow-state step each have one implementation
+        assert _readers("sample_stable_increment") == {"jump_processes.iter_fast_values"}
+        assert _readers("BROWNIAN_STREAM") == {"jump_processes.iter_slow_values"}
