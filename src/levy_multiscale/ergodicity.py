@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,8 +109,12 @@ def stationary_samples(
 ) -> np.ndarray:
     """Pool weakly correlated stationary draws from a batch of factor paths.
 
-    After ``burn_in`` each path is sampled at stride ``2 / lam`` (two
-    relaxation times) until ``n_samples`` values are collected in total.
+    The exact transition of :func:`iter_fast_values` lets the kernel step
+    straight from one kept state to the next: it runs with its step set to
+    the sampling stride ``2 / lam`` (two relaxation times), takes
+    ``ceil(burn_in * lam / 2)`` steps of burn-in, then keeps one state per
+    path and step until ``n_samples`` values are collected in total.
+    ``cfg.dt`` and ``cfg.horizon`` play no part.
     """
     if cfg.model.subordinator:
         raise AssumptionError(
@@ -127,20 +132,11 @@ def stationary_samples(
         return np.full(n_samples, cfg.y0 * math.exp(-cfg.lam * burn_in))
 
     stride = 2.0 / cfg.lam
+    burn_steps = math.ceil(burn_in * cfg.lam / 2.0)
     per_path = math.ceil(n_samples / n_paths)
-    horizon = burn_in + stride * per_path
-    run_cfg = replace(cfg, horizon=horizon)
-    dt = run_cfg.step
-    burn_steps = int(round(burn_in / dt))
-    stride_steps = max(1, int(round(stride / dt)))
-
-    chunks = []
-    for k, y in enumerate(iter_fast_values(run_cfg, n_paths)):
-        if k >= burn_steps and (k - burn_steps) % stride_steps == 0:
-            chunks.append(y.copy())
-            if len(chunks) >= per_path:
-                break
-    return np.concatenate(chunks)[:n_samples]
+    run_cfg = replace(cfg, horizon=stride * (burn_steps + per_path), dt=stride)
+    kept = islice(iter_fast_values(run_cfg, n_paths), burn_steps, burn_steps + per_path)
+    return np.concatenate(list(kept))[:n_samples]
 
 
 def estimate_invariant_measure(

@@ -16,6 +16,13 @@ drift left over by compensating only jumps with ``|z| <= 1``
 internal time ``tau`` satisfy ``E exp(iuZ) = exp(tau * psi(u))`` exactly, with
 ``psi`` the model's Levy-Khintchine exponent.
 
+The fast factor is advanced by its exact transition: over a step of
+internal time ``tau`` the decayed stochastic integral of a stable driver is
+again stable, with scale^alpha ``sigma^alpha (1 - e^{-alpha tau}) / alpha``
+(Chambers, Mallows and Stuck, JASA 1976; Weron, Stat. Probab. Lett. 1996).
+One CMS draw per path and step therefore gives states that are exact in law
+for any step (:func:`iter_fast_values`).
+
 Randomness derives from one 64-bit seed through numpy ``SeedSequence`` spawn
 keys: key ``(0,)`` feeds the jump stream, ``(1,)`` the Brownian stream, and
 further components get successive keys.  Draws are vectorized across paths, so
@@ -183,12 +190,19 @@ def iter_fast_values(
 
     This is the package's one fast-factor recursion; every Monte Carlo
     consumer reads it.  Yields the state *before* each update, n_steps + 1
-    arrays in total, so consumers see left endpoints.  The recursion is
+    arrays in total, so consumers see left endpoints.  With tau = lam * dt
+    the update is the exact transition of the factor,
 
-        Y_{k+1} = exp(-lam * dt) * Y_k + dZ_k,   dZ_k over internal time lam * dt,
+        Y_{k+1} = exp(-tau) Y_k + int_0^tau exp(-(tau - r)) dZ(r),
 
-    i.e. exact exponential decay with the whole jump increment applied at the
-    end of the step.  The jump stream is ``stream_rng(cfg.seed, JUMP_STREAM)``.
+    whose stochastic integral is stable with scale^alpha
+    ``sigma^alpha (1 - exp(-alpha tau)) / alpha`` plus the deterministic
+    ``drift (1 - exp(-tau))``, by the self-similarity of the driver.  It is
+    drawn as one driver increment over internal time
+    ``tau_s = (1 - exp(-alpha tau)) / alpha`` shifted by
+    ``drift ((1 - exp(-tau)) - tau_s)``.  So the states are exact in law
+    for any step, and the step only sets which times are observed.  The
+    jump stream is ``stream_rng(cfg.seed, JUMP_STREAM)``.
 
     Without ``starts`` the batch starts at ``cfg.y0`` and each yield has shape
     ``(n_paths,)``.  With a 1-D array ``starts`` the batch is driven from 0 and
@@ -197,8 +211,10 @@ def iter_fast_values(
     ``(len(starts), n_paths)``.  Every start point then sees the same jumps.
     """
     rng = stream_rng(cfg.seed, JUMP_STREAM)
-    a = math.exp(-cfg.lam * cfg.step)
     tau = cfg.lam * cfg.step
+    a = math.exp(-tau)
+    tau_s = -math.expm1(-cfg.model.alpha * tau) / cfg.model.alpha
+    shift = compensator_drift(cfg.model) * (-math.expm1(-tau) - tau_s)
     if starts is not None:
         starts = np.asarray(starts, dtype=float)
         if starts.ndim != 1:
@@ -208,7 +224,7 @@ def iter_fast_values(
     decay = 1.0
     for _ in range(_n_steps(cfg)):
         yield y if starts is None else starts * decay + y
-        y = a * y + sample_stable_increment(cfg.model, tau, rng, size=n_paths)
+        y = a * y + sample_stable_increment(cfg.model, tau_s, rng, size=n_paths) + shift
         decay *= a
     yield y if starts is None else starts * decay + y
 
@@ -256,6 +272,8 @@ def iter_slow_values(
     control.
     """
     st = problem.structure
+    if st is None:
+        raise UsageError("the slow-state step needs the problem's QuadraticControlStructure")
     dt = fast.step
     sq_dt = math.sqrt(dt)
     n = _n_steps(fast)

@@ -17,6 +17,7 @@ from levy_multiscale.ergodicity import (
     stationary_samples,
     two_atom_measure,
 )
+from levy_multiscale import jump_processes
 from levy_multiscale.jump_processes import FastProcessConfig
 from levy_multiscale.levy_measures import Family, LevyMeasureModel
 
@@ -72,6 +73,21 @@ class TestEstimateInvariantMeasure:
     def test_short_burn_in_refused(self):
         with pytest.raises(UsageError):
             estimate_invariant_measure(fast_cfg(), burn_in=1.0, n_samples=2000)
+
+    def test_long_run_draws_only_the_states_it_keeps(self, monkeypatch):
+        calls = []
+        sampler = jump_processes.sample_stable_increment
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(jump_processes, "sample_stable_increment", counting)
+        cfg = fast_cfg()
+        samples = stationary_samples(cfg, 10.0, 40_000)
+        assert samples.shape == (40_000,)
+        # burn-in steps at stride 2/lam, then one step per kept state
+        assert len(calls) <= math.ceil(cfg.lam * 10.0 / 2.0) + math.ceil(40_000 / 256)
 
     def test_quadrature_cf_matches_oracle(self):
         mu = estimate_invariant_measure(fast_cfg(seed=17), burn_in=10.0, n_samples=30_000)

@@ -1,6 +1,7 @@
 import ast
 import math
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,12 @@ from scipy import stats
 
 from levy_multiscale.errors import UsageError
 from levy_multiscale.hjb_solvers import ControlProblemSpec, QuadraticControlStructure
-from levy_multiscale.levy_measures import Family, LevyMeasureModel, levy_exponent
+from levy_multiscale.levy_measures import (
+    Family,
+    LevyMeasureModel,
+    levy_exponent,
+    stable_exponent_closed,
+)
 from levy_multiscale.jump_processes import (
     BROWNIAN_STREAM,
     JUMP_STREAM,
@@ -134,6 +140,52 @@ class TestFastPath:
             FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=2.0)
 
 
+def _ks_upper_bound(samples, cdf, n_eval=1000):
+    """Upper bound on the KS statistic from ``cdf`` at ``n_eval`` order statistics.
+
+    Between two evaluated order statistics both the empirical CDF and ``cdf``
+    are monotone, so the supremum there exceeds the evaluated one by at most
+    the rank gap over n.
+    """
+    x = np.sort(samples)
+    n = len(x)
+    ranks = np.unique(np.linspace(0, n - 1, n_eval + 1).astype(int))
+    f = cdf(x[ranks])
+    d = np.maximum(f - ranks / n, (ranks + 1) / n - f).max()
+    return d + np.diff(ranks).max() / n
+
+
+class TestExactTransition:
+    """One step of the kernel is the factor's transition law, for any step."""
+
+    MODELS = [
+        LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.0),
+        SYM15,
+        LevyMeasureModel(Family.ONE_SIDED_STABLE, 1.5),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["sym10", "sym15", "one15"])
+    def test_one_coarse_step_matches_transition_cf(self, model):
+        tau, y0 = 0.5, 1.0
+        cfg = FastProcessConfig(model, lam=1.0, y0=y0, horizon=2 * tau, dt=tau, seed=41)
+        _, y = islice(iter_fast_values(cfg, 200_000), 2)
+        a, d = model.alpha, compensator_drift(model)
+        for u in (0.5, 1.0, 2.0):
+            psi_stable = stable_exponent_closed(model, u) - 1j * u * d
+            want = np.exp(1j * u * math.exp(-tau) * y0
+                          + psi_stable * -math.expm1(-a * tau) / a
+                          + 1j * u * d * -math.expm1(-tau))
+            assert abs(np.mean(np.exp(1j * u * y)) - want) < 0.01
+
+    @pytest.mark.parametrize("model", MODELS[:2], ids=["sym10", "sym15"])
+    def test_twenty_coarse_steps_reach_the_stationary_law(self, model):
+        cfg = FastProcessConfig(model, lam=1.0, y0=0.0, horizon=10.0, dt=0.5, seed=43)
+        *_, y = iter_fast_values(cfg, 50_000)
+        a = model.alpha
+        law = stats.levy_stable(a, 0.0, scale=(stable_scale_exponent(model) / a) ** (1.0 / a))
+        assert _ks_upper_bound(y, law.cdf) < 0.015
+
+
 class TestStartFanOut:
     CFG = FastProcessConfig(SYM15, lam=2.0, y0=0.0, horizon=1.0, dt=0.01, seed=11)
     STARTS = np.array([-1.5, 0.0, 0.7, 3.0])
@@ -228,6 +280,12 @@ class TestSlowSystem:
         path = simulate_fast_path(fast)
         assert np.array_equal(ys.times, path.times)
         assert np.array_equal(ys.values, path.values)
+
+    def test_missing_structure_refused_before_the_first_step(self):
+        prob = replace(_toy_pricing(r=0.05, sigma_fn=lambda y: 0.2), structure=None)
+        fast = FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=0.01, seed=2)
+        with pytest.raises(UsageError, match="QuadraticControlStructure"):
+            simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0))
 
     def test_negative_initial_state_rejected(self):
         prob = _toy_pricing(r=0.05, sigma_fn=lambda y: 0.2)
