@@ -5,22 +5,26 @@ treatment of the local Bellman part (central second differences, first-order
 upwind first differences, step size from the scheme's positivity bound).  The
 model must be the multiplicative one of :class:`QuadraticControlStructure` on
 x >= 0, so the objective is a parabola in the control: its minimum over the
-uniform control grid is found from the endpoints and the grid neighbours of
-the vertex, separately for the controls whose drift is upwinded forward and
-those upwinded backward, which equals the upwinded scan over every control.  The
-stiff nonlocal part in the factor variable is linear, so it is folded into an
-implicit solve: the generator restricted to the factor grid is assembled once
-from closed-form cell masses of the jump measure, one pass over the offsets
-j - i (small jumps below one grid spacing become an exact-variance diffusion
-stencil, jumps landing between nodes are split by linear interpolation, so on
-the uniform grid their weights form a Toeplitz matrix, jumps leaving the grid
-take the edge value, as suits value functions bounded in the factor, the
-mean-reverting drift is central wherever that keeps the row monotone and
-upwind elsewhere).  The diagonal is minus the off-diagonal row sum, so the
-matrix has zero row sums and, by construction, nonnegative off-diagonal
-entries: a consistent monotone scheme in the Barles-Souganidis sense.  The
-smallest off-diagonal entry and the far-tail mass beyond the outer cut are
-reported as diagnostics.
+uniform control grid is the control nearest the vertex where the parabola is
+convex and the better endpoint elsewhere, one evaluation per node, taken
+separately for the controls whose drift is upwinded forward and those upwinded
+backward, which equals the upwinded scan over every control.  The stiff
+nonlocal part in the factor variable is linear, so it is taken implicitly.
+The implicit map is the same on every step, so it is built once per solve as a
+propagator matrix, and each step applies it with one matrix product.  The
+generator restricted to the factor grid is assembled once from closed-form
+cell masses of the jump measure, one pass over the offsets j - i (small jumps
+below one grid spacing become an exact-variance diffusion stencil, jumps
+landing between nodes are split by linear interpolation, so on the uniform
+grid their weights form a Toeplitz matrix, jumps leaving the grid take the
+edge value, as suits value functions bounded in the factor, the mean-reverting
+drift is central wherever that keeps the row monotone and upwind elsewhere).
+The diagonal is minus the off-diagonal row sum, so the matrix has zero row
+sums and, by construction, nonnegative off-diagonal entries: a consistent
+monotone scheme in the Barles-Souganidis sense, whose propagator is a
+stochastic matrix.  The smallest off-diagonal entry, the smallest propagator
+entry, the far-tail mass beyond the outer cut and the positivity bound on the
+explicit step are reported as diagnostics.
 
 Scope: one slow dimension.  The multi-asset pricing system is diagonal, so
 per-asset solves cover it; nothing here attempts coupled multi-dimensional
@@ -60,7 +64,7 @@ class QuadraticControlStructure:
     Drift ``x (beta0 + beta1 u)`` and volatility ``sqrt(2) x sigma(y) u^power``
     with power 0 (no control on the noise) or 1 (proportional exposure).  The
     Bellman objective is then a parabola in u, so grid minimization reduces to
-    the endpoints plus the grid neighbours of the vertex.
+    the control nearest the vertex or an endpoint.
     """
 
     beta0: float
@@ -181,33 +185,18 @@ def _checkpoint_times(n_t: int) -> np.ndarray:
     return np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))
 
 
-def _upwind_derivatives(v: np.ndarray, dx: float):
-    """Forward/backward/second differences along axis 0 with one-sided closures.
-
-    The first row uses only forward information and the last only backward;
-    curvature vanishes at both ends (payoffs here are asymptotically linear or
-    sublinear, and x = 0 is characteristic).
-    """
-    fwd = np.zeros_like(v)
-    bwd = np.zeros_like(v)
-    d2 = np.zeros_like(v)
-    fwd[:-1] = (v[1:] - v[:-1]) / dx
-    bwd[1:] = (v[1:] - v[:-1]) / dx
-    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-    return fwd, bwd, d2
-
-
 def _cfl_step(a_max_over_dx2: float, b_max_over_dx: float, c: float, dt_req: Optional[float]):
+    """The explicit step and the positivity bound dt_bound it must not exceed."""
     denom = 2.0 * a_max_over_dx2 + b_max_over_dx + c
     dt_bound = math.inf if denom == 0.0 else 1.0 / denom
     if dt_req is None:
-        return CFL_SAFETY * min(dt_bound, 1.0)
+        return CFL_SAFETY * min(dt_bound, 1.0), dt_bound
     if dt_req > dt_bound:
         raise CFLViolation(
             f"explicit step {dt_req:g} violates the positivity bound {dt_bound:g}",
             suggested_dt=CFL_SAFETY * dt_bound,
         )
-    return dt_req
+    return dt_req, dt_bound
 
 
 def assemble_factor_generator(
@@ -301,7 +290,12 @@ class _LocalBellman:
     coefficient, so the sorted control grid splits into at most two runs: the
     controls with coefficient >= 0 (forward difference) and the rest (backward
     difference).  The grid-min is taken on each run and the smaller kept,
-    which equals the upwinded scan over every control.
+    which equals the upwinded scan over every control.  On a run the objective
+    is ``p u^2 + q (beta0 + beta1 u)`` with curvature coefficient
+    ``p = -x^2 sigma^2(y) v_xx`` (no ``u^2`` when the noise is uncontrolled):
+    where p > 0 it is a convex parabola symmetric about its vertex, so its
+    grid-min is the one control nearest the vertex, clipped to the run;
+    elsewhere it is the better endpoint.  Each node evaluates one control.
     """
 
     def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray,
@@ -311,22 +305,24 @@ class _LocalBellman:
             raise UsageError("the grid solvers need the problem's QuadraticControlStructure")
         if x[0] < 0.0:
             raise UsageError("x grid must be nonnegative: the drift's sign is read off its coefficient")
-        self.x = x
         self.dx = float(x[1] - x[0])
         self.weights = weights        # None for pide, atom weights for effective
-        self.sig2 = np.asarray(st.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
+        sig2 = np.asarray(st.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
         self.beta0, self.beta1 = st.beta0, st.beta1
         self.power = st.vol_u_power
+        # per step: p = p_coef * (fwd - bwd) and q = neg_x * (fwd or bwd)
+        self.neg_x = -x[:, None]
+        self.p_coef = -(x**2)[:, None] * sig2[None, :] / self.dx
         controls = np.asarray(spec.control_grid, dtype=float)
         u_lo, u_hi = float(controls[0]), float(controls[-1])
         self.du = float(controls[1] - controls[0]) if len(controls) > 1 else 0.0
         forward = self.beta0 + self.beta1 * controls >= 0.0
         self.runs = [
-            (float(run[0]), float(run[-1]), fwd)
+            (float(run[0]), float(run[-1]), len(run) - 1, fwd)
             for run, fwd in ((controls[forward], True), (controls[~forward], False))
             if len(run)
         ]
-        a_max = float(np.max(self.sig2)) * float(x[-1]) ** 2
+        a_max = float(np.max(sig2)) * float(x[-1]) ** 2
         if self.power == 1:
             a_max *= max(u_lo**2, u_hi**2)
         b_max = float(x[-1]) * max(
@@ -336,40 +332,42 @@ class _LocalBellman:
         self.a_over_dx2 = a_max / self.dx**2
         self.b_over_dx = b_max / self.dx
 
-    def _candidates(self, p_coef: np.ndarray, q_coef: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        """Grid-min of P u^2 + Q u over the controls in [lo, hi], 4 candidates."""
-        us = [np.full_like(p_coef, lo), np.full_like(p_coef, hi)]
-        if self.du > 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vertex = np.where(p_coef > 0.0, -q_coef / (2.0 * p_coef), lo)
-            snapped = lo + np.floor((vertex - lo) / self.du) * self.du
-            us.append(np.clip(snapped, lo, hi))
-            us.append(np.clip(snapped + self.du, lo, hi))
-        best = None
-        for u in us:
-            val = p_coef * u * u + q_coef * u
-            best = val if best is None else np.minimum(best, val)
-        return best
-
     def hamiltonian(self, v: np.ndarray) -> np.ndarray:
-        """H evaluated with discrete derivatives; collapses the y axis iff weighted."""
-        fwd, bwd, d2 = _upwind_derivatives(v, self.dx)
-        x = self.x[:, None]
+        """H evaluated with discrete derivatives; collapses the y axis iff weighted.
+
+        One difference gives the forward slope (zero on the last row) and the
+        backward slope (zero on the first); their difference over dx is the
+        central second difference, taken as zero on both end rows (payoffs
+        here are asymptotically linear or sublinear, and x = 0 is
+        characteristic).
+        """
+        slope = np.diff(v, axis=0) / self.dx
         if v.ndim == 1:
-            # effective solve: y axis lives in the atoms, broadcast to it
-            fwd, bwd, d2 = fwd[:, None], bwd[:, None], d2[:, None]
-        p_par = (-(x**2) * d2) * self.sig2[None, :]
+            slope = slope[:, None]  # effective solve: y axis lives in the atoms
+        edge = np.zeros_like(slope[:1])
+        fwd = np.concatenate([slope, edge])
+        bwd = np.concatenate([edge, slope])
+        curv = fwd - bwd
+        curv[[0, -1]] = 0.0
+        p = self.p_coef * curv
         h = None
-        for lo, hi, forward in self.runs:
-            drift_lin = -x * (fwd if forward else bwd)
-            if self.power == 1:
-                run_h = self._candidates(p_par, self.beta1 * drift_lin, lo, hi) + self.beta0 * drift_lin
+        for lo, hi, n, forward in self.runs:
+            q = self.neg_x * (fwd if forward else bwd)
+            if n == 0:
+                u = lo
+            elif self.power == 0:
+                # linear in u: the endpoint the drift term's slope points to
+                u = np.where(self.beta1 * q < 0.0, hi, lo)
             else:
-                # control enters the drift only: linear in u, an endpoint wins
-                run_h = np.minimum(
-                    p_par + drift_lin * (self.beta0 + self.beta1 * lo),
-                    p_par + drift_lin * (self.beta0 + self.beta1 * hi),
+                slope_u = self.beta1 * q
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    k = np.rint((-0.5 * slope_u / p - lo) / self.du)
+                u = np.where(
+                    p > 0.0,
+                    lo + np.clip(k, 0, n) * self.du,
+                    np.where(p * (lo + hi) + slope_u < 0.0, hi, lo),
                 )
+            run_h = q * (self.beta0 + self.beta1 * u) + (p * u * u if self.power == 1 else p)
             h = run_h if h is None else np.minimum(h, run_h)
         if self.weights is not None:
             return h @ self.weights
@@ -395,39 +393,64 @@ def _collapse_sigma_atoms(mu: InvariantMeasure, max_atoms: int = 64):
     return nodes, weights / weights.sum()
 
 
+def _time_steps(spec: ControlProblemSpec, local: _LocalBellman, grids: Grids) -> dict:
+    """dt, n_t and dt_bound of the march.
+
+    The step is the positivity bound's (or the requested one), shrunk so that
+    n_t steps span the horizon; dt / dt_bound is the CFL margin.
+    """
+    dt, dt_bound = _cfl_step(local.a_over_dx2, local.b_over_dx, spec.discount, grids.dt)
+    n_t = max(1, int(math.ceil(spec.horizon / dt)))
+    return {"dt": spec.horizon / n_t, "n_t": n_t, "dt_bound": dt_bound}
+
+
+def _propagator(gen: np.ndarray, dt_over_eps: float) -> np.ndarray:
+    """P = (I - (dt/eps) L)^-1 from one LU factorisation and one solve against I.
+
+    L has nonnegative off-diagonal entries and zero row sums, so I - (dt/eps) L
+    is an M-matrix with unit row sums: P is stochastic (entries >= 0, rows
+    summing to 1) and the implicit step ``v @ P.T`` is monotone.
+    """
+    eye = np.eye(len(gen))
+    return linalg.lu_solve(linalg.lu_factor(eye - dt_over_eps * gen), eye)
+
+
 def _march(
     spec: ControlProblemSpec,
     local: _LocalBellman,
-    grids: Grids,
     v: np.ndarray,
-    implicit_step: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None,
+    dt: float,
+    n_t: int,
+    propagator: Optional[np.ndarray] = None,
 ):
-    """March the terminal slice ``v`` back to t = 0 with explicit Bellman steps.
+    """March the terminal slice ``v`` back to t = 0 with n_t explicit Bellman steps.
 
-    The step is the positivity bound's (or the requested one), shrunk so that
-    n_t steps span the horizon.  ``implicit_step(dt)``, if given, returns the
-    map applied after each explicit step.  Returns the checkpoint times, the
-    slices kept there, dt and n_t.
+    ``propagator``, if given, is applied to the factor axis after each
+    explicit step.  Returns the checkpoint times and the slices kept there.  A
+    non-finite slice raises :class:`NumericalError` whose ``partial`` is the
+    pair (times, slices) of the checkpoints already filled, all of them finite.
     """
     c = spec.discount
-    dt = _cfl_step(local.a_over_dx2, local.b_over_dx, c, grids.dt)
-    n_t = max(1, int(math.ceil(spec.horizon / dt)))
-    dt = spec.horizon / n_t
-    solve = None if implicit_step is None else implicit_step(dt)
-
     keep = _checkpoint_times(n_t)
     slot = {int(k): j for j, k in enumerate(keep)}
     values = np.empty((len(keep),) + v.shape)
     values[-1] = v
+
+    def filled_after(k: int):
+        j = int(np.searchsorted(keep, k, side="right"))
+        return keep[j:] * dt, values[j:]
+
+    if not np.all(np.isfinite(v)):
+        raise NumericalError("terminal payoff is not finite", partial=filled_after(n_t))
     for k in range(n_t - 1, -1, -1):
         v = v - dt * (local.hamiltonian(v) + c * v)
-        if solve is not None:
-            v = solve(v)
+        if propagator is not None:
+            v = v @ propagator.T
         if not np.all(np.isfinite(v)):
-            raise NumericalError(f"backward march diverged at step {k}")
+            raise NumericalError(f"backward march diverged at step {k}", partial=filled_after(k))
         if k in slot:
             values[slot[k]] = v
-    return keep * dt, values, dt, n_t
+    return keep * dt, values
 
 
 def effective_solve(
@@ -445,11 +468,12 @@ def effective_solve(
     x = np.asarray(grids.x, dtype=float)
     atoms, weights = _collapse_sigma_atoms(mu)
     local = _LocalBellman(spec, x, atoms, weights)
+    steps = _time_steps(spec, local, grids)
     v = np.asarray(spec.payoff(x), dtype=float)
-    t_grid, values, dt, n_t = _march(spec, local, grids, v)
+    t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"])
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values,
-        diagnostics={"dt": dt, "n_t": n_t, "atoms": len(atoms)},
+        diagnostics={**steps, "atoms": len(atoms)},
     )
 
 
@@ -462,8 +486,11 @@ def pide_solve(
     """Backward IMEX solve of the stiff equation on the (x, y) grid.
 
     Explicit monotone stepping of the local Bellman part; the factor-direction
-    generator (linear, scaled by 1/epsilon) is folded into one LU-factored
-    implicit solve per step, so the stiffness never restricts the step.
+    generator (linear, scaled by 1/epsilon) is taken implicitly, so the
+    stiffness never restricts the step.  The implicit map is the same on every
+    step, so its propagator P = (I - (dt/epsilon) L)^-1 is built once per
+    solve and each step applies it as one matrix product.  P is stochastic;
+    its smallest entry is the diagnostics key ``propagator_min_entry``.
     """
     if epsilon <= 0.0:
         raise UsageError("epsilon must be positive")
@@ -475,16 +502,14 @@ def pide_solve(
     y = np.asarray(grids.y, dtype=float)
     gen, gen_diag = assemble_factor_generator(model, y)
     local = _LocalBellman(spec, x, y, weights=None)
-
-    def implicit_step(dt: float):
-        lu_piv = linalg.lu_factor(np.eye(len(y)) - (dt / epsilon) * gen)
-        return lambda rhs: linalg.lu_solve(lu_piv, rhs.T).T
+    steps = _time_steps(spec, local, grids)
+    prop = _propagator(gen, steps["dt"] / epsilon)
 
     v = np.repeat(np.asarray(spec.payoff(x), dtype=float)[:, None], len(y), axis=1)
-    t_grid, values, dt, n_t = _march(spec, local, grids, v, implicit_step)
+    t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"], prop)
     return ValueField(
-        t_grid=t_grid, x_grid=x, values=values, y_grid=y,
-        epsilon=epsilon, diagnostics={"dt": dt, "n_t": n_t, **gen_diag},
+        t_grid=t_grid, x_grid=x, values=values, y_grid=y, epsilon=epsilon,
+        diagnostics={**steps, **gen_diag, "propagator_min_entry": float(np.min(prop))},
     )
 
 

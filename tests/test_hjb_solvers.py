@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
-from levy_multiscale.errors import CFLViolation, UsageError
+from levy_multiscale import hjb_solvers
+from levy_multiscale.errors import CFLViolation, NumericalError, UsageError
 from levy_multiscale.ergodicity import two_atom_measure
 from levy_multiscale.finance import MertonSpec, PricingSpec, merton_problem, pricing_problem
 from levy_multiscale.hjb_solvers import (
@@ -14,6 +16,7 @@ from levy_multiscale.hjb_solvers import (
     QuadraticControlStructure,
     ValueField,
     _LocalBellman,
+    _propagator,
     assemble_factor_generator,
     effective_solve,
     hamiltonian_eval,
@@ -29,6 +32,7 @@ from levy_multiscale.levy_measures import (
 from levy_multiscale.nonlocal_generator import GeneratorQuadrature, generator_apply
 
 SYM15 = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5)
+ONE15 = LevyMeasureModel(Family.ONE_SIDED_STABLE, 1.5)
 
 
 def const_sigma(s):
@@ -405,3 +409,236 @@ class TestGridsValidation:
         prob = dataclasses.replace(merton_problem(merton_spec()), structure=None)
         with pytest.raises(UsageError):
             effective_solve(prob, invariant_measure_15, Grids(x=np.linspace(0.0, 2.0, 21)))
+
+
+def drift_control_problem():
+    """Control on the drift only (vol_u_power = 0) over a run of each sign."""
+    return ControlProblemSpec(
+        structure=QuadraticControlStructure(
+            beta0=0.05, beta1=0.1, sigma_of_y=tanh_sigma(0.2, 0.1), vol_u_power=0),
+        control_grid=np.linspace(-1.0, 1.0, 9),
+        payoff=lambda x: np.asarray(x, dtype=float), discount=0.0, horizon=1.0,
+    )
+
+
+BELLMAN_ROUTES = {
+    # the benchmark's one-run Merton spec: every control upwinds forward
+    "merton-one-run": merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=0.0, R=1.0)),
+    # vol_u_power = 0 with a single control
+    "pricing": pricing_problem(pricing_spec(lambda x: np.asarray(x, dtype=float))),
+    "drift-control": drift_control_problem(),
+}
+each_bellman_route = pytest.mark.parametrize("route", list(BELLMAN_ROUTES))
+
+
+class TestBellmanRoutes:
+    """``_LocalBellman`` against the upwinded control scan on every row, edges included."""
+
+    x = np.linspace(0.0, 3.0, 13)
+
+    def slopes(self, v):
+        """Forward, backward and second differences with the solver's end-row closures."""
+        dx = self.x[1] - self.x[0]
+        fwd, bwd, d2 = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
+        fwd[:-1] = bwd[1:] = (v[1:] - v[:-1]) / dx
+        d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
+        return fwd, bwd, d2
+
+    @staticmethod
+    def upwinded_scan(prob, x, y, fwd, bwd, d2):
+        """Brute-force minimum and its control, forward difference where the drift is >= 0."""
+        st = prob.structure
+        controls = np.asarray(prob.control_grid)
+        forward = st.beta0 + st.beta1 * controls >= 0.0
+        best = None
+        for sel, p in ((forward, fwd), (~forward, bwd)):
+            if np.any(sel):
+                run = dataclasses.replace(prob, control_grid=controls[sel])
+                cand = hamiltonian_eval(run, x, y, p, d2)
+                best = cand if best is None or cand[0] < best[0] else best
+        return best
+
+    @each_bellman_route
+    def test_factor_grid_shape_matches_upwinded_scan(self, route):
+        prob = BELLMAN_ROUTES[route]
+        y = np.linspace(-2.0, 2.0, 5)
+        v = np.sin(2.0 * self.x)[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
+        h = _LocalBellman(prob, self.x, y, None).hamiltonian(v)
+        fwd, bwd, d2 = self.slopes(v)
+        controls = np.asarray(prob.control_grid)
+        interior_wins = 0
+        for i, xi in enumerate(self.x):
+            for j, yj in enumerate(y):
+                want, u = self.upwinded_scan(prob, xi, yj, fwd[i, j], bwd[i, j], d2[i, j])
+                interior_wins += controls[0] < u < controls[-1]
+                assert h[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        if route == "merton-one-run":
+            # both curvature signs: the vertex wins inside the run at some
+            # nodes, an endpoint where the parabola is not convex
+            assert interior_wins > 0
+            assert np.any(d2[1:-1] > 0.0) and np.any(d2[1:-1] < 0.0)
+
+    @each_bellman_route
+    def test_weighted_shape_matches_upwinded_scan(self, route):
+        prob = BELLMAN_ROUTES[route]
+        atoms, weights = np.array([-1.0, 0.5, 2.0]), np.array([0.2, 0.5, 0.3])
+        v = np.sin(2.0 * self.x)
+        h = _LocalBellman(prob, self.x, atoms, weights).hamiltonian(v)
+        fwd, bwd, d2 = self.slopes(v)
+        for i, xi in enumerate(self.x):
+            want = sum(
+                w * self.upwinded_scan(prob, xi, a, fwd[i], bwd[i], d2[i])[0]
+                for a, w in zip(atoms, weights)
+            )
+            assert h[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestPropagator:
+    """The implicit factor step as one stochastic matrix built once per solve."""
+
+    prob = merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=0.0, R=1.0))
+    grids = Grids(x=np.linspace(0.0, 3.0, 21), y=np.linspace(-4.0, 4.0, 17))
+
+    def reference_march(self, model, epsilon, dt, n_t):
+        """Explicit Bellman step, then one LU solve per step against I - (dt/eps) L."""
+        x, y = self.grids.x, self.grids.y
+        gen, _ = assemble_factor_generator(model, y)
+        local = _LocalBellman(self.prob, x, y, None)
+        lu = linalg.lu_factor(np.eye(len(y)) - (dt / epsilon) * gen)
+        v = np.repeat(self.prob.payoff(x)[:, None], len(y), axis=1)
+        slices = {n_t: v}
+        for k in range(n_t - 1, -1, -1):
+            v = v - dt * (local.hamiltonian(v) + self.prob.discount * v)
+            v = linalg.lu_solve(lu, v.T).T
+            slices[k] = v
+        return slices
+
+    @pytest.mark.parametrize("model", [SYM15, ONE15], ids=["sym15", "one15"])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.05, 1e-3])
+    def test_matches_per_step_lu_solve_march(self, model, epsilon):
+        field = pide_solve(self.prob, model, epsilon, self.grids)
+        dt, n_t = field.diagnostics["dt"], field.diagnostics["n_t"]
+        ref = self.reference_march(model, epsilon, dt, n_t)
+        steps = np.rint(field.t_grid / dt).astype(int)
+        assert steps[-1] == n_t
+        want = np.stack([ref[k] for k in steps])
+        assert np.max(np.abs(field.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("model", [SYM15, ONE15], ids=["sym15", "one15"])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.05, 1e-3])
+    def test_propagator_is_stochastic(self, model, epsilon):
+        field = pide_solve(self.prob, model, epsilon, self.grids)
+        gen, _ = assemble_factor_generator(model, self.grids.y)
+        P = _propagator(gen, field.diagnostics["dt"] / epsilon)
+        assert field.diagnostics["propagator_min_entry"] == np.min(P)
+        assert field.diagnostics["propagator_min_entry"] >= 0.0
+        assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_one_lu_factor_and_solve_per_solve(self, monkeypatch):
+        calls = {"lu_factor": 0, "lu_solve": 0}
+        for name in calls:
+            original = getattr(hjb_solvers.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(hjb_solvers.linalg, name, counted)
+        field = pide_solve(self.prob, SYM15, 0.05, self.grids)
+        assert field.diagnostics["n_t"] > 1
+        assert calls == {"lu_factor": 1, "lu_solve": 1}
+
+
+class TestStepDiagnostics:
+    """``dt_bound`` is the positivity bound, so dt / dt_bound is the CFL margin."""
+
+    x = np.linspace(0.0, 3.0, 31)
+    y = np.linspace(-4.0, 4.0, 17)
+
+    def solve_both(self, prob):
+        return (
+            effective_solve(prob, two_atom_measure(-1.0, 1.0), Grids(x=self.x)),
+            pide_solve(prob, SYM15, 0.1, Grids(x=self.x, y=self.y)),
+        )
+
+    @pytest.mark.parametrize("route", ["merton", "pricing"])
+    def test_dt_within_the_constant_sigma_bound(self, route):
+        s, x_max, dx = 0.25, self.x[-1], self.x[1] - self.x[0]
+        if route == "merton":
+            spec = merton_spec(sigma_fn=const_sigma(s), R1=-0.5, R=1.5)
+            prob = merton_problem(spec)
+            a = s**2 * x_max**2 * 1.5**2
+            b = x_max * max(abs(spec.r + (spec.alpha_drift - spec.r) * u) for u in (-0.5, 1.5))
+        else:
+            prob = pricing_problem(pricing_spec(lambda x: np.asarray(x, float), sigma_fn=const_sigma(s), c=0.08))
+            a, b = s**2 * x_max**2, 0.05 * x_max
+        want = 1.0 / (2.0 * a / dx**2 + b / dx + prob.discount)
+        for field in self.solve_both(prob):
+            assert field.diagnostics["dt_bound"] == pytest.approx(want, rel=1e-12)
+            assert field.diagnostics["dt"] <= field.diagnostics["dt_bound"]
+
+    def test_requested_dt_is_kept_and_reported_with_the_bound(self):
+        prob = merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1)))
+        field = effective_solve(prob, two_atom_measure(-1.0, 1.0), Grids(x=self.x))
+        dt_req = 0.5 * field.diagnostics["dt_bound"]
+        again = effective_solve(prob, two_atom_measure(-1.0, 1.0), Grids(x=self.x, dt=dt_req))
+        assert again.diagnostics["dt_bound"] == field.diagnostics["dt_bound"]
+        assert again.diagnostics["dt"] <= dt_req
+
+
+class TestDivergence:
+    """A march that overflows raises NumericalError with its finite checkpoints attached."""
+
+    y = np.linspace(-4.0, 4.0, 17)
+    prob = pricing_problem(pricing_spec(lambda x: 1e307 * np.asarray(x, dtype=float) ** 4))
+
+    def solvers(self, x):
+        return {
+            "pide": lambda: pide_solve(self.prob, SYM15, 0.5, Grids(x=x, y=self.y)),
+            "effective": lambda: effective_solve(self.prob, two_atom_measure(-1.0, 1.0), Grids(x=x)),
+        }
+
+    @staticmethod
+    def check_partial(err, horizon):
+        assert err.partial is not None
+        times, slices = err.partial
+        assert len(times) == len(slices)
+        assert np.all(np.isfinite(slices))
+        assert np.all(np.diff(times) > 0.0)
+        if len(times):
+            assert times[-1] == pytest.approx(horizon)
+
+    @pytest.mark.parametrize("solver", ["pide", "effective"])
+    @pytest.mark.parametrize("x_max,nx", [(3.0, 21), (1.8, 13)], ids=["payoff-overflows", "march-overflows"])
+    def test_overflow_raises_numerical_error_with_partial(self, solver, x_max, nx):
+        x = np.linspace(0.0, x_max, nx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as exc:
+                self.solvers(x)[solver]()
+        self.check_partial(exc.value, self.prob.horizon)
+        if x_max < 3.0:  # the payoff itself is finite, so its slice is kept
+            times, slices = exc.value.partial
+            assert times[-1] == pytest.approx(self.prob.horizon)
+            assert np.array_equal(slices[-1].reshape(nx, -1)[:, 0], self.prob.payoff(x))
+
+    @pytest.mark.parametrize("solver", ["pide", "effective"])
+    def test_divergence_mid_march_keeps_the_filled_checkpoints(self, solver, monkeypatch):
+        solve = self.solvers(np.linspace(0.0, 1.0, 21))[solver]
+        clean = solve()
+        original = _LocalBellman.hamiltonian
+        calls = []
+
+        def fails_on_call_40(self, v):
+            calls.append(1)
+            h = original(self, v)
+            return h * np.nan if len(calls) == 40 else h
+        monkeypatch.setattr(_LocalBellman, "hamiltonian", fails_on_call_40)
+        with pytest.raises(NumericalError, match="diverged at step") as exc:
+            solve()
+        self.check_partial(exc.value, self.prob.horizon)
+        times, slices = exc.value.partial
+        m, k = len(times), clean.diagnostics["n_t"] - 40
+        assert str(exc.value).endswith(f"step {k}")
+        assert 1 < m < len(clean.t_grid)
+        assert np.array_equal(times, clean.t_grid[-m:])
+        assert np.array_equal(slices, clean.values[-m:])
+        assert clean.t_grid[-m - 1] <= k * clean.diagnostics["dt"] < times[0]
