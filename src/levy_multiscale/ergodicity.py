@@ -9,7 +9,8 @@ is zero for symmetric models, so the oracle is ``exp(psi(u)/alpha)`` there).
 
 The law is represented by quadrature nodes and weights rather than a density:
 that is the only form the effective-Hamiltonian averaging needs, and stable
-stationary laws have no elementary density anyway.
+stationary laws have no elementary density anyway.  One rule places nodes:
+:meth:`InvariantMeasure.coarsen`, equal-mass blocks at their conditional means.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .levy_measures import (
 )
 
 DEFAULT_NODES = 256
-#: Empirical mass clipped into the extreme nodes (heavy tails).
-CLIP_QUANTILES = (0.001, 0.999)
 
 
 class MeasureProvenance(enum.Enum):
@@ -54,6 +53,8 @@ class InvariantMeasure:
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
             raise UsageError("nodes and weights must have equal length")
+        if not (np.all(np.isfinite(self.nodes)) and np.all(np.isfinite(self.weights))):
+            raise UsageError("nodes and weights must be finite")
         if np.any(np.diff(self.nodes) < 0.0):
             raise UsageError("nodes must be sorted ascending")
         if np.any(self.weights < 0.0):
@@ -69,6 +70,30 @@ class InvariantMeasure:
         """Characteristic function of the quadrature measure."""
         return complex(np.sum(self.weights * np.exp(1j * u * self.nodes)))
 
+    def coarsen(self, n_nodes: int) -> "InvariantMeasure":
+        """The law on n = ``n_nodes`` equal-mass blocks, each at its conditional mean.
+
+        Block k holds the mass between the levels k/n and (k+1)/n of the total;
+        an atom straddling a level is split between its two blocks.  A mean is
+        clipped to the atoms its block touches, so a block inside one atom is
+        that atom exactly and rounding cannot unsort the nodes; equal means
+        merge.  The first moment is kept; barring merges, coarsening to n then to
+        m | n is coarsening to m.  At most n nodes are returned unchanged.
+        """
+        if n_nodes < 1:
+            raise UsageError("n_nodes must be positive")
+        if len(self.nodes) <= n_nodes:
+            return self
+        mass = np.concatenate([[0.0], np.cumsum(self.weights)])
+        moment = np.concatenate([[0.0], np.cumsum(self.weights * self.nodes)])
+        levels = np.linspace(0.0, mass[-1], n_nodes + 1)
+        means = np.diff(np.interp(levels, mass, moment)) / np.diff(levels)
+        first = np.searchsorted(mass, levels[:-1], side="right") - 1
+        last = np.searchsorted(mass, levels[1:], side="left") - 1
+        means = np.clip(means, self.nodes[first], self.nodes[last])
+        nodes, counts = np.unique(means, return_counts=True)
+        return replace(self, nodes=nodes, weights=counts / n_nodes)
+
 
 def two_atom_measure(y1: float, y2: float, w1: float = 0.5) -> InvariantMeasure:
     """Explicit two-atom test measure used by hand-computable checks."""
@@ -80,25 +105,15 @@ def two_atom_measure(y1: float, y2: float, w1: float = 0.5) -> InvariantMeasure:
 
 
 def measure_from_samples(samples: np.ndarray, n_nodes: int = DEFAULT_NODES) -> InvariantMeasure:
-    """Collapse raw samples onto a quantile-based node grid.
-
-    Nodes sit at equally spaced quantiles between the clip levels; mass outside
-    the clip range is reassigned to the extreme nodes.
-    """
+    """The samples' empirical law, tied samples as one atom, coarsened to ``n_nodes``."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 2:
         raise UsageError("need at least two samples")
-    qs = np.linspace(CLIP_QUANTILES[0], CLIP_QUANTILES[1], n_nodes)
-    nodes = np.quantile(samples, qs)
-    nodes = np.unique(nodes)
-    if nodes.size == 1:
-        return InvariantMeasure(
-            nodes, np.array([1.0]), MeasureProvenance.EMPIRICAL_LONG_RUN, samples.size
-        )
-    edges = 0.5 * (nodes[1:] + nodes[:-1])
-    counts = np.bincount(np.searchsorted(edges, samples), minlength=nodes.size)
-    weights = counts / counts.sum()
-    return InvariantMeasure(nodes, weights, MeasureProvenance.EMPIRICAL_LONG_RUN, samples.size)
+    values, counts = np.unique(samples, return_counts=True)
+    empirical = InvariantMeasure(
+        values, counts / samples.size, MeasureProvenance.EMPIRICAL_LONG_RUN, samples.size
+    )
+    return empirical.coarsen(n_nodes)
 
 
 def stationary_samples(
@@ -146,7 +161,7 @@ def estimate_invariant_measure(
     n_nodes: int = DEFAULT_NODES,
     n_paths: int = 256,
 ) -> InvariantMeasure:
-    """Empirical stationary measure collapsed onto a quantile node grid."""
+    """Empirical stationary measure coarsened to ``n_nodes`` equal-mass blocks."""
     samples = stationary_samples(cfg, burn_in, n_samples, n_paths)
     return measure_from_samples(samples, n_nodes)
 

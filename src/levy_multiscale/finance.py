@@ -167,14 +167,10 @@ def price_mc(
     fast: FastProcessConfig,
     n_paths: int,
 ) -> tuple[float, float]:
-    """Monte Carlo discounted-payoff price at the spot, with its standard error."""
-    n_steps = int(round(spec.horizon / fast.step))
-    factors = _simulate_price_factors(
-        spec, epsilon, fast, n_paths, [n_steps], np.array([fast.y0])
-    )[0, 0]
-    disc = math.exp(-spec.discount * spec.horizon)
-    vals = disc * np.asarray(spec.payoff(spec.x0 * factors), dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
+    """Monte Carlo price at the spot and its standard error: the surface at (T, x0, y0)."""
+    est, se = price_mc_surface(spec, epsilon, fast, n_paths, np.array([spec.horizon]),
+                               np.array([spec.x0]), np.array([fast.y0]))
+    return float(est[0, 0, 0]), float(se[0, 0, 0])
 
 
 def price_mc_surface(

@@ -52,6 +52,8 @@ from .levy_measures import (
 )
 
 CFL_SAFETY = 0.9
+#: Blocks of the invariant measure the averaged solver evaluates the Bellman part on.
+MAX_ATOMS = 64
 #: Time slices kept by the solvers, evenly spread over the step grid.
 N_CHECKPOINTS = 51
 SQRT2 = math.sqrt(2.0)
@@ -140,6 +142,8 @@ class Grids:
     dt: Optional[float] = None
 
     def __post_init__(self):
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise UsageError("requested dt must be finite and positive")
         x = np.asarray(self.x)
         if len(x) < 3 or np.any(np.diff(x) <= 0):
             raise UsageError("x grid must be increasing with at least 3 nodes")
@@ -374,25 +378,6 @@ class _LocalBellman:
         return h
 
 
-def _collapse_sigma_atoms(mu: InvariantMeasure, max_atoms: int = 64):
-    """Coarsen the measure for the solver: equal-weight blocks of sorted nodes."""
-    if len(mu.nodes) <= max_atoms:
-        return mu.nodes, mu.weights
-    cum = np.concatenate([[0.0], np.cumsum(mu.weights)])
-    bounds = np.linspace(0.0, 1.0, max_atoms + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sel = (cum[:-1] < hi) & (cum[1:] > lo)
-        if not np.any(sel):
-            continue
-        w = np.minimum(cum[1:][sel], hi) - np.maximum(cum[:-1][sel], lo)
-        nodes.append(float(np.sum(w * mu.nodes[sel]) / np.sum(w)))
-        weights.append(float(np.sum(w)))
-    nodes = np.asarray(nodes)
-    weights = np.asarray(weights)
-    return nodes, weights / weights.sum()
-
-
 def _time_steps(spec: ControlProblemSpec, local: _LocalBellman, grids: Grids) -> dict:
     """dt, n_t and dt_bound of the march.
 
@@ -461,19 +446,20 @@ def effective_solve(
     """Backward solve of the measure-averaged limit equation on the slow grid.
 
     The averaged Hamiltonian is evaluated node-by-node (Bellman minimization
-    inside the average) on the measure atoms, coarsened to at most 64 blocks;
-    no lateral boundary condition is imposed, the x = 0 column evolves by pure
-    discounting because the coefficients vanish there.
+    inside the average) on ``mu.coarsen(MAX_ATOMS)``: at most 64 equal-mass
+    blocks of the measure, each at its conditional mean.  No lateral boundary
+    condition is imposed; the x = 0 column evolves by pure discounting because
+    the coefficients vanish there.
     """
     x = np.asarray(grids.x, dtype=float)
-    atoms, weights = _collapse_sigma_atoms(mu)
-    local = _LocalBellman(spec, x, atoms, weights)
+    atoms = mu.coarsen(MAX_ATOMS)
+    local = _LocalBellman(spec, x, atoms.nodes, atoms.weights)
     steps = _time_steps(spec, local, grids)
     v = np.asarray(spec.payoff(x), dtype=float)
     t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"])
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values,
-        diagnostics={**steps, "atoms": len(atoms)},
+        diagnostics={**steps, "atoms": len(atoms.nodes)},
     )
 
 

@@ -188,3 +188,91 @@ class TestAbelAverage:
     def test_invalid_delta(self):
         with pytest.raises(UsageError):
             abel_average(fast_cfg(), lambda y: y, -0.1, 10)
+
+
+def brute_force_blocks(nodes, weights, n):
+    """Block means of the law over the mass levels k/n, one atom overlap at a time."""
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    means = []
+    for k in range(n):
+        lo, hi = k * cum[-1] / n, (k + 1) * cum[-1] / n
+        num = den = 0.0
+        for j, y in enumerate(nodes):
+            w = min(cum[j + 1], hi) - max(cum[j], lo)
+            if w > 0.0:
+                num += w * y
+                den += w
+        means.append(num / den)
+    return np.array(means)
+
+
+def weighted_cauchy(n_atoms=300, seed=4):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, n_atoms)
+    return InvariantMeasure(np.sort(rng.standard_cauchy(n_atoms)), weights / weights.sum(),
+                            MeasureProvenance.EMPIRICAL_LONG_RUN, n_atoms)
+
+
+class TestCoarsen:
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_matches_brute_force_block_means(self, n):
+        mu = weighted_cauchy()
+        got = mu.coarsen(n)
+        want = brute_force_blocks(mu.nodes, mu.weights, n)
+        scale = np.max(np.abs(mu.nodes))
+        assert len(got.nodes) == n
+        assert np.max(np.abs(got.nodes - want)) <= 1e-12 * scale
+        assert np.all(got.weights == 1.0 / n)
+        assert got.provenance is mu.provenance and got.sample_count == mu.sample_count
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_at_most_n_nodes_is_returned_unchanged(self, n):
+        mu = weighted_cauchy()
+        assert mu.coarsen(n) is mu
+
+    def test_no_blocks_is_refused(self):
+        with pytest.raises(UsageError, match="n_nodes"):
+            weighted_cauchy().coarsen(0)
+
+    def test_block_inside_a_heavy_atom_is_that_atom(self):
+        # half the mass on one node: the blocks inside it merge into that exact node
+        mu = weighted_cauchy()
+        heavy = np.append(0.5 * mu.weights, 0.5)
+        order = np.argsort(np.append(mu.nodes, 0.1), kind="stable")
+        nodes = np.append(mu.nodes, 0.1)[order]
+        mu = InvariantMeasure(nodes, heavy[order], mu.provenance, mu.sample_count)
+        got = mu.coarsen(64)
+        assert np.all(np.diff(got.nodes) > 0.0)
+        assert got.weights[got.nodes == 0.1].item() >= 31 / 64
+        assert got.mean_of(lambda y: y) == pytest.approx(mu.mean_of(lambda y: y), abs=1e-12)
+
+    def test_samples_give_equal_weights_and_keep_the_mean(self):
+        samples = stationary_samples(fast_cfg(seed=3), 10.0, 40_000)
+        mu = measure_from_samples(samples, 256)
+        assert len(mu.nodes) == 256
+        assert np.all(mu.weights == 1.0 / 256)
+        assert mu.mean_of(lambda y: y) == pytest.approx(np.mean(samples), abs=1e-12)
+
+    def test_blocks_nest(self):
+        samples = stationary_samples(fast_cfg(seed=3), 10.0, 40_000)
+        fine = measure_from_samples(samples, 256).coarsen(64)
+        coarse = measure_from_samples(samples, 64)
+        assert np.max(np.abs(fine.nodes - coarse.nodes)) <= 1e-12
+        assert np.all(fine.weights == coarse.weights)
+
+    def test_few_distinct_samples_keep_their_counts(self):
+        mu = measure_from_samples(np.array([2.0, -1.0, 2.0, 2.0]), 64)
+        assert mu.nodes.tolist() == [-1.0, 2.0]
+        assert mu.weights.tolist() == [0.25, 0.75]
+
+
+class TestNonFiniteMeasure:
+    @pytest.mark.parametrize("nodes, weights", [
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([0.0, 1.0], [math.nan, 1.0]),
+    ], ids=["nan-node", "inf-node", "nan-weight"])
+    def test_refused(self, nodes, weights):
+        with pytest.raises(UsageError, match="finite"):
+            InvariantMeasure(np.array(nodes), np.array(weights),
+                             MeasureProvenance.EXPLICIT_TWO_ATOM_TEST, 2)

@@ -642,3 +642,21 @@ class TestDivergence:
         assert np.array_equal(times, clean.t_grid[-m:])
         assert np.array_equal(slices, clean.values[-m:])
         assert clean.t_grid[-m - 1] <= k * clean.diagnostics["dt"] < times[0]
+
+
+class TestRequestedStep:
+    @pytest.mark.parametrize("dt", [-0.1, -1e-9, 0.0, math.nan])
+    def test_non_positive_or_nan_step_is_refused(self, dt):
+        with pytest.raises(UsageError, match="dt"):
+            Grids(x=np.linspace(0.0, 3.0, 61), dt=dt)
+
+
+class TestAveragedAtoms:
+    def test_effective_solve_reads_the_64_block_coarsening(self, invariant_measure_15):
+        prob = merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1)))
+        grids = Grids(x=np.linspace(0.0, 3.0, 31))
+        coarse = invariant_measure_15.coarsen(hjb_solvers.MAX_ATOMS)
+        field = effective_solve(prob, invariant_measure_15, grids)
+        again = effective_solve(prob, coarse, grids)
+        assert field.diagnostics["atoms"] == len(coarse.nodes) == 64
+        assert np.array_equal(field.values, again.values)
