@@ -5,6 +5,13 @@ system (dX = r X dt + sqrt(2) sigma X dW), so a "volatility" s here carries
 instantaneous log-variance 2 s^2; the lognormal oracle documents this by
 pricing with Black-Scholes volatility sqrt(2) s.
 
+The asset's Brownian motion is independent of the factor's pure-jump driver,
+so given a factor path the asset is lognormal at the path's integrated
+variance V = int sigma^2(Y_s) ds (the mixing formula of Hull and White, J.
+Finance 1987).  The Monte Carlo pricers therefore simulate the factor alone
+and average the conditional price given V: one Black-Scholes kernel
+(:func:`bs_call`) serves them and the constant-volatility oracle.
+
 The two effective volatilities differ: pricing averages sigma^2 under the
 stationary law (quadratic mean), the limit portfolio problem averages
 1/sigma^2 (harmonic mean, always the smaller of the two).
@@ -18,11 +25,12 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
+from scipy.special import ndtr
 
 from .ergodicity import InvariantMeasure
 from .errors import DegenerateVolatilityError, UsageError
-from .hjb_solvers import SQRT2, ControlProblemSpec, QuadraticControlStructure
-from .jump_processes import FastProcessConfig, iter_slow_values
+from .hjb_solvers import ControlProblemSpec, QuadraticControlStructure
+from .jump_processes import MIXING_STREAM, FastProcessConfig, iter_fast_values, stream_rng
 
 
 class CallPayoff:
@@ -130,34 +138,45 @@ def effective_vol_harmonic(sigma_fn: Callable, mu: InvariantMeasure) -> float:
     return float(np.sum(mu.weights / s2)) ** -0.5
 
 
-def _simulate_price_factors(
-    spec: PricingSpec,
-    epsilon: float,
-    fast: FastProcessConfig,
-    n_paths: int,
-    snapshot_steps: list[int],
-    y0_values: np.ndarray,
-) -> np.ndarray:
-    """Multiplicative growth factors at requested steps for each start factor.
+def bs_call(x, strike: float, r_tau, v):
+    """Undiscounted call value ``E max(X - K, 0)`` at integrated variance ``v``.
 
-    The factors are the slow state of :func:`pricing_problem` started at
-    x = 1, read from ``iter_slow_values`` with the start factors as
-    ``starts``.  One jump stream and one Brownian stream drive all start
-    values, giving exact common random numbers across both the y-window and,
-    for fixed step count, across epsilon.
+    X is lognormal with log-mean ``log x + r_tau - v`` and log-variance
+    ``2 v``: the root-two convention at ``v = int sigma^2 ds`` (``s^2 tau``
+    for a constant volatility s), so the Black-Scholes total volatility is
+    ``sqrt(2 v)``.  Vectorised over x, r_tau and v.  Where v = 0 or x = 0
+    the value is the payoff at the forward ``x exp(r_tau)``.
     """
-    if n_paths < 1000:
-        raise UsageError("need at least 1000 paths")
-    if abs(fast.lam * epsilon - 1.0) > 1e-9:
-        raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
-    # pin the step: the default step depends on the horizon
-    run = replace(fast, horizon=spec.horizon, dt=fast.step)
-    slot = {k: j for j, k in enumerate(sorted(set(snapshot_steps)))}
-    out = np.empty((len(y0_values), len(slot), n_paths))
-    paths = iter_slow_values(pricing_problem(spec), run, 1.0, n_paths, starts=y0_values)
-    for k, (factors, _) in enumerate(paths):
-        if k in slot:
-            out[:, slot[k], :] = factors
+    fwd = np.asarray(x, dtype=float) * np.exp(r_tau)
+    v = np.asarray(v, dtype=float)
+    live = (v > 0.0) & (fwd > 0.0)
+    v_live = np.where(live, v, 1.0)
+    w = np.sqrt(2.0 * v_live)
+    d1 = (np.log(np.where(live, fwd, strike) / strike) + v_live) / w
+    return np.where(live, fwd * ndtr(d1) - strike * ndtr(d1 - w),
+                    np.maximum(fwd - strike, 0.0))
+
+
+def _integrated_variance(
+    sigma_fn: Callable, run: FastProcessConfig, n_paths: int, steps: np.ndarray,
+    starts: np.ndarray,
+) -> np.ndarray:
+    """Left-point integrated variance ``dt sum_{j<k} sigma^2(Y_j)`` at each snapshot step.
+
+    ``steps`` are sorted and distinct; the result has shape
+    ``(len(starts), len(steps), n_paths)``, every start point driven by
+    the same ``iter_fast_values`` batch.
+    """
+    out = np.empty((len(starts), len(steps), n_paths))
+    acc = np.zeros((len(starts), n_paths))
+    ys = iter_fast_values(run, n_paths, starts=starts)
+    y = next(ys)
+    for j, n_new in enumerate(np.diff(steps, prepend=0)):
+        for _ in range(n_new):
+            s = np.asarray(sigma_fn(y), dtype=float)
+            acc += s * s
+            y = next(ys)
+        out[:, j, :] = run.step * acc
     return out
 
 
@@ -184,31 +203,53 @@ def price_mc_surface(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Price estimates and standard errors on a (tau, x, y) evaluation box.
 
-    ``taus`` are times to maturity; the pair process is time-homogeneous, so
-    the estimate at (t, x, y) uses growth factors over [0, T - t].  Requested
-    taus must lie in [0, T] and are rounded to the step grid.
+    Both arrays have shape ``(len(taus), len(x_values), len(y_values))``,
+    row i at ``taus[i]`` in the caller's order (repeated taus give repeated
+    rows).  ``taus`` are times to maturity; the pair process is
+    time-homogeneous, so the estimate at (t, x, y) uses paths over
+    [0, T - t].  Requested taus must lie in [0, T] and are rounded to the
+    step grid.
+
+    Each path contributes the discounted payoff expectation given its
+    integrated variance V (the mixing formula).  A :class:`CallPayoff`
+    takes the closed form :func:`bs_call`; any other payoff is evaluated at
+    ``x exp(r tau - V + sqrt(2 V) Z)`` with one standard normal Z per path
+    from ``stream_rng(fast.seed, MIXING_STREAM)``, shared by every row,
+    spot and start point.
     """
     taus = np.asarray(taus, dtype=float)
-    if np.any((taus < 0.0) | (taus > spec.horizon)):
+    if not np.all((taus >= 0.0) & (taus <= spec.horizon)):
         raise UsageError(f"taus must lie in [0, {spec.horizon:g}]")
+    if n_paths < 1000:
+        raise UsageError("need at least 1000 paths")
+    if abs(fast.lam * epsilon - 1.0) > 1e-9:
+        raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
     dt = fast.step
-    steps = sorted({int(round(t / dt)) for t in taus})
-    factors = _simulate_price_factors(
-        spec, epsilon, fast, n_paths, steps, np.asarray(y_values, dtype=float)
-    )
-    est = np.empty((len(steps), len(x_values), len(y_values)))
+    steps = np.rint(taus / dt).astype(int)
+    snapshots, row_slot = np.unique(steps, return_inverse=True)
+    # pin the step: the default step depends on the horizon
+    run = replace(fast, horizon=spec.horizon, dt=dt)
+    variance = _integrated_variance(spec.sigma_fn, run, n_paths, snapshots,
+                                    np.asarray(y_values, dtype=float))
+    if isinstance(spec.payoff, CallPayoff):
+        def given_variance(x, r_tau, v):
+            return bs_call(x, spec.payoff.strike, r_tau, v)
+    else:
+        z = stream_rng(fast.seed, MIXING_STREAM).standard_normal(n_paths)
+
+        def given_variance(x, r_tau, v):
+            return np.asarray(spec.payoff(x * np.exp(r_tau - v + np.sqrt(2.0 * v) * z)),
+                              dtype=float)
+    est = np.empty((len(taus), len(x_values), len(y_values)))
     se = np.empty_like(est)
-    for j_t, k in enumerate(steps):
+    for j_t, (k, slot) in enumerate(zip(steps, row_slot)):
         disc = math.exp(-spec.discount * k * dt)
         for j_x, x in enumerate(np.asarray(x_values, dtype=float)):
-            vals = disc * np.asarray(spec.payoff(x * factors[:, j_t, :]), dtype=float)
+            vals = disc * given_variance(x, spec.r * k * dt, variance[:, slot, :])
             est[j_t, j_x, :] = vals.mean(axis=1)
-            se[j_t, j_x, :] = vals.std(axis=1, ddof=1) / math.sqrt(n_paths)
+            # deviations from the first path, so equal values give an SE of exactly 0
+            se[j_t, j_x, :] = (vals - vals[:, :1]).std(axis=1, ddof=1) / math.sqrt(n_paths)
     return est, se
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def bs_oracle(spec: PricingSpec, s: float, tau: Optional[float] = None,
@@ -217,33 +258,30 @@ def bs_oracle(spec: PricingSpec, s: float, tau: Optional[float] = None,
 
     The terminal state is lognormal with log-mean ``log x0 + (r - s^2) tau``
     and log-variance ``2 s^2 tau`` (the root-two convention doubles the
-    instantaneous variance).  Calls use the closed formula with Black-Scholes
-    volatility ``sqrt(2) s``; other payoffs are integrated adaptively against
-    the lognormal in log space.
+    instantaneous variance).  Calls use the closed formula :func:`bs_call`
+    at integrated variance ``s^2 tau``; other payoffs are integrated
+    adaptively against the lognormal in log space.
     """
     tau = spec.horizon if tau is None else tau
     x0 = spec.x0 if x0 is None else x0
+    if not (math.isfinite(s) and s >= 0.0):
+        raise UsageError(f"volatility must be finite and nonnegative, got {s}")
+    if not tau >= 0.0:
+        raise UsageError(f"time to maturity must be nonnegative, got {tau}")
     disc = math.exp(-spec.discount * tau)
-    if tau == 0.0:
-        return float(disc * np.asarray(spec.payoff(x0), dtype=float))
-    if s == 0.0 or x0 == 0.0:
-        return float(disc * np.asarray(spec.payoff(x0 * math.exp(spec.r * tau)), dtype=float))
+    v = s * s * tau
     if isinstance(spec.payoff, CallPayoff):
-        k = spec.payoff.strike
-        sig_tot = SQRT2 * s * math.sqrt(tau)
-        d1 = (math.log(x0 / k) + (spec.r + s * s) * tau) / sig_tot
-        d2 = d1 - sig_tot
-        return disc * (
-            x0 * math.exp(spec.r * tau) * _norm_cdf(d1) - k * _norm_cdf(d2)
-        )
-    mean_log = math.log(x0) + (spec.r - s * s) * tau
-    sd_log = math.sqrt(2.0 * s * s * tau)
+        return disc * float(bs_call(x0, spec.payoff.strike, spec.r * tau, v))
+    if v == 0.0 or x0 == 0.0:
+        return float(disc * np.asarray(spec.payoff(x0 * math.exp(spec.r * tau)), dtype=float))
+    mean_log = math.log(x0) + spec.r * tau - v
+    sd_log = math.sqrt(2.0 * v)
 
-    def integrand(v):
-        dens = math.exp(-0.5 * ((v - mean_log) / sd_log) ** 2) / (
+    def integrand(u):
+        dens = math.exp(-0.5 * ((u - mean_log) / sd_log) ** 2) / (
             sd_log * math.sqrt(2.0 * math.pi)
         )
-        return float(spec.payoff(math.exp(v))) * dens
+        return float(spec.payoff(math.exp(u))) * dens
 
     val, _ = integrate.quad(
         integrand, mean_log - 14.0 * sd_log, mean_log + 14.0 * sd_log, limit=400

@@ -24,9 +24,12 @@ One CMS draw per path and step therefore gives states that are exact in law
 for any step (:func:`iter_fast_values`).
 
 Randomness derives from one 64-bit seed through numpy ``SeedSequence`` spawn
-keys: key ``(0,)`` feeds the jump stream, ``(1,)`` the Brownian stream, and
-further components get successive keys.  Draws are vectorized across paths, so
-a batch is reproduced bit-for-bit from (seed, n_paths, dt, horizon).
+keys: key ``(0,)`` feeds the jump stream (:func:`iter_fast_values`), ``(1,)``
+the Brownian stream of the slow-state step (:func:`iter_slow_values`), and
+``(2,)`` the one normal per path of the conditional Monte Carlo pricer
+(``finance.price_mc_surface``, for payoffs without a closed form); further
+components get successive keys.  Draws are vectorized across paths, so a
+batch is reproduced bit-for-bit from (seed, n_paths, dt, horizon).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .levy_measures import LevyMeasureModel, compensator_drift, stable_scale_exp
 
 JUMP_STREAM = 0
 BROWNIAN_STREAM = 1
+MIXING_STREAM = 2
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -250,26 +254,24 @@ def iter_slow_values(
     fast: FastProcessConfig,
     x0: float,
     n_paths: int,
-    starts: Optional[np.ndarray] = None,
     policy: Optional[Callable] = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream the slow state and the factor at grid times 0, dt, ... across a batch.
 
-    This is the package's one slow-state step; every consumer reads it.  It
-    yields (x, y) pairs, n_steps + 1 in total, with y from
-    ``iter_fast_values(fast, n_paths, starts)`` and x of the same shape,
-    starting at ``x0``.  The model is ``problem.structure``, whose drift b and
-    volatility s are linear in x, so Euler-Maruyama with the factor read at
-    left endpoints takes the floored factor form
+    This is the package's one slow-state step; :func:`simulate_slow_system`
+    reads it.  It yields (x, y) pairs of shape ``(n_paths,)``, n_steps + 1 in
+    total, with y from ``iter_fast_values(fast, n_paths)`` and x starting at
+    ``x0``.  The model is ``problem.structure``, whose drift b and volatility
+    s are linear in x, so Euler-Maruyama with the factor read at left
+    endpoints takes the floored factor form
 
         X_{k+1} = X_k * max(1 + b(1, Y_k, u_k) dt + s(1, Y_k, u_k) dW_k, 0):
 
     an Euler step that would overshoot zero is absorbed there, and x = 0 stays
     absorbing.  The Brownian stream is ``stream_rng(fast.seed,
-    BROWNIAN_STREAM)``, one increment per path and step, shared by all start
-    points.  ``policy(t, x, y)`` is called once per step on the batch arrays;
-    a scalar return applies to every path, and ``None`` means the first grid
-    control.
+    BROWNIAN_STREAM)``, one increment per path and step.  ``policy(t, x, y)``
+    is called once per step on the batch arrays; a scalar return applies to
+    every path, and ``None`` means the first grid control.
     """
     st = problem.structure
     if st is None:
@@ -279,8 +281,8 @@ def iter_slow_values(
     n = _n_steps(fast)
     rng = stream_rng(fast.seed, BROWNIAN_STREAM)
     u = float(np.asarray(problem.control_grid, dtype=float)[0])
-    x = np.full((n_paths,) if starts is None else (len(starts), n_paths), float(x0))
-    for k, y in enumerate(iter_fast_values(fast, n_paths, starts)):
+    x = np.full(n_paths, float(x0))
+    for k, y in enumerate(iter_fast_values(fast, n_paths)):
         yield x, y
         if k == n:
             return

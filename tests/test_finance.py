@@ -1,5 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import stats
+from test_jump_processes import _readers
 
 from levy_multiscale.ergodicity import two_atom_measure
 from levy_multiscale.errors import DegenerateVolatilityError, UsageError
@@ -12,12 +17,26 @@ from levy_multiscale.finance import (
     price_mc,
     price_mc_surface,
 )
-from levy_multiscale.jump_processes import FastProcessConfig
-from levy_multiscale.levy_measures import Family, LevyMeasureModel
+from levy_multiscale.jump_processes import (
+    BROWNIAN_STREAM,
+    JUMP_STREAM,
+    MIXING_STREAM,
+    FastProcessConfig,
+)
+from levy_multiscale.levy_measures import Family, LevyMeasureModel, stable_scale_exponent
 
 
 def tanh_sigma(y):
     return 0.3 + 0.1 * np.tanh(np.asarray(y, dtype=float))
+
+
+def bench_sigma(y):
+    """The benchmark's volatility; its quadratic mean under the factor's law is 0.216597."""
+    return 0.2 + 0.1 * np.tanh(np.asarray(y, dtype=float))
+
+
+def constant_sigma(y):
+    return np.full_like(np.asarray(y, dtype=float), 0.2)
 
 
 def pricing_spec(payoff):
@@ -33,6 +52,12 @@ class TestBsOracle:
         # a plain function hides the call tag, so the oracle integrates
         quad = bs_oracle(pricing_spec(lambda x: call(x)), s)
         assert closed == pytest.approx(quad, abs=1e-8)
+
+    @pytest.mark.parametrize("s, tau", [(-0.2, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                        (0.2, -0.5)])
+    def test_bad_volatility_or_maturity_is_refused(self, s, tau):
+        with pytest.raises(UsageError):
+            bs_oracle(pricing_spec(CallPayoff(1.0)), s, tau=tau)
 
 
 class TestEffectiveVolatility:
@@ -90,3 +115,79 @@ class TestMonteCarloPricers:
             else:
                 price_mc_surface(spec, self.EPS, fast, 1000, np.array([1.0]),
                                  np.array([1.0]), np.array([0.0]))
+
+    def test_surface_rows_follow_the_requested_taus(self):
+        spec = pricing_spec(CallPayoff(1.0))
+        box = (np.array([0.9, 1.1]), np.array([0.0, 0.5]))
+        down, _ = price_mc_surface(spec, self.EPS, self.FAST, 1000, np.array([1.0, 0.1]), *box)
+        up, _ = price_mc_surface(spec, self.EPS, self.FAST, 1000, np.array([0.1, 1.0]), *box)
+        assert np.array_equal(down, up[::-1])
+
+    def test_taus_on_one_grid_step_give_one_row_each(self):
+        spec = pricing_spec(CallPayoff(1.0))
+        # 0.5 and 0.501 both round to step 100 at dt = 0.005
+        est, se = price_mc_surface(spec, self.EPS, self.FAST, 1000, np.array([0.5, 0.501, 1.0]),
+                                   np.array([1.0]), np.array([0.0]))
+        assert est.shape == se.shape == (3, 1, 1)
+        assert est[0] == est[1] and est[1] != est[2]
+
+
+class TestConditionalMonteCarlo:
+    """The pricers average the price given each factor path's integrated variance."""
+
+    EPS = TestMonteCarloPricers.EPS
+    FAST = TestMonteCarloPricers.FAST
+
+    def test_constant_volatility_call_is_the_oracle_with_zero_error(self):
+        spec = replace(pricing_spec(CallPayoff(1.1)), sigma_fn=constant_sigma)
+        price, se = price_mc(spec, self.EPS, self.FAST, 1000)
+        assert price == pytest.approx(bs_oracle(spec, 0.2), abs=1e-12)
+        assert se == 0.0
+
+    def test_untagged_call_is_exact_in_law_on_a_coarse_step(self):
+        # two steps at sigma = 1: two Euler asset steps would price about 0.1
+        # (five standard errors) above the oracle here
+        call = CallPayoff(1.0)
+        spec = replace(pricing_spec(lambda x: call(x)), sigma_fn=lambda y: 5.0 * constant_sigma(y))
+        fast = replace(self.FAST, dt=0.5)
+        price, se = price_mc(spec, self.EPS, fast, 20_000)
+        assert abs(price - bs_oracle(spec, 1.0)) <= 4.0 * se
+
+    @pytest.mark.parametrize("tagged", [True, False])
+    def test_zero_maturity_row_is_the_payoff_and_zero_spot_row_is_zero(self, tagged):
+        call = CallPayoff(1.0)
+        spec = pricing_spec(call if tagged else lambda x: call(x))
+        x = np.array([0.0, 0.9, 1.1])
+        est, se = price_mc_surface(spec, self.EPS, self.FAST, 1000, np.array([1.0, 0.0]), x,
+                                   np.array([-1.0, 0.0, 1.0]))
+        assert np.array_equal(est[1], np.repeat(call(x)[:, None], 3, axis=1))
+        assert np.all(se[1] == 0.0)
+        # the call at spot 0 is worthless, with no log(0) on the way
+        assert np.all(est[0, 0] == 0.0) and np.all(se[0, 0] == 0.0)
+
+    def test_mixing_normal_has_one_reader(self):
+        assert MIXING_STREAM == 2 and MIXING_STREAM not in (JUMP_STREAM, BROWNIAN_STREAM)
+        assert _readers("MIXING_STREAM") == {"finance.price_mc_surface"}
+
+
+class TestEpsilonLimit:
+    """Pricing half of the end-to-end check: the price tends to Black-Scholes at sigma_bar."""
+
+    EPS = (0.1, 0.05, 0.02)
+
+    def test_price_reaches_the_effective_volatility_oracle(self):
+        model = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5)
+        a = model.alpha
+        stationary = stats.levy_stable(a, 0.0, scale=(stable_scale_exponent(model) / a) ** (1 / a))
+        sigma_bar = math.sqrt(stationary.expect(lambda y: bench_sigma(y) ** 2))
+        assert sigma_bar == pytest.approx(0.216597, abs=1e-6)
+        spec = replace(pricing_spec(CallPayoff(1.0)), sigma_fn=bench_sigma)
+        bs = bs_oracle(spec, sigma_bar)
+        dev = {}
+        for eps in self.EPS:
+            # one seed and one step: the three runs share their random numbers
+            fast = FastProcessConfig(model, lam=1.0 / eps, y0=0.0, horizon=1.0, seed=1)
+            price, se = price_mc(spec, eps, fast, 2000)
+            dev[eps] = price - bs
+            assert abs(dev[eps]) <= 4.0 * se + 0.03 * eps
+        assert abs(dev[0.02]) < abs(dev[0.1])
