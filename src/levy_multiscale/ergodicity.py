@@ -25,7 +25,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import AssumptionError, UsageError
-from .jump_processes import FastProcessConfig, iter_fast_values
+from .jump_processes import FastProcessConfig, discount_weights, iter_fast_values, path_integral
 from .levy_measures import (
     LevyMeasureModel,
     compensator_drift,
@@ -198,18 +198,15 @@ def ergodic_time_average(
     t: float,
     n_paths: int,
 ) -> float:
-    """Monte Carlo estimate of ``(1/t) int_0^t E f(Y(s)) ds``."""
+    """Monte Carlo estimate of ``(1/t) int_0^t E f(Y(s)) ds`` by the uniform left rule.
+
+    Unit weights on the n states before t, divided by n: constants are exact.
+    """
     if t <= 0.0:
         raise UsageError("t must be positive")
     run_cfg = replace(cfg, horizon=t)
-    total = 0.0
-    count = 0
-    for y in iter_fast_values(run_cfg, n_paths):
-        total += float(np.mean(f(y)))
-        count += 1
-    # the final yield sits at time t; drop it to keep a left-rule average
-    last = float(np.mean(f(y)))
-    return (total - last) / (count - 1)
+    n = run_cfg.n_steps
+    return float(path_integral(run_cfg, f, n_paths, np.ones(n))[0].mean()) / n
 
 
 def abel_average(
@@ -221,19 +218,11 @@ def abel_average(
     """Discount-weighted long-run average ``delta int_0^inf E f(Y(t)) e^{-delta t} dt``.
 
     Truncated at horizon ``10/delta`` (truncation error at most
-    ``e^{-10} sup|f|``); the per-step weights integrate the discount exactly
-    over each step and are normalized to total mass one, so constants are
-    reproduced exactly.
+    ``e^{-10} sup|f|``); the weights are the exact discount weights
+    normalized to total mass one, so constants are reproduced exactly.
     """
     if delta <= 0.0:
         raise UsageError("delta must be positive")
-    horizon = 10.0 / delta
-    run_cfg = replace(cfg, horizon=horizon)
-    dt = run_cfg.step
-    acc = 0.0
-    mass = 0.0
-    for k, y in enumerate(iter_fast_values(run_cfg, n_paths)):
-        w = math.exp(-delta * k * dt) * (1.0 - math.exp(-delta * dt))
-        acc += w * float(np.mean(f(y)))
-        mass += w
-    return acc / mass
+    run_cfg = replace(cfg, horizon=10.0 / delta)
+    w = discount_weights(delta, run_cfg.step, run_cfg.n_steps + 1)
+    return float(path_integral(run_cfg, f, n_paths, w / w.sum())[0].mean())

@@ -30,7 +30,7 @@ from scipy.special import ndtr
 from .ergodicity import InvariantMeasure
 from .errors import DegenerateVolatilityError, UsageError
 from .hjb_solvers import ControlProblemSpec, QuadraticControlStructure
-from .jump_processes import MIXING_STREAM, FastProcessConfig, iter_fast_values, stream_rng
+from .jump_processes import MIXING_STREAM, FastProcessConfig, path_integral, stream_rng
 
 
 class CallPayoff:
@@ -57,6 +57,8 @@ class PricingSpec:
     x0: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r, self.discount, self.horizon, self.x0))):
+            raise UsageError("rate, discount, horizon and spot must be finite")
         if self.discount < 0.0:
             raise UsageError("discount must be nonnegative")
         if self.horizon <= 0.0 or self.x0 < 0.0:
@@ -78,6 +80,8 @@ class MertonSpec:
     w0: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r, self.alpha_drift, self.a, self.horizon, self.w0))):
+            raise UsageError("rates, utility scale, horizon and wealth must be finite")
         if self.alpha_drift <= self.r:
             raise UsageError("the risky return must exceed the riskless rate")
         if not 0.0 < self.gamma < 1.0:
@@ -157,29 +161,6 @@ def bs_call(x, strike: float, r_tau, v):
                     np.maximum(fwd - strike, 0.0))
 
 
-def _integrated_variance(
-    sigma_fn: Callable, run: FastProcessConfig, n_paths: int, steps: np.ndarray,
-    starts: np.ndarray,
-) -> np.ndarray:
-    """Left-point integrated variance ``dt sum_{j<k} sigma^2(Y_j)`` at each snapshot step.
-
-    ``steps`` are sorted and distinct; the result has shape
-    ``(len(starts), len(steps), n_paths)``, every start point driven by
-    the same ``iter_fast_values`` batch.
-    """
-    out = np.empty((len(starts), len(steps), n_paths))
-    acc = np.zeros((len(starts), n_paths))
-    ys = iter_fast_values(run, n_paths, starts=starts)
-    y = next(ys)
-    for j, n_new in enumerate(np.diff(steps, prepend=0)):
-        for _ in range(n_new):
-            s = np.asarray(sigma_fn(y), dtype=float)
-            acc += s * s
-            y = next(ys)
-        out[:, j, :] = run.step * acc
-    return out
-
-
 def price_mc(
     spec: PricingSpec,
     epsilon: float,
@@ -211,7 +192,8 @@ def price_mc_surface(
     step grid.
 
     Each path contributes the discounted payoff expectation given its
-    integrated variance V (the mixing formula).  A :class:`CallPayoff`
+    integrated variance V (the mixing formula): dt times one ``path_integral``
+    of sigma^2 with unit weights, stopped at each tau.  A :class:`CallPayoff`
     takes the closed form :func:`bs_call`; any other payoff is evaluated at
     ``x exp(r tau - V + sqrt(2 V) Z)`` with one standard normal Z per path
     from ``stream_rng(fast.seed, MIXING_STREAM)``, shared by every row,
@@ -220,17 +202,19 @@ def price_mc_surface(
     taus = np.asarray(taus, dtype=float)
     if not np.all((taus >= 0.0) & (taus <= spec.horizon)):
         raise UsageError(f"taus must lie in [0, {spec.horizon:g}]")
+    if not np.all((np.asarray(x_values, dtype=float) >= 0.0) & np.isfinite(x_values)):
+        raise UsageError("spots must be finite and nonnegative")
     if n_paths < 1000:
         raise UsageError("need at least 1000 paths")
     if abs(fast.lam * epsilon - 1.0) > 1e-9:
         raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
     dt = fast.step
     steps = np.rint(taus / dt).astype(int)
-    snapshots, row_slot = np.unique(steps, return_inverse=True)
     # pin the step: the default step depends on the horizon
     run = replace(fast, horizon=spec.horizon, dt=dt)
-    variance = _integrated_variance(spec.sigma_fn, run, n_paths, snapshots,
-                                    np.asarray(y_values, dtype=float))
+    variance = dt * path_integral(run, lambda y: np.asarray(spec.sigma_fn(y), dtype=float) ** 2,
+                                  n_paths, np.ones(run.n_steps), stops=steps,
+                                  starts=np.asarray(y_values, dtype=float))
     if isinstance(spec.payoff, CallPayoff):
         def given_variance(x, r_tau, v):
             return bs_call(x, spec.payoff.strike, r_tau, v)
@@ -242,10 +226,10 @@ def price_mc_surface(
                               dtype=float)
     est = np.empty((len(taus), len(x_values), len(y_values)))
     se = np.empty_like(est)
-    for j_t, (k, slot) in enumerate(zip(steps, row_slot)):
+    for j_t, k in enumerate(steps):
         disc = math.exp(-spec.discount * k * dt)
         for j_x, x in enumerate(np.asarray(x_values, dtype=float)):
-            vals = disc * given_variance(x, spec.r * k * dt, variance[:, slot, :])
+            vals = disc * given_variance(x, spec.r * k * dt, variance[j_t])
             est[j_t, j_x, :] = vals.mean(axis=1)
             # deviations from the first path, so equal values give an SE of exactly 0
             se[j_t, j_x, :] = (vals - vals[:, :1]).std(axis=1, ddof=1) / math.sqrt(n_paths)
@@ -266,8 +250,10 @@ def bs_oracle(spec: PricingSpec, s: float, tau: Optional[float] = None,
     x0 = spec.x0 if x0 is None else x0
     if not (math.isfinite(s) and s >= 0.0):
         raise UsageError(f"volatility must be finite and nonnegative, got {s}")
-    if not tau >= 0.0:
-        raise UsageError(f"time to maturity must be nonnegative, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise UsageError(f"time to maturity must be finite and nonnegative, got {tau}")
+    if not (math.isfinite(x0) and x0 >= 0.0):
+        raise UsageError(f"spot must be finite and nonnegative, got {x0}")
     disc = math.exp(-spec.discount * tau)
     v = s * s * tau
     if isinstance(spec.payoff, CallPayoff):

@@ -108,10 +108,10 @@ class ControlProblemSpec:
     horizon: float
 
     def __post_init__(self):
-        if self.discount < 0.0:
-            raise UsageError("discount must be nonnegative")
-        if self.horizon <= 0.0:
-            raise UsageError("horizon must be positive")
+        if not (math.isfinite(self.discount) and self.discount >= 0.0):
+            raise UsageError(f"discount must be finite and nonnegative, got {self.discount}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
         controls = np.asarray(self.control_grid, dtype=float)
         if len(controls) == 0:
             raise UsageError("control grid must be nonempty")
@@ -145,12 +145,16 @@ class Grids:
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
             raise UsageError("requested dt must be finite and positive")
         x = np.asarray(self.x)
+        if not np.all(np.isfinite(x)):
+            raise UsageError("x grid nodes must be finite")
         if len(x) < 3 or np.any(np.diff(x) <= 0):
             raise UsageError("x grid must be increasing with at least 3 nodes")
         if np.max(np.abs(np.diff(x) - (x[1] - x[0]))) > 1e-9 * (x[1] - x[0]):
             raise UsageError("x grid must be uniform")
         if self.y is not None:
             y = np.asarray(self.y)
+            if not np.all(np.isfinite(y)):
+                raise UsageError("y grid nodes must be finite")
             dy = np.diff(y)
             if len(y) < 5 or np.any(dy <= 0):
                 raise UsageError("y grid must be increasing with at least 5 nodes")

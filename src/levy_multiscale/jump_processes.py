@@ -21,7 +21,8 @@ internal time ``tau`` the decayed stochastic integral of a stable driver is
 again stable, with scale^alpha ``sigma^alpha (1 - e^{-alpha tau}) / alpha``
 (Chambers, Mallows and Stuck, JASA 1976; Weron, Stat. Probab. Lett. 1996).
 One CMS draw per path and step therefore gives states that are exact in law
-for any step (:func:`iter_fast_values`).
+for any step (:func:`iter_fast_values`).  Every path functional of the factor
+is :func:`path_integral`, a weighted sum along these states.
 
 Randomness derives from one 64-bit seed through numpy ``SeedSequence`` spawn
 keys: key ``(0,)`` feeds the jump stream (:func:`iter_fast_values`), ``(1,)``
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -70,10 +72,12 @@ class FastProcessConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise UsageError(f"mean-reversion rate must be positive, got {self.lam}")
-        if self.horizon <= 0.0:
-            raise UsageError("horizon must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise UsageError(f"mean-reversion rate must be finite and positive, got {self.lam}")
+        if not math.isfinite(self.y0):
+            raise UsageError(f"initial factor state must be finite, got {self.y0}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
         step = self.step
         if not 0.0 < step < self.horizon:
             raise UsageError(f"need 0 < dt < horizon, got dt={step}")
@@ -85,6 +89,10 @@ class FastProcessConfig:
     @property
     def step(self) -> float:
         return self.dt if self.dt is not None else default_step(self.epsilon, self.horizon)
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.horizon / self.step))
 
 
 @dataclass(frozen=True)
@@ -157,8 +165,8 @@ def sample_stable_increment(
     ``(sigma^alpha * dt_scaled)^(1/alpha)`` plus ``dt_scaled`` times the
     compensator drift.  Returns a scalar when ``size`` is None.
     """
-    if dt_scaled <= 0.0:
-        raise UsageError(f"dt_scaled must be positive, got {dt_scaled}")
+    if not (math.isfinite(dt_scaled) and dt_scaled > 0.0):
+        raise UsageError(f"dt_scaled must be finite and positive, got {dt_scaled}")
     if model.subordinator and not allow_subordinator:
         raise UsageError(
             "subordinator-mode models are refused by default; "
@@ -181,10 +189,6 @@ def sample_stable_increment(
     return float(out[0]) if size is None else out
 
 
-def _n_steps(cfg: FastProcessConfig) -> int:
-    return int(round(cfg.horizon / cfg.step))
-
-
 def iter_fast_values(
     cfg: FastProcessConfig,
     n_paths: int,
@@ -192,10 +196,10 @@ def iter_fast_values(
 ) -> Iterator[np.ndarray]:
     """Stream the factor states at grid times 0, dt, 2*dt, ... across a path batch.
 
-    This is the package's one fast-factor recursion; every Monte Carlo
-    consumer reads it.  Yields the state *before* each update, n_steps + 1
-    arrays in total, so consumers see left endpoints.  With tau = lam * dt
-    the update is the exact transition of the factor,
+    This is the package's one fast-factor recursion, and path functionals
+    read it through :func:`path_integral`.  Yields the state *before* each
+    update, n_steps + 1 arrays in total, so consumers see left endpoints.
+    With tau = lam * dt the update is the exact transition of the factor,
 
         Y_{k+1} = exp(-tau) Y_k + int_0^tau exp(-(tau - r)) dZ(r),
 
@@ -221,21 +225,60 @@ def iter_fast_values(
     shift = compensator_drift(cfg.model) * (-math.expm1(-tau) - tau_s)
     if starts is not None:
         starts = np.asarray(starts, dtype=float)
-        if starts.ndim != 1:
-            raise UsageError("starts must be a 1-D array of start points")
+        if starts.ndim != 1 or not np.all(np.isfinite(starts)):
+            raise UsageError("starts must be a 1-D array of finite start points")
         starts = starts[:, None]
     y = np.full(n_paths, float(cfg.y0) if starts is None else 0.0)
     decay = 1.0
-    for _ in range(_n_steps(cfg)):
+    for _ in range(cfg.n_steps):
         yield y if starts is None else starts * decay + y
         y = a * y + sample_stable_increment(cfg.model, tau_s, rng, size=n_paths) + shift
         decay *= a
     yield y if starts is None else starts * decay + y
 
 
+def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np.ndarray,
+                  stops: Optional[np.ndarray] = None,
+                  starts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-path sums ``sum_{k < stop} w_k f(Y_k)`` along the factor, at each stop.
+
+    The package's one path functional: the averages, the corrector and the
+    pricer's integrated variance differ only in ``weights``, one per state of
+    :func:`iter_fast_values` (at most n_steps + 1; ``starts`` fans out the batch).
+    ``stops`` are step counts in [0, len(weights)], ``[len(weights)]`` by default;
+    the result has shape ``(len(stops),) + batch``.  Only the states the largest
+    stop needs are drawn.  ``f`` gets one row of n_paths states at a time, not
+    the raveled batch, which no longer fits in cache: the benchmark's Merton
+    Hamiltonian on 9 x 4,000 states for 1,000 steps took 0.61-0.67 s row by
+    row and 0.71-0.92 s raveled (2-core Xeon host).
+    """
+    weights = np.asarray(weights, dtype=float)
+    stops = np.asarray([len(weights)] if stops is None else stops)
+    if (weights.ndim != 1 or len(weights) > cfg.n_steps + 1 or stops.ndim != 1
+            or stops.dtype.kind not in "iu" or np.any((stops < 0) | (stops > len(weights)))):
+        raise UsageError(f"need 1-D weights, at most one per state ({cfg.n_steps + 1}), "
+                         "and 1-D integer stops in [0, len(weights)]")
+    last = int(stops.max(initial=0))
+    ys = iter_fast_values(cfg, n_paths, starts=starts)
+    first = next(ys)  # the start state needs no draw, and reading it checks starts
+    acc = np.zeros(first.shape)
+    out = np.empty((len(stops),) + acc.shape)
+    for k, y in enumerate(islice(chain([first], ys), last)):
+        out[stops == k] = acc
+        for row_acc, row in zip(acc.reshape(-1, n_paths), y.reshape(-1, n_paths)):
+            row_acc += weights[k] * np.asarray(f(row), dtype=float)
+    out[stops == last] = acc
+    return out
+
+
+def discount_weights(delta: float, dt: float, n: int) -> np.ndarray:
+    """Exact discount weights ``int e^{-delta t} dt`` over the steps ``[k dt, (k+1) dt)``, k < n."""
+    return np.exp(-delta * np.arange(n) * dt) * (1.0 - math.exp(-delta * dt)) / delta
+
+
 def simulate_fast_paths(cfg: FastProcessConfig, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Full batch of factor paths; returns (times, values[n_paths, n_times])."""
-    n = _n_steps(cfg)
+    n = cfg.n_steps
     times = np.arange(n + 1) * cfg.step
     values = np.empty((n_paths, n + 1))
     for k, y in enumerate(iter_fast_values(cfg, n_paths)):
@@ -278,7 +321,7 @@ def iter_slow_values(
         raise UsageError("the slow-state step needs the problem's QuadraticControlStructure")
     dt = fast.step
     sq_dt = math.sqrt(dt)
-    n = _n_steps(fast)
+    n = fast.n_steps
     rng = stream_rng(fast.seed, BROWNIAN_STREAM)
     u = float(np.asarray(problem.control_grid, dtype=float)[0])
     x = np.full(n_paths, float(x0))
@@ -304,7 +347,7 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
     construction.
     """
     fast = cfg.fast
-    times = np.arange(_n_steps(fast) + 1) * fast.step
+    times = np.arange(fast.n_steps + 1) * fast.step
     path = np.array([
         (x[0], y[0])
         for x, y in iter_slow_values(cfg.problem, fast, cfg.x0, 1, policy=cfg.control_policy)

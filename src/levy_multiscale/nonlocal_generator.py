@@ -28,7 +28,7 @@ from scipy import integrate
 
 from .ergodicity import InvariantMeasure
 from .errors import UsageError
-from .jump_processes import FastProcessConfig, iter_fast_values
+from .jump_processes import FastProcessConfig, discount_weights, path_integral
 from .levy_measures import (
     LevyMeasureModel,
     tail_mass,
@@ -305,28 +305,20 @@ def approximate_corrector(
 ):
     """Monte Carlo approximate corrector ``chi(y) = -E int_0^inf H(Y^y(t)) e^{-dt t} dt``.
 
-    One driven path batch serves the whole y-grid (``iter_fast_values`` with
+    One driven path batch serves the whole y-grid (``path_integral`` with
     ``starts``): the factor map is affine in its start point,
     ``Y^y(t) = y e^{-t} + Y^0(t)``, so the grid shares common random numbers
     exactly and the y-profile is smooth.
-    Discount weights integrate ``e^{-delta t}`` exactly over each step with the
-    Hamiltonian held at the left endpoint.
+    The weights are the exact discount weights, integrating ``e^{-delta t}``
+    over each step with the Hamiltonian held at the left endpoint.
     """
     x_bar, p_bar, big_x = cq.frozen_point
-    horizon = 10.0 / cq.delta
     cfg = FastProcessConfig(
-        model=cq.model, lam=1.0, y0=0.0, horizon=horizon, dt=cq.dt, seed=cq.seed
+        model=cq.model, lam=1.0, y0=0.0, horizon=10.0 / cq.delta, dt=cq.dt, seed=cq.seed
     )
-    dt = cfg.step
-    y_grid = np.asarray(cq.y_grid, dtype=float)
-
-    acc = np.zeros((len(y_grid), cq.mc_paths))
-    for k, ys in enumerate(iter_fast_values(cfg, cq.mc_paths, starts=y_grid)):
-        w = math.exp(-cq.delta * k * dt) * (1.0 - math.exp(-cq.delta * dt)) / cq.delta
-        # H_eval is only promised to vectorise over one node axis: one call per row
-        for i, row in enumerate(ys):
-            acc[i] += w * np.asarray(H_eval(x_bar, row, p_bar, big_x), dtype=float)
-
+    w = discount_weights(cq.delta, cfg.step, cfg.n_steps + 1)
+    acc = path_integral(cfg, lambda y: H_eval(x_bar, y, p_bar, big_x), cq.mc_paths, w,
+                        starts=np.asarray(cq.y_grid, dtype=float))[0]
     chi = -acc.mean(axis=1)
     if return_se:
         se = acc.std(axis=1, ddof=1) / math.sqrt(cq.mc_paths)

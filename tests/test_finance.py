@@ -10,6 +10,7 @@ from levy_multiscale.ergodicity import two_atom_measure
 from levy_multiscale.errors import DegenerateVolatilityError, UsageError
 from levy_multiscale.finance import (
     CallPayoff,
+    MertonSpec,
     PricingSpec,
     bs_oracle,
     effective_vol_harmonic,
@@ -60,6 +61,35 @@ class TestBsOracle:
             bs_oracle(pricing_spec(CallPayoff(1.0)), s, tau=tau)
 
 
+    @pytest.mark.parametrize("x0, tau", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+                                         (1.0, math.inf)])
+    def test_bad_spot_or_infinite_maturity_is_refused(self, x0, tau):
+        with pytest.raises(UsageError):
+            bs_oracle(pricing_spec(CallPayoff(1.0)), 0.2, tau=tau, x0=x0)
+
+
+class TestPricingSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", math.nan), ("horizon", math.inf), ("x0", math.nan), ("x0", math.inf),
+        ("r", math.nan), ("discount", math.nan),
+    ])
+    def test_spec_must_be_finite(self, field, value):
+        with pytest.raises(UsageError):
+            replace(pricing_spec(CallPayoff(1.0)), **{field: value})
+
+
+class TestMertonSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("r", math.nan), ("alpha_drift", math.inf), ("a", math.nan), ("horizon", math.nan),
+        ("horizon", math.inf), ("w0", math.nan),
+    ])
+    def test_spec_must_be_finite(self, field, value):
+        spec = MertonSpec(r=0.05, alpha_drift=0.1, sigma_fn=tanh_sigma, R1=0.0, R=1.0,
+                          gamma=0.5, a=1.0, horizon=1.0, w0=1.0)
+        with pytest.raises(UsageError):
+            replace(spec, **{field: value})
+
+
 class TestEffectiveVolatility:
     def test_harmonic_mean_below_quadratic_mean(self, invariant_measure_15):
         harmonic = effective_vol_harmonic(tanh_sigma, invariant_measure_15)
@@ -104,6 +134,15 @@ class TestMonteCarloPricers:
         with pytest.raises(UsageError, match="taus"):
             price_mc_surface(spec, self.EPS, self.FAST, 1000, np.array([0.5, tau]),
                              np.array([1.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0),
+                                      (1.0, math.nan)])
+    def test_surface_refuses_bad_spots_and_starts(self, x, y):
+        # a NaN start used to price at V = 0 with a standard error of 0
+        spec = pricing_spec(CallPayoff(1.0))
+        with pytest.raises(UsageError):
+            price_mc_surface(spec, self.EPS, self.FAST, 1000, np.array([1.0]),
+                             np.array([x]), np.array([y]))
 
     @pytest.mark.parametrize("pricer", ["price_mc", "price_mc_surface"])
     def test_rate_disagreeing_with_epsilon_is_rejected(self, pricer):

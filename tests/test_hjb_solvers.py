@@ -391,6 +391,25 @@ class TestGridsValidation:
                 discount=0.0, horizon=1.0,
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", math.nan), ("horizon", math.inf), ("discount", math.nan),
+        ("discount", math.inf),
+    ])
+    def test_spec_must_be_finite(self, field, value):
+        # effective_solve used to meet these as a bare ValueError or OverflowError
+        with pytest.raises(UsageError):
+            dataclasses.replace(merton_problem(merton_spec()), **{field: value})
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0, math.nan], None),
+        ([0.0, 1.0, math.inf], None),
+        ([0.0, 1.0, 2.0], [-2.0, -1.0, math.nan, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [-math.inf, -1.0, 0.0, 1.0, 2.0]),
+    ])
+    def test_grid_nodes_must_be_finite(self, x, y):
+        with pytest.raises(UsageError, match="finite"):
+            Grids(x=np.array(x), y=None if y is None else np.array(y))
+
     def test_control_grid_must_be_increasing_and_uniform(self):
         prob = merton_problem(merton_spec())
         for grid in ([0.0, 0.1, 0.5, 1.0], [1.0, 0.5, 0.0], [0.0, 0.0]):

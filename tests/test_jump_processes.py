@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from levy_multiscale import jump_processes
 from levy_multiscale.errors import UsageError
 from levy_multiscale.hjb_solvers import ControlProblemSpec, QuadraticControlStructure
 from levy_multiscale.levy_measures import (
@@ -23,6 +24,7 @@ from levy_multiscale.jump_processes import (
     SlowSystemConfig,
     compensator_drift,
     iter_fast_values,
+    path_integral,
     sample_stable_increment,
     simulate_fast_path,
     simulate_fast_paths,
@@ -44,6 +46,11 @@ class TestStableIncrement:
     def test_bad_rng_rejected(self):
         with pytest.raises(UsageError):
             sample_stable_increment(SYM15, 1.0, np.random.RandomState(0))
+
+    @pytest.mark.parametrize("dt_scaled", [math.nan, math.inf])
+    def test_non_finite_internal_time_is_refused(self, dt_scaled):
+        with pytest.raises(UsageError):
+            sample_stable_increment(SYM15, dt_scaled, stream_rng(7, JUMP_STREAM), 3)
 
     def test_subordinator_mode_needs_opt_in(self):
         sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5, subordinator=True)
@@ -139,6 +146,16 @@ class TestFastPath:
         with pytest.raises(UsageError):
             FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=2.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.nan), ("lam", math.inf), ("y0", math.nan), ("y0", -math.inf),
+        ("horizon", math.nan), ("horizon", math.inf),
+    ])
+    def test_non_finite_inputs_are_refused(self, field, value):
+        # lam = inf is epsilon = 0; the others used to give NaN paths or no step count
+        with pytest.raises(UsageError):
+            FastProcessConfig(SYM15, **{"lam": 1.0, "y0": 0.0, "horizon": 1.0, "dt": 0.1,
+                                        field: value})
+
 
 def _ks_upper_bound(samples, cdf, n_eval=1000):
     """Upper bound on the KS statistic from ``cdf`` at ``n_eval`` order statistics.
@@ -201,6 +218,89 @@ class TestStartFanOut:
     def test_starts_must_be_one_dimensional(self):
         with pytest.raises(UsageError):
             next(iter_fast_values(self.CFG, 8, starts=self.STARTS.reshape(2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_starts_must_be_finite(self, bad):
+        with pytest.raises(UsageError):
+            next(iter_fast_values(self.CFG, 8, starts=np.array([0.0, bad])))
+
+
+def _draw_counter(monkeypatch):
+    """Count the driver draws made through ``jump_processes``."""
+    calls = []
+    original = jump_processes.sample_stable_increment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jump_processes, "sample_stable_increment", counted)
+    return calls
+
+
+class TestPathIntegral:
+    CFG = FastProcessConfig(SYM15, lam=2.0, y0=0.5, horizon=1.0, dt=0.05, seed=21)
+    N = 20  # steps in CFG, so the states are Y_0 .. Y_20
+    WEIGHTS = np.linspace(1.0, 2.0, N + 1)
+    STOPS = np.array([0, 7, N, N + 1])
+    FUNCTIONS = {
+        "identity": lambda y: y,
+        "variance": lambda y: (0.2 + 0.1 * np.tanh(y)) ** 2,
+    }
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_cumulative_weighted_sums_of_the_path_columns(self, name):
+        f = self.FUNCTIONS[name]
+        _, paths = simulate_fast_paths(self.CFG, 32)
+        assert paths.shape[1] == self.N + 1
+        sums = np.cumsum(self.WEIGHTS * f(paths), axis=1)
+        want = np.concatenate([np.zeros((32, 1)), sums], axis=1)[:, self.STOPS].T
+        got = path_integral(self.CFG, f, 32, self.WEIGHTS, stops=self.STOPS)
+        assert got.shape == (len(self.STOPS), 32)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        # stops in any order give the same rows in that order
+        again = path_integral(self.CFG, f, 32, self.WEIGHTS, stops=self.STOPS[::-1])
+        assert np.array_equal(again, got[::-1])
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_each_start_row_is_the_run_from_that_start(self, name):
+        f = self.FUNCTIONS[name]
+        starts = np.array([-1.0, 0.0, 2.5])
+        got = path_integral(self.CFG, f, 32, self.WEIGHTS, stops=self.STOPS, starts=starts)
+        assert got.shape == (len(self.STOPS), len(starts), 32)
+        for i, s in enumerate(starts):
+            single = path_integral(replace(self.CFG, y0=s), f, 32, self.WEIGHTS, stops=self.STOPS)
+            # same jumps; the two differ only by rounding
+            np.testing.assert_allclose(got[:, i], single, rtol=1e-12, atol=1e-12)
+
+    def test_draws_only_the_states_the_last_stop_needs(self, monkeypatch):
+        calls = _draw_counter(monkeypatch)
+        path_integral(self.CFG, np.sin, 8, self.WEIGHTS, stops=[3, 7])
+        assert len(calls) == 6  # Y_0 .. Y_6
+        calls.clear()
+        path_integral(self.CFG, np.sin, 8, self.WEIGHTS)
+        assert len(calls) == self.N
+
+    def test_stop_zero_gives_zeros_without_a_draw(self, monkeypatch):
+        calls = _draw_counter(monkeypatch)
+        got = path_integral(self.CFG, np.sin, 8, self.WEIGHTS, stops=[0])
+        fanned = path_integral(self.CFG, np.sin, 8, self.WEIGHTS, stops=[0],
+                               starts=np.array([1.0, 2.0]))
+        assert got.shape == (1, 8) and np.all(got == 0.0)
+        assert fanned.shape == (1, 2, 8) and np.all(fanned == 0.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("weights, stops, starts", [
+        (np.ones(N + 2), None, None),  # a weight past the horizon
+        (np.ones((2, 3)), None, None),
+        (np.ones(5), [6], None),
+        (np.ones(5), [-1], None),
+        (np.ones(5), [2.5], None),
+        (np.ones(5), [0], np.ones((2, 2))),
+    ])
+    def test_bad_arguments_are_refused(self, weights, stops, starts):
+        with pytest.raises(UsageError):
+            path_integral(self.CFG, np.sin, 8, weights, stops=stops, starts=starts)
 
 
 def _toy_pricing(r, sigma_fn):
@@ -335,3 +435,12 @@ class TestOneKernel:
         # the fast-factor recursion and the slow-state step each have one implementation
         assert _readers("sample_stable_increment") == {"jump_processes.iter_fast_values"}
         assert _readers("BROWNIAN_STREAM") == {"jump_processes.iter_slow_values"}
+
+    def test_path_functionals_share_one_kernel(self):
+        # the averages, the corrector and the pricer's variance are weight choices
+        assert _readers("iter_fast_values") == {
+            "jump_processes.path_integral",
+            "jump_processes.simulate_fast_paths",
+            "jump_processes.iter_slow_values",
+            "ergodicity.stationary_samples",
+        }
