@@ -15,11 +15,10 @@ stationary laws have no elementary density anyway.  One rule places nodes:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -34,11 +33,8 @@ from .levy_measures import (
 )
 
 DEFAULT_NODES = 256
-
-
-class MeasureProvenance(enum.Enum):
-    EMPIRICAL_LONG_RUN = "empirical-long-run"
-    EXPLICIT_TWO_ATOM_TEST = "explicit-two-atom-test"
+#: Factor paths run side by side by the long-run sampler.
+STATIONARY_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -47,8 +43,6 @@ class InvariantMeasure:
 
     nodes: np.ndarray
     weights: np.ndarray
-    provenance: MeasureProvenance
-    sample_count: int
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
@@ -95,13 +89,9 @@ class InvariantMeasure:
         return replace(self, nodes=nodes, weights=counts / n_nodes)
 
 
-def two_atom_measure(y1: float, y2: float, w1: float = 0.5) -> InvariantMeasure:
-    """Explicit two-atom test measure used by hand-computable checks."""
-    if not 0.0 < w1 < 1.0:
-        raise UsageError("w1 must be in (0, 1)")
-    nodes = np.array(sorted([y1, y2]), dtype=float)
-    weights = np.array([w1, 1.0 - w1]) if y1 <= y2 else np.array([1.0 - w1, w1])
-    return InvariantMeasure(nodes, weights, MeasureProvenance.EXPLICIT_TWO_ATOM_TEST, 2)
+def two_atom_measure(y1: float, y2: float) -> InvariantMeasure:
+    """Explicit two-atom test measure, half the mass at each atom, for hand-computable checks."""
+    return InvariantMeasure(np.array(sorted([y1, y2]), dtype=float), np.array([0.5, 0.5]))
 
 
 def measure_from_samples(samples: np.ndarray, n_nodes: int = DEFAULT_NODES) -> InvariantMeasure:
@@ -110,19 +100,15 @@ def measure_from_samples(samples: np.ndarray, n_nodes: int = DEFAULT_NODES) -> I
     if samples.size < 2:
         raise UsageError("need at least two samples")
     values, counts = np.unique(samples, return_counts=True)
-    empirical = InvariantMeasure(
-        values, counts / samples.size, MeasureProvenance.EMPIRICAL_LONG_RUN, samples.size
-    )
-    return empirical.coarsen(n_nodes)
+    return InvariantMeasure(values, counts / samples.size).coarsen(n_nodes)
 
 
 def stationary_samples(
     cfg: FastProcessConfig,
     burn_in: float,
     n_samples: int,
-    n_paths: int = 256,
 ) -> np.ndarray:
-    """Pool weakly correlated stationary draws from a batch of factor paths.
+    """Pool weakly correlated stationary draws from ``STATIONARY_PATHS`` factor paths.
 
     The exact transition of :func:`iter_fast_values` lets the kernel step
     straight from one kept state to the next: it runs with its step set to
@@ -135,9 +121,10 @@ def stationary_samples(
         raise AssumptionError(
             "subordinator-mode drivers are outside the ergodicity theory"
         )
-    if burn_in < 5.0 / cfg.lam:
+    if not (math.isfinite(burn_in) and burn_in >= 5.0 / cfg.lam):
         raise UsageError(
-            f"burn_in must cover at least five relaxation times (>= {5.0 / cfg.lam:g})"
+            f"burn_in must be finite and cover at least five relaxation times "
+            f"(>= {5.0 / cfg.lam:g}), got {burn_in}"
         )
     if n_samples < 1000:
         raise UsageError("need at least 1000 samples")
@@ -148,9 +135,9 @@ def stationary_samples(
 
     stride = 2.0 / cfg.lam
     burn_steps = math.ceil(burn_in * cfg.lam / 2.0)
-    per_path = math.ceil(n_samples / n_paths)
+    per_path = math.ceil(n_samples / STATIONARY_PATHS)
     run_cfg = replace(cfg, horizon=stride * (burn_steps + per_path), dt=stride)
-    kept = islice(iter_fast_values(run_cfg, n_paths), burn_steps, burn_steps + per_path)
+    kept = islice(iter_fast_values(run_cfg, STATIONARY_PATHS), burn_steps, burn_steps + per_path)
     return np.concatenate(list(kept))[:n_samples]
 
 
@@ -158,12 +145,9 @@ def estimate_invariant_measure(
     cfg: FastProcessConfig,
     burn_in: float,
     n_samples: int,
-    n_nodes: int = DEFAULT_NODES,
-    n_paths: int = 256,
 ) -> InvariantMeasure:
-    """Empirical stationary measure coarsened to ``n_nodes`` equal-mass blocks."""
-    samples = stationary_samples(cfg, burn_in, n_samples, n_paths)
-    return measure_from_samples(samples, n_nodes)
+    """Empirical stationary measure coarsened to ``DEFAULT_NODES`` equal-mass blocks."""
+    return measure_from_samples(stationary_samples(cfg, burn_in, n_samples))
 
 
 def stationary_cf_oracle(model: LevyMeasureModel, u: float) -> complex:
@@ -179,16 +163,16 @@ def stationary_cf_oracle(model: LevyMeasureModel, u: float) -> complex:
     return complex(np.exp(psi_stable / model.alpha + 1j * u * drift))
 
 
-def stationary_cf_bruteforce(model: LevyMeasureModel, u: float, tol: float = 1e-9) -> complex:
+def stationary_cf_bruteforce(model: LevyMeasureModel, u: float) -> complex:
     """Independent route: numerical s-integration of the quadrature exponent."""
     if u == 0.0:
         return 1.0 + 0.0j
     re, _ = integrate.quad(
         lambda s: levy_exponent(model, u * math.exp(-s)).real, 0.0, 40.0,
-        epsabs=tol, limit=200)
+        epsabs=1e-9, limit=200)
     im, _ = integrate.quad(
         lambda s: levy_exponent(model, u * math.exp(-s)).imag, 0.0, 40.0,
-        epsabs=tol, limit=200)
+        epsabs=1e-9, limit=200)
     return complex(np.exp(complex(re, im)))
 
 

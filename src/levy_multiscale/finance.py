@@ -32,13 +32,16 @@ from .errors import DegenerateVolatilityError, UsageError
 from .hjb_solvers import ControlProblemSpec, QuadraticControlStructure
 from .jump_processes import MIXING_STREAM, FastProcessConfig, path_integral, stream_rng
 
+#: Points of the equispaced Merton control grid on [R1, R].
+MERTON_CONTROLS = 41
+
 
 class CallPayoff:
     """European call payoff; the tag lets the oracle use the closed formula."""
 
     def __init__(self, strike: float):
-        if strike <= 0.0:
-            raise UsageError("strike must be positive")
+        if not (math.isfinite(strike) and strike > 0.0):
+            raise UsageError(f"strike must be finite and positive, got {strike}")
         self.strike = strike
 
     def __call__(self, x):
@@ -111,14 +114,14 @@ def pricing_problem(spec: PricingSpec) -> ControlProblemSpec:
     )
 
 
-def merton_problem(spec: MertonSpec, n_controls: int = 41) -> ControlProblemSpec:
-    """Wealth-process control problem on an equispaced control grid."""
+def merton_problem(spec: MertonSpec) -> ControlProblemSpec:
+    """Wealth-process control problem on ``MERTON_CONTROLS`` equispaced controls."""
     return ControlProblemSpec(
         structure=QuadraticControlStructure(
             beta0=spec.r, beta1=spec.alpha_drift - spec.r, sigma_of_y=spec.sigma_fn,
             vol_u_power=1,
         ),
-        control_grid=np.linspace(spec.R1, spec.R, n_controls),
+        control_grid=np.linspace(spec.R1, spec.R, MERTON_CONTROLS),
         payoff=spec.utility,
         discount=0.0,
         horizon=spec.horizon,

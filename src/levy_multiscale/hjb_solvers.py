@@ -44,6 +44,7 @@ from .ergodicity import InvariantMeasure
 from .errors import CFLViolation, NumericalError, UsageError
 from .levy_measures import (
     LevyMeasureModel,
+    default_outer_cut,
     interval_first_moment,
     interval_mass,
     require_assumptions,
@@ -113,8 +114,8 @@ class ControlProblemSpec:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
         controls = np.asarray(self.control_grid, dtype=float)
-        if len(controls) == 0:
-            raise UsageError("control grid must be nonempty")
+        if len(controls) == 0 or not np.all(np.isfinite(controls)):
+            raise UsageError("control grid must be nonempty and finite")
         du = np.diff(controls)
         if len(du) and (np.any(du <= 0.0) or np.max(np.abs(du - du[0])) > 1e-9 * du[0]):
             raise UsageError("control grid must be increasing and uniform")
@@ -240,8 +241,6 @@ def assemble_factor_generator(
     dy = float(y[1] - y[0])
     if dy >= 1.0:
         raise UsageError("factor grid spacing must be below the compensator cut 1")
-    from .nonlocal_generator import default_outer_cut
-
     m_cut = max(default_outer_cut(model), y[-1] - y[0] + 1.0)
 
     # cell k = [(k-1) dy, k dy]: the far share goes to offset k, the rest to k-1

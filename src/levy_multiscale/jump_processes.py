@@ -36,7 +36,7 @@ batch is reproduced bit-for-bit from (seed, n_paths, dt, horizon).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
@@ -78,6 +78,8 @@ class FastProcessConfig:
             raise UsageError(f"initial factor state must be finite, got {self.y0}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
         step = self.step
         if not 0.0 < step < self.horizon:
             raise UsageError(f"need 0 < dt < horizon, got dt={step}")
@@ -115,17 +117,12 @@ class SlowSystemConfig:
     """Controlled slow state coupled to a fast factor.
 
     ``problem`` is a ``hjb_solvers.ControlProblemSpec``: its required
-    ``structure`` states the model and its first grid control is the default
-    control.  ``control_policy`` maps (t, x, y) to a control; it is called once
-    per step with the batch arrays x and y (one path here) and may return one
-    control per path or a scalar for every path.  ``None`` means the first
-    grid control.
+    ``structure`` states the model, and the control is its first grid control.
     """
 
     problem: object
     fast: FastProcessConfig
     x0: float
-    control_policy: Optional[Callable[[float, np.ndarray, np.ndarray], object]] = None
 
     def __post_init__(self):
         if np.any(np.asarray(self.x0) < 0.0):
@@ -156,37 +153,31 @@ def sample_stable_increment(
     model: LevyMeasureModel,
     dt_scaled: float,
     rng: np.random.Generator,
-    size: Optional[int] = None,
-    allow_subordinator: bool = False,
-):
-    """One increment (or a batch) of the driver over internal time ``dt_scaled``.
+    size: int,
+) -> np.ndarray:
+    """``size`` independent increments of the driver over internal time ``dt_scaled``.
 
     Scaling uses self-similarity: the increment has stable scale
     ``(sigma^alpha * dt_scaled)^(1/alpha)`` plus ``dt_scaled`` times the
-    compensator drift.  Returns a scalar when ``size`` is None.
+    compensator drift.  Subordinator-mode models drive no factor and are refused.
     """
     if not (math.isfinite(dt_scaled) and dt_scaled > 0.0):
         raise UsageError(f"dt_scaled must be finite and positive, got {dt_scaled}")
-    if model.subordinator and not allow_subordinator:
-        raise UsageError(
-            "subordinator-mode models are refused by default; "
-            "pass allow_subordinator=True for counterexample studies"
-        )
+    if model.subordinator:
+        raise UsageError("subordinator-mode models are outside the factor's sampler")
     if not isinstance(rng, np.random.Generator):
         raise UsageError("rng must be a numpy Generator")
 
-    n = 1 if size is None else size
     if model.intensity == 0.0:
-        out = np.zeros(n)
-        return float(out[0]) if size is None else out
+        return np.zeros(size)
 
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
-    e = rng.standard_exponential(size=n)
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+    e = rng.standard_exponential(size=size)
     beta = 0.0 if model.two_sided else 1.0
     scale = (stable_scale_exponent(model) * dt_scaled) ** (1.0 / model.alpha)
     out = scale * standard_stable(model.alpha, beta, u, e)
     out += dt_scaled * compensator_drift(model)
-    return float(out[0]) if size is None else out
+    return out
 
 
 def iter_fast_values(
@@ -297,7 +288,6 @@ def iter_slow_values(
     fast: FastProcessConfig,
     x0: float,
     n_paths: int,
-    policy: Optional[Callable] = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream the slow state and the factor at grid times 0, dt, ... across a batch.
 
@@ -308,13 +298,12 @@ def iter_slow_values(
     s are linear in x, so Euler-Maruyama with the factor read at left
     endpoints takes the floored factor form
 
-        X_{k+1} = X_k * max(1 + b(1, Y_k, u_k) dt + s(1, Y_k, u_k) dW_k, 0):
+        X_{k+1} = X_k * max(1 + b(1, Y_k, u) dt + s(1, Y_k, u) dW_k, 0):
 
     an Euler step that would overshoot zero is absorbed there, and x = 0 stays
     absorbing.  The Brownian stream is ``stream_rng(fast.seed,
-    BROWNIAN_STREAM)``, one increment per path and step.  ``policy(t, x, y)``
-    is called once per step on the batch arrays; a scalar return applies to
-    every path, and ``None`` means the first grid control.
+    BROWNIAN_STREAM)``, one increment per path and step, and u is the first
+    grid control.
     """
     st = problem.structure
     if st is None:
@@ -329,12 +318,6 @@ def iter_slow_values(
         yield x, y
         if k == n:
             return
-        if policy is not None:
-            t = k * dt
-            try:
-                u = policy(t, x, y)
-            except Exception as exc:
-                raise UsageError(f"control policy failed at step {k} (t={t:g})") from exc
         dw = rng.normal(0.0, sq_dt, size=n_paths)
         x = x * np.maximum(1.0 + st.drift(1.0, y, u) * dt + st.vol(1.0, y, u) * dw, 0.0)
 
@@ -342,16 +325,12 @@ def iter_slow_values(
 def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]:
     """One path of the slow state and its factor, read from :func:`iter_slow_values`.
 
-    ``cfg.problem.structure`` is the model; ``cfg.control_policy`` is called
-    once per step on the one-path batch arrays.  Nonnegativity holds by
-    construction.
+    ``cfg.problem.structure`` is the model, driven at the first grid control.
+    Nonnegativity holds by construction.
     """
     fast = cfg.fast
     times = np.arange(fast.n_steps + 1) * fast.step
-    path = np.array([
-        (x[0], y[0])
-        for x, y in iter_slow_values(cfg.problem, fast, cfg.x0, 1, policy=cfg.control_policy)
-    ])
+    path = np.array([(x[0], y[0]) for x, y in iter_slow_values(cfg.problem, fast, cfg.x0, 1)])
     return (
         PathSample(times=times, values=path[:, 0], seed=fast.seed),
         PathSample(times=times, values=path[:, 1], seed=fast.seed),

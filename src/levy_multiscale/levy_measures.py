@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from .errors import NumericalError, UsageError
+from .errors import AssumptionError, NumericalError, UsageError
 
 INFINITE = math.inf
 
@@ -27,6 +27,8 @@ INFINITE = math.inf
 DEFAULT_KAPPA = 1e-3
 #: Relative tolerance requested from adaptive quadrature.
 DEFAULT_QUAD_TOL = 1e-10
+#: Relative jump mass allowed beyond the outer truncation.
+TAIL_MASS_REL = 1e-8
 
 
 class Family(enum.Enum):
@@ -55,7 +57,7 @@ def _cos_gamma_constant(alpha: float) -> float:
 class LevyMeasureModel:
     """Stable-family jump measure with density ``intensity * |z|^(-1-alpha)``.
 
-    ``alpha`` must lie in (0, 2) and ``intensity`` must be nonnegative;
+    ``alpha`` must lie in (0, 2) and ``intensity`` must be finite and nonnegative;
     ``intensity == 0`` is the degenerate "null driver" used by deterministic
     tests (all functionals vanish, the increment sampler returns zeros).
 
@@ -73,8 +75,8 @@ class LevyMeasureModel:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise UsageError(f"alpha must be in (0, 2), got {self.alpha}")
-        if self.intensity < 0.0:
-            raise UsageError(f"intensity must be nonnegative, got {self.intensity}")
+        if not (math.isfinite(self.intensity) and self.intensity >= 0.0):
+            raise UsageError(f"intensity must be finite and nonnegative, got {self.intensity}")
         if self.family is Family.ONE_SIDED_STABLE:
             if self.subordinator and not self.alpha < 1.0:
                 raise UsageError(
@@ -152,6 +154,11 @@ def tail_mass(model: LevyMeasureModel, m: float) -> float:
         raise UsageError(f"m must be positive, got {m}")
     sides = 2.0 if model.two_sided else 1.0
     return sides * model.intensity * m ** (-model.alpha) / model.alpha
+
+
+def default_outer_cut(model: LevyMeasureModel) -> float:
+    """Truncation point M with ``nu(|z| > M) / nu(|z| > 1) < 1e-8``."""
+    return TAIL_MASS_REL ** (-1.0 / model.alpha)
 
 
 def truncated_moment(model: LevyMeasureModel, k: int, kappa: float) -> float:
@@ -254,33 +261,34 @@ def _tail_fourier(model: LevyMeasureModel, u: float, kind: str) -> tuple[float, 
 _U_SCALING_FLOOR = 1e-2
 
 
-def levy_exponent(model: LevyMeasureModel, u: float, kappa: float = DEFAULT_KAPPA,
-                  tol: float = DEFAULT_QUAD_TOL) -> complex:
+def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
     """Levy-Khintchine exponent ``int (e^{iuz} - 1 - iuz 1_{|z|<=1}) nu(dz)``.
 
-    Adaptive quadrature with a Taylor series for the singular region
-    ``|z| <= kappa`` (the compensated integrand there is an entire function of
-    ``u z``, so eight series terms are far below ``tol``).  Symmetric models
-    return a real value.  Frequencies below 1e-2 are continued from the
-    quadrature value at the floor via the family's exact ``|u|^alpha`` scaling
-    of the drift-free part, avoiding catastrophic cancellation in the tail.
+    Adaptive quadrature to relative tolerance ``DEFAULT_QUAD_TOL`` with a
+    Taylor series for the singular region ``|z| <= DEFAULT_KAPPA`` (the
+    compensated integrand there is an entire function of ``u z``, so eight
+    series terms are far below the tolerance).  Symmetric models return a real
+    value.  Frequencies below 1e-2 are continued from the quadrature value at
+    the floor via the family's exact ``|u|^alpha`` scaling of the drift-free
+    part, avoiding catastrophic cancellation in the tail.
 
     Raises
     ------
     NumericalError
-        If the quadrature error estimate exceeds ``tol`` relative to the result.
+        If the quadrature error estimate exceeds the tolerance relative to the result.
     """
     if u == 0.0 or model.intensity == 0.0:
         return 0.0 + 0.0j
     if u < 0.0:
-        return levy_exponent(model, -u, kappa, tol).conjugate()
+        return levy_exponent(model, -u).conjugate()
     if u < _U_SCALING_FLOOR:
         drift = compensator_drift(model)
-        ref = levy_exponent(model, _U_SCALING_FLOOR, kappa, tol)
+        ref = levy_exponent(model, _U_SCALING_FLOOR)
         stable_part = ref - 1j * _U_SCALING_FLOOR * drift
         return stable_part * (u / _U_SCALING_FLOOR) ** model.alpha + 1j * u * drift
 
     c, a = model.intensity, model.alpha
+    kappa, tol = DEFAULT_KAPPA, DEFAULT_QUAD_TOL
 
     # |z| <= kappa: sum_{k>=2} (iu)^k/k! * int z^k nu(dz), closed-form moments.
     taylor = 0.0 + 0.0j
@@ -352,8 +360,6 @@ def check_assumptions(model: LevyMeasureModel) -> AssumptionReport:
 
 def require_assumptions(model: LevyMeasureModel):
     """Raise :class:`AssumptionError` unless the standing conditions all hold."""
-    from .errors import AssumptionError
-
     report = check_assumptions(model)
     if model.subordinator or not report.a2_satisfied:
         raise AssumptionError(

@@ -30,40 +30,24 @@ from .ergodicity import InvariantMeasure
 from .errors import UsageError
 from .jump_processes import FastProcessConfig, discount_weights, path_integral
 from .levy_measures import (
+    DEFAULT_KAPPA,
+    DEFAULT_QUAD_TOL,
     LevyMeasureModel,
+    default_outer_cut,
     tail_mass,
     truncated_moment,
 )
 
-#: Relative jump mass allowed beyond the outer truncation.
-TAIL_MASS_REL = 1e-8
-
-
-def default_outer_cut(model: LevyMeasureModel) -> float:
-    """Truncation point M with ``nu(|z| > M) / nu(|z| > 1) < 1e-8``."""
-    return TAIL_MASS_REL ** (-1.0 / model.alpha)
-
 
 @dataclass(frozen=True)
 class GeneratorQuadrature:
-    """Quadrature policy for applying the generator to smooth functions."""
+    """Generator quadrature for one jump measure, cut at ``DEFAULT_KAPPA``, 1 and
+    ``M = default_outer_cut(model)``, to relative tolerance ``DEFAULT_QUAD_TOL``."""
 
     model: LevyMeasureModel
-    kappa: float = 1e-3
-    outer_cut: Optional[float] = None
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        m = self.M
-        if not 0.0 < self.kappa < 1.0 < m:
-            raise UsageError(
-                f"need 0 < kappa < 1 < M, got kappa={self.kappa}, M={m}"
-            )
 
     @property
     def M(self) -> float:
-        if self.outer_cut is not None:
-            return self.outer_cut
         return default_outer_cut(self.model)
 
 
@@ -109,8 +93,7 @@ def generator_apply(
 
     fy = f(y)
     dfy = df(y)
-    kappa, m_cut = q.kappa, q.M
-    tol = q.tolerance
+    kappa, m_cut, tol = DEFAULT_KAPPA, q.M, DEFAULT_QUAD_TOL
 
     value = -dfy * y
     err = 0.0
@@ -335,12 +318,7 @@ def effective_hamiltonian(
 ) -> float:
     """Measure-weighted Hamiltonian ``sum_i w_i H(x, node_i, p, X)``.
 
-    ``H_eval`` may be vectorized over the node axis; a scalar handle is looped.
+    ``H_eval`` is called once on the node array, as :func:`approximate_corrector`
+    calls it on each row of factor states.
     """
-    try:
-        vals = np.asarray(H_eval(x, mu.nodes, p, X), dtype=float)
-        if vals.shape != mu.nodes.shape:
-            raise ValueError
-    except (ValueError, TypeError):
-        vals = np.array([float(H_eval(x, float(node), p, X)) for node in mu.nodes])
-    return float(np.sum(mu.weights * vals))
+    return mu.mean_of(lambda y: H_eval(x, y, p, X))

@@ -7,7 +7,6 @@ from scipy import stats
 from levy_multiscale.errors import AssumptionError, UsageError
 from levy_multiscale.ergodicity import (
     InvariantMeasure,
-    MeasureProvenance,
     abel_average,
     ergodic_time_average,
     estimate_invariant_measure,
@@ -33,17 +32,11 @@ def fast_cfg(model=SYM15, lam=1.0, y0=0.0, horizon=10.0, dt=0.02, seed=0):
 class TestInvariantMeasureType:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(UsageError):
-            InvariantMeasure(
-                np.array([0.0, 1.0]), np.array([0.5, 0.6]),
-                MeasureProvenance.EXPLICIT_TWO_ATOM_TEST, 2,
-            )
+            InvariantMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
 
     def test_nodes_must_be_sorted(self):
         with pytest.raises(UsageError):
-            InvariantMeasure(
-                np.array([1.0, 0.0]), np.array([0.5, 0.5]),
-                MeasureProvenance.EXPLICIT_TWO_ATOM_TEST, 2,
-            )
+            InvariantMeasure(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
     def test_two_atom_factory(self):
         mu = two_atom_measure(-1.0, 2.0)
@@ -73,6 +66,12 @@ class TestEstimateInvariantMeasure:
     def test_short_burn_in_refused(self):
         with pytest.raises(UsageError):
             estimate_invariant_measure(fast_cfg(), burn_in=1.0, n_samples=2000)
+
+    @pytest.mark.parametrize("burn_in", [math.nan, math.inf])
+    def test_non_finite_burn_in_refused(self, burn_in):
+        # nan used to reach math.ceil as a ValueError, inf as an OverflowError
+        with pytest.raises(UsageError, match="burn_in"):
+            stationary_samples(fast_cfg(), burn_in, 2000)
 
     def test_long_run_draws_only_the_states_it_keeps(self, monkeypatch):
         calls = []
@@ -209,8 +208,7 @@ def brute_force_blocks(nodes, weights, n):
 def weighted_cauchy(n_atoms=300, seed=4):
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.1, 1.0, n_atoms)
-    return InvariantMeasure(np.sort(rng.standard_cauchy(n_atoms)), weights / weights.sum(),
-                            MeasureProvenance.EMPIRICAL_LONG_RUN, n_atoms)
+    return InvariantMeasure(np.sort(rng.standard_cauchy(n_atoms)), weights / weights.sum())
 
 
 class TestCoarsen:
@@ -223,7 +221,6 @@ class TestCoarsen:
         assert len(got.nodes) == n
         assert np.max(np.abs(got.nodes - want)) <= 1e-12 * scale
         assert np.all(got.weights == 1.0 / n)
-        assert got.provenance is mu.provenance and got.sample_count == mu.sample_count
 
     @pytest.mark.parametrize("n", [300, 301])
     def test_at_most_n_nodes_is_returned_unchanged(self, n):
@@ -240,7 +237,7 @@ class TestCoarsen:
         heavy = np.append(0.5 * mu.weights, 0.5)
         order = np.argsort(np.append(mu.nodes, 0.1), kind="stable")
         nodes = np.append(mu.nodes, 0.1)[order]
-        mu = InvariantMeasure(nodes, heavy[order], mu.provenance, mu.sample_count)
+        mu = InvariantMeasure(nodes, heavy[order])
         got = mu.coarsen(64)
         assert np.all(np.diff(got.nodes) > 0.0)
         assert got.weights[got.nodes == 0.1].item() >= 31 / 64
@@ -274,5 +271,4 @@ class TestNonFiniteMeasure:
     ], ids=["nan-node", "inf-node", "nan-weight"])
     def test_refused(self, nodes, weights):
         with pytest.raises(UsageError, match="finite"):
-            InvariantMeasure(np.array(nodes), np.array(weights),
-                             MeasureProvenance.EXPLICIT_TWO_ATOM_TEST, 2)
+            InvariantMeasure(np.array(nodes), np.array(weights))

@@ -68,6 +68,14 @@ class TestBsOracle:
             bs_oracle(pricing_spec(CallPayoff(1.0)), 0.2, tau=tau, x0=x0)
 
 
+class TestCallPayoff:
+    @pytest.mark.parametrize("strike", [math.nan, math.inf])
+    def test_bad_strike_is_refused(self, strike):
+        # bs_oracle used to return nan for a non-finite strike
+        with pytest.raises(UsageError, match="strike"):
+            CallPayoff(strike)
+
+
 class TestPricingSpec:
     @pytest.mark.parametrize("field, value", [
         ("horizon", math.nan), ("horizon", math.inf), ("x0", math.nan), ("x0", math.inf),

@@ -416,6 +416,12 @@ class TestGridsValidation:
             with pytest.raises(UsageError):
                 dataclasses.replace(prob, control_grid=np.array(grid))
 
+    @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [math.nan]])
+    def test_control_grid_must_be_finite(self, grid):
+        # NaN fails every comparison of the uniformity check, so it used to pass
+        with pytest.raises(UsageError, match="finite"):
+            dataclasses.replace(merton_problem(merton_spec()), control_grid=np.array(grid))
+
     def test_solvers_reject_negative_x_nodes(self, invariant_measure_15):
         prob = merton_problem(merton_spec())
         x = np.linspace(-1.5, 1.5, 31)

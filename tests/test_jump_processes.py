@@ -40,12 +40,12 @@ NULL = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5, 0.0)
 class TestStableIncrement:
     def test_null_driver_returns_zero(self):
         rng = stream_rng(7, JUMP_STREAM)
-        assert sample_stable_increment(NULL, 1.0, rng) == 0.0
+        assert sample_stable_increment(NULL, 1.0, rng, size=1) == 0.0
         assert np.all(sample_stable_increment(NULL, 0.5, rng, size=16) == 0.0)
 
     def test_bad_rng_rejected(self):
         with pytest.raises(UsageError):
-            sample_stable_increment(SYM15, 1.0, np.random.RandomState(0))
+            sample_stable_increment(SYM15, 1.0, np.random.RandomState(0), size=1)
 
     @pytest.mark.parametrize("dt_scaled", [math.nan, math.inf])
     def test_non_finite_internal_time_is_refused(self, dt_scaled):
@@ -56,9 +56,7 @@ class TestStableIncrement:
         sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5, subordinator=True)
         rng = stream_rng(1, JUMP_STREAM)
         with pytest.raises(UsageError):
-            sample_stable_increment(sub, 1.0, rng)
-        val = sample_stable_increment(sub, 1.0, rng, allow_subordinator=True)
-        assert math.isfinite(val)
+            sample_stable_increment(sub, 1.0, rng, size=1)
 
     def test_empirical_cf_matches_exponent(self):
         # E exp(i u Z(1)) = exp(psi(1)); psi from the quadrature route.
@@ -155,6 +153,11 @@ class TestFastPath:
         with pytest.raises(UsageError):
             FastProcessConfig(SYM15, **{"lam": 1.0, "y0": 0.0, "horizon": 1.0, "dt": 0.1,
                                         field: value})
+
+    def test_negative_seed_is_refused(self):
+        # numpy's SeedSequence used to raise a bare ValueError at the first draw
+        with pytest.raises(UsageError, match="seed"):
+            FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=0.1, seed=-1)
 
 
 def _ks_upper_bound(samples, cdf, n_eval=1000):
@@ -361,18 +364,6 @@ class TestSlowSystem:
         se = disc.std(ddof=1) / math.sqrt(len(disc))
         assert abs(disc.mean() - 1.0) < 3.0 * se
 
-    def test_policy_failure_reports_step(self):
-        prob = _toy_merton(0.05, 0.1, lambda y: 0.2, controls=[0.0, 1.0])
-
-        def bad_policy(t, x, y):
-            if t > 0.5:
-                raise RuntimeError("boom")
-            return 1.0
-
-        fast = FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=0.01, seed=2)
-        with pytest.raises(UsageError, match="step"):
-            simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0, control_policy=bad_policy))
-
     def test_factor_path_is_the_fast_path(self):
         prob = _toy_pricing(r=0.05, sigma_fn=lambda y: 0.3 + 0.1 * np.tanh(y))
         fast = FastProcessConfig(SYM15, lam=20.0, y0=0.4, horizon=1.0, seed=31)
@@ -435,6 +426,12 @@ class TestOneKernel:
         # the fast-factor recursion and the slow-state step each have one implementation
         assert _readers("sample_stable_increment") == {"jump_processes.iter_fast_values"}
         assert _readers("BROWNIAN_STREAM") == {"jump_processes.iter_slow_values"}
+
+    def test_quadrature_constants_are_read_where_quadrature_runs(self):
+        # the Taylor cut and the tolerance are constants, not options passed along
+        for name in ("DEFAULT_KAPPA", "DEFAULT_QUAD_TOL"):
+            assert _readers(name) == {"levy_measures.levy_exponent",
+                                      "nonlocal_generator.generator_apply"}
 
     def test_path_functionals_share_one_kernel(self):
         # the averages, the corrector and the pricer's variance are weight choices

@@ -58,6 +58,12 @@ class TestModelValidation:
         with pytest.raises(UsageError):
             sym(1.5, -1.0)
 
+    @pytest.mark.parametrize("intensity", [math.nan, math.inf])
+    def test_non_finite_intensity_rejected(self, intensity):
+        # tail_mass used to return nan or inf for these
+        with pytest.raises(UsageError, match="finite"):
+            sym(1.5, intensity)
+
 
 class TestDensity:
     def test_symmetric_alpha_one_at_two(self):
