@@ -126,12 +126,8 @@ def stationary_samples(
             f"burn_in must be finite and cover at least five relaxation times "
             f"(>= {5.0 / cfg.lam:g}), got {burn_in}"
         )
-    if n_samples < 1000:
-        raise UsageError("need at least 1000 samples")
-
-    if cfg.model.intensity == 0.0:
-        # degenerate driver: the law collapses onto the decayed start point
-        return np.full(n_samples, cfg.y0 * math.exp(-cfg.lam * burn_in))
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1000):
+        raise UsageError(f"need an integer of at least 1000 samples, got {n_samples!r}")
 
     stride = 2.0 / cfg.lam
     burn_steps = math.ceil(burn_in * cfg.lam / 2.0)
@@ -156,6 +152,8 @@ def stationary_cf_oracle(model: LevyMeasureModel, u: float) -> complex:
     ``exp(psi_stable(u)/alpha + i u drift)``; for symmetric models the drift
     vanishes and this is exactly ``exp(psi(u)/alpha)``.
     """
+    if not math.isfinite(u):
+        raise UsageError(f"frequency must be finite, got {u}")
     if u == 0.0:
         return 1.0 + 0.0j
     drift = compensator_drift(model)

@@ -31,13 +31,5 @@ class NumericalError(LevyMultiscaleError):
         self.achieved_tol = achieved_tol
 
 
-class CFLViolation(NumericalError):
-    """Explicit-scheme step size too large; carries the suggested step."""
-
-    def __init__(self, message: str, suggested_dt: float):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
-
-
 class DegenerateVolatilityError(LevyMultiscaleError):
     """Harmonic volatility average is undefined because sigma vanishes on a node."""

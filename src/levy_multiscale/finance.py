@@ -83,8 +83,9 @@ class MertonSpec:
     w0: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.r, self.alpha_drift, self.a, self.horizon, self.w0))):
-            raise UsageError("rates, utility scale, horizon and wealth must be finite")
+        if not all(map(math.isfinite, (self.r, self.alpha_drift, self.R1, self.R, self.a,
+                                       self.horizon, self.w0))):
+            raise UsageError("rates, control bounds, utility, horizon and wealth must be finite")
         if self.alpha_drift <= self.r:
             raise UsageError("the risky return must exceed the riskless rate")
         if not 0.0 < self.gamma < 1.0:
@@ -102,12 +103,10 @@ class MertonSpec:
 
 
 def pricing_problem(spec: PricingSpec) -> ControlProblemSpec:
-    """Uncontrolled lognormal pricing model as a control-problem description."""
+    """Uncontrolled lognormal pricing model: the one control u = 1, unit exposure."""
     return ControlProblemSpec(
-        structure=QuadraticControlStructure(
-            beta0=spec.r, beta1=0.0, sigma_of_y=spec.sigma_fn, vol_u_power=0
-        ),
-        control_grid=np.array([0.0]),
+        structure=QuadraticControlStructure(beta0=spec.r, beta1=0.0, sigma_of_y=spec.sigma_fn),
+        control_grid=np.array([1.0]),
         payoff=spec.payoff,
         discount=spec.discount,
         horizon=spec.horizon,
@@ -118,9 +117,7 @@ def merton_problem(spec: MertonSpec) -> ControlProblemSpec:
     """Wealth-process control problem on ``MERTON_CONTROLS`` equispaced controls."""
     return ControlProblemSpec(
         structure=QuadraticControlStructure(
-            beta0=spec.r, beta1=spec.alpha_drift - spec.r, sigma_of_y=spec.sigma_fn,
-            vol_u_power=1,
-        ),
+            beta0=spec.r, beta1=spec.alpha_drift - spec.r, sigma_of_y=spec.sigma_fn),
         control_grid=np.linspace(spec.R1, spec.R, MERTON_CONTROLS),
         payoff=spec.utility,
         discount=0.0,

@@ -41,7 +41,7 @@ import numpy as np
 from scipy import linalg
 
 from .ergodicity import InvariantMeasure
-from .errors import CFLViolation, NumericalError, UsageError
+from .errors import NumericalError, UsageError
 from .levy_measures import (
     LevyMeasureModel,
     default_outer_cut,
@@ -64,26 +64,26 @@ SQRT2 = math.sqrt(2.0)
 class QuadraticControlStructure:
     """Multiplicative single-asset model the grid solvers are built on.
 
-    Drift ``x (beta0 + beta1 u)`` and volatility ``sqrt(2) x sigma(y) u^power``
-    with power 0 (no control on the noise) or 1 (proportional exposure).  The
-    Bellman objective is then a parabola in u, so grid minimization reduces to
-    the control nearest the vertex or an endpoint.
+    Drift ``x (beta0 + beta1 u)`` and volatility ``sqrt(2) x sigma(y) u``: the
+    control is the proportional exposure to the noise.  A model whose noise is
+    not controlled is the one-control grid ``[1.0]``.  The Bellman objective is
+    a parabola in u, so grid minimization reduces to the control nearest the
+    vertex or an endpoint.
     """
 
     beta0: float
     beta1: float
     sigma_of_y: Callable[[np.ndarray], np.ndarray]
-    vol_u_power: int  # 0 or 1
 
     def __post_init__(self):
-        if self.vol_u_power not in (0, 1):
-            raise UsageError("vol_u_power must be 0 or 1")
+        if not (math.isfinite(self.beta0) and math.isfinite(self.beta1)):
+            raise UsageError(f"drift coefficients must be finite, got {self.beta0}, {self.beta1}")
 
     def drift(self, x, y, u):
         return np.asarray(x, dtype=float) * (self.beta0 + self.beta1 * u)
 
     def vol(self, x, y, u):
-        return SQRT2 * np.asarray(x, dtype=float) * u**self.vol_u_power * np.asarray(
+        return SQRT2 * np.asarray(x, dtype=float) * u * np.asarray(
             self.sigma_of_y(np.asarray(y, dtype=float))
         )
 
@@ -136,15 +136,15 @@ def hamiltonian_eval(spec: ControlProblemSpec, x, y, p, X) -> tuple[float, float
 
 @dataclass(frozen=True)
 class Grids:
-    """Grid request for the solvers; ``dt=None`` picks the stability bound."""
+    """Uniform slow grid ``x`` and, for the stiff solve, uniform factor grid ``y``.
+
+    There is no time-step request: the solvers step at the positivity bound.
+    """
 
     x: np.ndarray
     y: Optional[np.ndarray] = None
-    dt: Optional[float] = None
 
     def __post_init__(self):
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise UsageError("requested dt must be finite and positive")
         x = np.asarray(self.x)
         if not np.all(np.isfinite(x)):
             raise UsageError("x grid nodes must be finite")
@@ -175,7 +175,6 @@ class ValueField:
     x_grid: np.ndarray
     values: np.ndarray
     y_grid: Optional[np.ndarray] = None
-    epsilon: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -192,20 +191,6 @@ class ValueField:
 
 def _checkpoint_times(n_t: int) -> np.ndarray:
     return np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))
-
-
-def _cfl_step(a_max_over_dx2: float, b_max_over_dx: float, c: float, dt_req: Optional[float]):
-    """The explicit step and the positivity bound dt_bound it must not exceed."""
-    denom = 2.0 * a_max_over_dx2 + b_max_over_dx + c
-    dt_bound = math.inf if denom == 0.0 else 1.0 / denom
-    if dt_req is None:
-        return CFL_SAFETY * min(dt_bound, 1.0), dt_bound
-    if dt_req > dt_bound:
-        raise CFLViolation(
-            f"explicit step {dt_req:g} violates the positivity bound {dt_bound:g}",
-            suggested_dt=CFL_SAFETY * dt_bound,
-        )
-    return dt_req, dt_bound
 
 
 def assemble_factor_generator(
@@ -299,10 +284,10 @@ class _LocalBellman:
     difference).  The grid-min is taken on each run and the smaller kept,
     which equals the upwinded scan over every control.  On a run the objective
     is ``p u^2 + q (beta0 + beta1 u)`` with curvature coefficient
-    ``p = -x^2 sigma^2(y) v_xx`` (no ``u^2`` when the noise is uncontrolled):
-    where p > 0 it is a convex parabola symmetric about its vertex, so its
-    grid-min is the one control nearest the vertex, clipped to the run;
-    elsewhere it is the better endpoint.  Each node evaluates one control.
+    ``p = -x^2 sigma^2(y) v_xx``: where p > 0 it is a convex parabola
+    symmetric about its vertex, so its grid-min is the one control nearest the
+    vertex, clipped to the run; elsewhere it is the better endpoint.  Each node
+    evaluates one control.
     """
 
     def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray,
@@ -316,7 +301,6 @@ class _LocalBellman:
         self.weights = weights        # None for pide, atom weights for effective
         sig2 = np.asarray(st.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
         self.beta0, self.beta1 = st.beta0, st.beta1
-        self.power = st.vol_u_power
         # per step: p = p_coef * (fwd - bwd) and q = neg_x * (fwd or bwd)
         self.neg_x = -x[:, None]
         self.p_coef = -(x**2)[:, None] * sig2[None, :] / self.dx
@@ -329,9 +313,7 @@ class _LocalBellman:
             for run, fwd in ((controls[forward], True), (controls[~forward], False))
             if len(run)
         ]
-        a_max = float(np.max(sig2)) * float(x[-1]) ** 2
-        if self.power == 1:
-            a_max *= max(u_lo**2, u_hi**2)
+        a_max = float(np.max(sig2)) * float(x[-1]) ** 2 * max(u_lo**2, u_hi**2)
         b_max = float(x[-1]) * max(
             abs(self.beta0 + self.beta1 * u_lo),
             abs(self.beta0 + self.beta1 * u_hi),
@@ -362,9 +344,6 @@ class _LocalBellman:
             q = self.neg_x * (fwd if forward else bwd)
             if n == 0:
                 u = lo
-            elif self.power == 0:
-                # linear in u: the endpoint the drift term's slope points to
-                u = np.where(self.beta1 * q < 0.0, hi, lo)
             else:
                 slope_u = self.beta1 * q
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -374,21 +353,23 @@ class _LocalBellman:
                     lo + np.clip(k, 0, n) * self.du,
                     np.where(p * (lo + hi) + slope_u < 0.0, hi, lo),
                 )
-            run_h = q * (self.beta0 + self.beta1 * u) + (p * u * u if self.power == 1 else p)
+            run_h = q * (self.beta0 + self.beta1 * u) + p * u * u
             h = run_h if h is None else np.minimum(h, run_h)
         if self.weights is not None:
             return h @ self.weights
         return h
 
 
-def _time_steps(spec: ControlProblemSpec, local: _LocalBellman, grids: Grids) -> dict:
+def _time_steps(spec: ControlProblemSpec, local: _LocalBellman) -> dict:
     """dt, n_t and dt_bound of the march.
 
-    The step is the positivity bound's (or the requested one), shrunk so that
-    n_t steps span the horizon; dt / dt_bound is the CFL margin.
+    dt_bound = 1 / (2 a_max / dx^2 + b_max / dx + c) is the positivity bound of
+    the explicit step.  The step is ``CFL_SAFETY`` times it (and at most 0.9),
+    shrunk so that n_t steps span the horizon; dt / dt_bound is the CFL margin.
     """
-    dt, dt_bound = _cfl_step(local.a_over_dx2, local.b_over_dx, spec.discount, grids.dt)
-    n_t = max(1, int(math.ceil(spec.horizon / dt)))
+    denom = 2.0 * local.a_over_dx2 + local.b_over_dx + spec.discount
+    dt_bound = math.inf if denom == 0.0 else 1.0 / denom
+    n_t = max(1, int(math.ceil(spec.horizon / (CFL_SAFETY * min(dt_bound, 1.0)))))
     return {"dt": spec.horizon / n_t, "n_t": n_t, "dt_bound": dt_bound}
 
 
@@ -457,7 +438,7 @@ def effective_solve(
     x = np.asarray(grids.x, dtype=float)
     atoms = mu.coarsen(MAX_ATOMS)
     local = _LocalBellman(spec, x, atoms.nodes, atoms.weights)
-    steps = _time_steps(spec, local, grids)
+    steps = _time_steps(spec, local)
     v = np.asarray(spec.payoff(x), dtype=float)
     t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"])
     return ValueField(
@@ -491,13 +472,13 @@ def pide_solve(
     y = np.asarray(grids.y, dtype=float)
     gen, gen_diag = assemble_factor_generator(model, y)
     local = _LocalBellman(spec, x, y, weights=None)
-    steps = _time_steps(spec, local, grids)
+    steps = _time_steps(spec, local)
     prop = _propagator(gen, steps["dt"] / epsilon)
 
     v = np.repeat(np.asarray(spec.payoff(x), dtype=float)[:, None], len(y), axis=1)
     t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"], prop)
     return ValueField(
-        t_grid=t_grid, x_grid=x, values=values, y_grid=y, epsilon=epsilon,
+        t_grid=t_grid, x_grid=x, values=values, y_grid=y,
         diagnostics={**steps, **gen_diag, "propagator_min_entry": float(np.min(prop))},
     )
 

@@ -168,9 +168,6 @@ def sample_stable_increment(
     if not isinstance(rng, np.random.Generator):
         raise UsageError("rng must be a numpy Generator")
 
-    if model.intensity == 0.0:
-        return np.zeros(size)
-
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
     e = rng.standard_exponential(size=size)
     beta = 0.0 if model.two_sided else 1.0
@@ -209,6 +206,8 @@ def iter_fast_values(
     ``Y^y(t_k) = y exp(-lam t_k) + Y^0(t_k)``, yielded with shape
     ``(len(starts), n_paths)``.  Every start point then sees the same jumps.
     """
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise UsageError(f"n_paths must be a positive integer, got {n_paths!r}")
     rng = stream_rng(cfg.seed, JUMP_STREAM)
     tau = cfg.lam * cfg.step
     a = math.exp(-tau)

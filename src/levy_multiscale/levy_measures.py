@@ -57,9 +57,10 @@ def _cos_gamma_constant(alpha: float) -> float:
 class LevyMeasureModel:
     """Stable-family jump measure with density ``intensity * |z|^(-1-alpha)``.
 
-    ``alpha`` must lie in (0, 2) and ``intensity`` must be finite and nonnegative;
-    ``intensity == 0`` is the degenerate "null driver" used by deterministic
-    tests (all functionals vanish, the increment sampler returns zeros).
+    ``alpha`` must lie in (0, 2) and ``intensity`` must be finite and nonnegative.
+    Zero intensity is the degenerate "null driver" used by deterministic tests:
+    the general formulas give it vanishing functionals and zero increments,
+    and only the tail moment, infinite by its formula, treats it apart.
 
     A one-sided model driving the mean-reverting factor requires
     ``alpha in (1, 2)``.  One-sided models with ``alpha in (0, 1)`` have
@@ -150,7 +151,7 @@ def tail_moment(model: LevyMeasureModel, q: float) -> float:
 
 def tail_mass(model: LevyMeasureModel, m: float) -> float:
     """``nu(|z| > m)`` for m > 0."""
-    if m <= 0.0:
+    if not m > 0.0:
         raise UsageError(f"m must be positive, got {m}")
     sides = 2.0 if model.two_sided else 1.0
     return sides * model.intensity * m ** (-model.alpha) / model.alpha
@@ -219,7 +220,7 @@ def compensator_drift(model: LevyMeasureModel) -> float:
     Zero for symmetric models; ``intensity / (alpha - 1)`` for one-sided ones
     (negative in subordinator mode, where it is minus the small-jump mean).
     """
-    if model.two_sided or model.intensity == 0.0:
+    if model.two_sided:
         return 0.0
     return model.intensity / (model.alpha - 1.0)
 
@@ -230,7 +231,7 @@ def stable_exponent_closed(model: LevyMeasureModel, u: float) -> complex:
     This is the closed-form counterpart of :func:`levy_exponent`; the two are
     checked against each other in the test suite.
     """
-    if u == 0.0 or model.intensity == 0.0:
+    if u == 0.0:
         return 0.0 + 0.0j
     sig_a = stable_scale_exponent(model)
     a = model.alpha
@@ -274,10 +275,14 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
 
     Raises
     ------
+    UsageError
+        If the frequency is not finite.
     NumericalError
         If the quadrature error estimate exceeds the tolerance relative to the result.
     """
-    if u == 0.0 or model.intensity == 0.0:
+    if not math.isfinite(u):
+        raise UsageError(f"frequency must be finite, got {u}")
+    if u == 0.0:
         return 0.0 + 0.0j
     if u < 0.0:
         return levy_exponent(model, -u).conjugate()

@@ -51,26 +51,18 @@ class GeneratorQuadrature:
         return default_outer_cut(self.model)
 
 
-def _fd_first(f, y, h):
-    return (f(y + h) - f(y - h)) / (2.0 * h)
-
-
-def _fd_second(f, y, h):
-    return (f(y + h) - 2.0 * f(y) + f(y - h)) / (h * h)
-
-
 def generator_apply(
     q: GeneratorQuadrature,
     f: Callable[[float], float],
     y: float,
-    df: Optional[Callable[[float], float]] = None,
-    d2f: Optional[Callable[[float], float]] = None,
+    df: Callable[[float], float],
+    d2f: Callable[[float], float],
     growth_order: float = 0.0,
     return_error: bool = False,
 ):
-    """Apply the generator to ``f`` at ``y`` by split quadrature.
+    """Apply the generator to ``f`` at the finite point ``y`` by split quadrature.
 
-    ``df``/``d2f`` default to central finite differences.  ``growth_order``
+    ``df``/``d2f`` are the first and second derivatives of ``f``.  ``growth_order``
     declares the polynomial order used to extrapolate ``f`` beyond the outer
     cut; it must stay below the model's stability index or the tail integral
     diverges.  With ``return_error`` the reported value comes with the summed
@@ -82,14 +74,8 @@ def generator_apply(
         raise UsageError(
             f"tail growth order {growth_order} must be below alpha={alpha}"
         )
-    if df is None:
-        df = lambda v: _fd_first(f, v, 1e-6 * (1.0 + abs(v)))
-    if d2f is None:
-        d2f = lambda v: _fd_second(f, v, 1e-4 * (1.0 + abs(v)))
-
-    if c == 0.0:
-        val = -df(y) * y
-        return (val, 0.0) if return_error else val
+    if not math.isfinite(y):
+        raise UsageError(f"evaluation point must be finite, got {y}")
 
     fy = f(y)
     dfy = df(y)
@@ -235,21 +221,16 @@ def counterexample_profile(model: LevyMeasureModel) -> CounterexampleProfile:
     return CounterexampleProfile(c=c)
 
 
-def subordinator_counterexample(
-    q: GeneratorQuadrature,
-    y_grid: Optional[np.ndarray] = None,
-) -> float:
-    """Max of ``-I[y, f]`` over the grid for the constructed classical subsolution.
+def subordinator_counterexample(q: GeneratorQuadrature) -> float:
+    """Max of ``-I[y, f]`` over ``linspace(-10, 10, 401)`` for the classical subsolution.
 
     In exact arithmetic the value is nonpositive everywhere although f is not
     constant, so the maximum staying at numerical-noise level exhibits the
     failure of maximum-principle propagation to the left.
     """
     profile = counterexample_profile(q.model)
-    if y_grid is None:
-        y_grid = np.linspace(-10.0, 10.0, 401)
     worst = -math.inf
-    for y in np.asarray(y_grid, dtype=float):
+    for y in np.linspace(-10.0, 10.0, 401):
         gen = generator_apply(
             q, profile.f, float(y), profile.df, profile.d2f, growth_order=0.0
         )
@@ -275,10 +256,10 @@ class CorrectorQuery:
     dt: Optional[float] = None
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise UsageError("delta must be positive")
-        if self.mc_paths < 1000:
-            raise UsageError("need at least 1000 Monte Carlo paths")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise UsageError(f"delta must be finite and positive, got {self.delta}")
+        if not (isinstance(self.mc_paths, (int, np.integer)) and self.mc_paths >= 1000):
+            raise UsageError(f"need an integer >= 1000 of Monte Carlo paths, got {self.mc_paths!r}")
 
 
 def approximate_corrector(

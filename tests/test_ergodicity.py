@@ -67,6 +67,12 @@ class TestEstimateInvariantMeasure:
         with pytest.raises(UsageError):
             estimate_invariant_measure(fast_cfg(), burn_in=1.0, n_samples=2000)
 
+    @pytest.mark.parametrize("n_samples", [1500.5, 999])
+    def test_sample_count_must_be_an_integer_of_at_least_1000(self, n_samples):
+        # 1500.5 used to fail in a slice as a TypeError
+        with pytest.raises(UsageError, match="samples"):
+            stationary_samples(fast_cfg(), 10.0, n_samples)
+
     @pytest.mark.parametrize("burn_in", [math.nan, math.inf])
     def test_non_finite_burn_in_refused(self, burn_in):
         # nan used to reach math.ceil as a ValueError, inf as an OverflowError
@@ -103,6 +109,11 @@ class TestEstimateInvariantMeasure:
 class TestStationaryCfOracle:
     def test_value_at_zero(self):
         assert stationary_cf_oracle(SYM15, 0.0) == 1.0
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_frequency_refused(self, u):
+        with pytest.raises(UsageError, match="finite"):
+            stationary_cf_oracle(SYM15, u)
 
     def test_cauchy_case_value(self):
         # psi(1) = -pi for alpha = 1, then division by alpha = 1

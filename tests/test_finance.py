@@ -90,6 +90,8 @@ class TestMertonSpec:
     @pytest.mark.parametrize("field, value", [
         ("r", math.nan), ("alpha_drift", math.inf), ("a", math.nan), ("horizon", math.nan),
         ("horizon", math.inf), ("w0", math.nan),
+        # R = inf passed -R <= R1 <= 0 < R and reached np.linspace as a RuntimeWarning
+        ("R", math.inf),
     ])
     def test_spec_must_be_finite(self, field, value):
         spec = MertonSpec(r=0.05, alpha_drift=0.1, sigma_fn=tanh_sigma, R1=0.0, R=1.0,

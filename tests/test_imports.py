@@ -1,8 +1,10 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package module imports is read, and every error class is used.
 
-No linter ships with the test extra, so this stdlib ``ast`` pass stands in for
-an unused-import check.  A name counts as read when it appears as a loaded
-name anywhere in the module, annotations included.
+No linter ships with the test extra, so these stdlib ``ast`` passes stand in for
+an unused-import check and an unused-class check.  A name counts as read when
+it appears as a loaded name anywhere in the module, annotations included.  An
+exception class of ``errors.py`` counts as used when some package module raises
+it or subclasses it.
 """
 
 import ast
@@ -33,3 +35,26 @@ def test_every_imported_name_is_read(module):
 def test_the_check_sees_an_unread_import():
     source = "from typing import Callable, Optional\nimport numpy as np\nf: Callable = np.sum\n"
     assert unused_imports(source) == ["Optional"]
+
+
+def unused_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """Classes of ``errors_source`` that no source raises or names as a base."""
+    defined = {n.name for n in ast.parse(errors_source).body if isinstance(n, ast.ClassDef)}
+    used = set()
+    for node in (n for src in sources for n in ast.walk(ast.parse(src))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            used |= {exc.id} if isinstance(exc, ast.Name) else set()
+        elif isinstance(node, ast.ClassDef):
+            used |= {b.id for b in node.bases if isinstance(b, ast.Name)}
+    return sorted(defined - used)
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unused_errors((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def test_the_check_sees_an_unraised_error():
+    errors = "class Base(Exception): pass\nclass Used(Base): pass\nclass Stale(Base): pass\n"
+    assert unused_errors(errors, [errors, "raise Used('x')\n"]) == ["Stale"]

@@ -305,21 +305,27 @@ class TestPathIntegral:
         with pytest.raises(UsageError):
             path_integral(self.CFG, np.sin, 8, weights, stops=stops, starts=starts)
 
+    @pytest.mark.parametrize("n_paths", [0, -1, 2.5])
+    def test_path_count_must_be_a_positive_integer(self, n_paths):
+        # these used to fail inside numpy as ValueError or TypeError
+        with pytest.raises(UsageError, match="n_paths"):
+            path_integral(self.CFG, np.sin, n_paths, self.WEIGHTS)
+        with pytest.raises(UsageError, match="n_paths"):
+            next(iter_fast_values(self.CFG, n_paths))
+
 
 def _toy_pricing(r, sigma_fn):
     """Single-asset model dX = r X dt + sqrt(2) sigma(y) X dW."""
     return ControlProblemSpec(
-        structure=QuadraticControlStructure(beta0=r, beta1=0.0, sigma_of_y=sigma_fn,
-                                            vol_u_power=0),
-        control_grid=np.array([0.0]), payoff=lambda x: x, discount=0.0, horizon=1.0,
+        structure=QuadraticControlStructure(beta0=r, beta1=0.0, sigma_of_y=sigma_fn),
+        control_grid=np.array([1.0]), payoff=lambda x: x, discount=0.0, horizon=1.0,
     )
 
 
 def _toy_merton(r, alpha_drift, sigma_fn, controls):
     """Wealth dW = W (r + (alpha - r) u) dt + sqrt(2) W u sigma(y) dB."""
     return ControlProblemSpec(
-        structure=QuadraticControlStructure(beta0=r, beta1=alpha_drift - r, sigma_of_y=sigma_fn,
-                                            vol_u_power=1),
+        structure=QuadraticControlStructure(beta0=r, beta1=alpha_drift - r, sigma_of_y=sigma_fn),
         control_grid=np.asarray(controls, dtype=float), payoff=lambda x: x, discount=0.0,
         horizon=1.0,
     )

@@ -157,6 +157,14 @@ class TestTailMoment:
         assert got == pytest.approx(want, rel=1e-9)
 
 
+class TestTailMass:
+    @pytest.mark.parametrize("m", [math.nan, 0.0, -1.0])
+    def test_cut_must_be_positive(self, m):
+        # nan passed the m <= 0 check and returned nan
+        with pytest.raises(UsageError, match="positive"):
+            tail_mass(sym(1.5), m)
+
+
 class TestLevyExponent:
     def test_zero_frequency(self):
         assert levy_exponent(sym(1.5), 0.0) == 0.0
@@ -207,6 +215,13 @@ class TestLevyExponent:
 
     def test_null_driver(self):
         assert levy_exponent(sym(1.5, 0.0), 1.0) == 0.0
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_refused(self, u):
+        # inf used to raise "math domain error" from math.cos, nan to return nan
+        for m in (sym(1.5), one_sided(1.5)):
+            with pytest.raises(UsageError, match="finite"):
+                levy_exponent(m, u)
 
 
 class TestCompensatorDrift:

@@ -106,31 +106,35 @@ class TestGeneratorApply:
 
     def test_linearity(self):
         q = GeneratorQuadrature(SYM15)
-        f = lambda v: math.cos(v)
+        f, df, d2f = math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v)
         g = lambda v: 1.0 / (1.0 + v * v)
+        dg = lambda v: -2.0 * v / (1.0 + v * v) ** 2
+        d2g = lambda v: (6.0 * v * v - 2.0) / (1.0 + v * v) ** 3
         combo = lambda v: 2.0 * f(v) - 3.0 * g(v)
+        dcombo = lambda v: 2.0 * df(v) - 3.0 * dg(v)
+        d2combo = lambda v: 2.0 * d2f(v) - 3.0 * d2g(v)
         y = 0.8
-        lhs = generator_apply(q, combo, y)
-        rhs = 2.0 * generator_apply(q, f, y) - 3.0 * generator_apply(q, g, y)
+        lhs = generator_apply(q, combo, y, dcombo, d2combo)
+        rhs = 2.0 * generator_apply(q, f, y, df, d2f) - 3.0 * generator_apply(q, g, y, dg, d2g)
         assert lhs == pytest.approx(rhs, abs=1e-7)
-
-    def test_finite_difference_fallback_matches_analytic(self):
-        q = GeneratorQuadrature(SYM15)
-        f = lambda v: math.cos(v)
-        with_analytic = generator_apply(q, f, 1.2, lambda v: -math.sin(v), lambda v: -math.cos(v))
-        with_fd = generator_apply(q, f, 1.2)
-        assert with_fd == pytest.approx(with_analytic, abs=1e-5)
 
     def test_error_estimate_reported(self):
         q = GeneratorQuadrature(SYM15)
-        val, err = generator_apply(q, math.cos, 0.3, return_error=True)
+        val, err = generator_apply(q, math.cos, 0.3, lambda v: -math.sin(v),
+                                   lambda v: -math.cos(v), return_error=True)
         assert math.isfinite(val)
         assert 0.0 <= err < 1e-4
 
     def test_growth_order_must_stay_below_alpha(self):
         q = GeneratorQuadrature(SYM15)
         with pytest.raises(UsageError):
-            generator_apply(q, lambda v: v, 0.0, growth_order=1.6)
+            generator_apply(q, lambda v: v, 0.0, lambda v: 1.0, lambda v: 0.0, growth_order=1.6)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_evaluation_point_must_be_finite(self, y):
+        q = GeneratorQuadrature(SYM15)
+        with pytest.raises(UsageError, match="finite"):
+            generator_apply(q, math.cos, y, lambda v: -math.sin(v), lambda v: -math.cos(v))
 
     def test_null_driver_reduces_to_drift(self):
         q = GeneratorQuadrature(LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5, 0.0))
@@ -231,11 +235,15 @@ class TestApproximateCorrector:
         assert residuals[0] > residuals[1] > residuals[2]
         assert spreads[0] > spreads[2]  # delta*chi flattens in y as delta -> 0
 
-    def test_query_validation(self):
+    @pytest.mark.parametrize("field, value", [
+        ("delta", -0.1), ("delta", math.nan), ("delta", math.inf),
+        ("mc_paths", 10), ("mc_paths", 1000.5),
+    ])
+    def test_query_validation(self, field, value):
+        # nan and inf deltas used to be accepted, 1000.5 paths to fail in numpy as a TypeError
+        args = dict(model=SYM15, frozen_point=(1.0, 1.0, -1.0), delta=0.1, y_grid=np.array([0.0]))
         with pytest.raises(UsageError):
-            CorrectorQuery(SYM15, (1.0, 1.0, -1.0), -0.1, np.array([0.0]))
-        with pytest.raises(UsageError):
-            CorrectorQuery(SYM15, (1.0, 1.0, -1.0), 0.1, np.array([0.0]), mc_paths=10)
+            CorrectorQuery(**{**args, field: value})
 
 
 def _bellman_min(x, y, p, X, controls, r=0.05, excess=0.05, sigma_fn=None):
