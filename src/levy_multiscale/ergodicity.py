@@ -74,8 +74,8 @@ class InvariantMeasure:
         merge.  The first moment is kept; barring merges, coarsening to n then to
         m | n is coarsening to m.  At most n nodes are returned unchanged.
         """
-        if n_nodes < 1:
-            raise UsageError("n_nodes must be positive")
+        if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
+            raise UsageError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
         if len(self.nodes) <= n_nodes:
             return self
         mass = np.concatenate([[0.0], np.cumsum(self.weights)])

@@ -127,19 +127,16 @@ def merton_problem(spec: MertonSpec) -> ControlProblemSpec:
 
 def effective_vol_quadratic(sigma_fn: Callable, mu: InvariantMeasure) -> float:
     """Quadratic-mean long-run volatility ``(sum w sigma^2(node))^(1/2)``."""
-    s2 = np.asarray(sigma_fn(mu.nodes), dtype=float) ** 2
-    val = float(np.sum(mu.weights * s2))
-    return math.sqrt(val)
+    return math.sqrt(mu.mean_of(lambda y: np.asarray(sigma_fn(y), dtype=float) ** 2))
 
 
 def effective_vol_harmonic(sigma_fn: Callable, mu: InvariantMeasure) -> float:
     """Harmonic-mean long-run volatility ``(sum w / sigma^2(node))^(-1/2)``."""
     s2 = np.asarray(sigma_fn(mu.nodes), dtype=float) ** 2
     if np.any(s2 <= 0.0):
-        raise DegenerateVolatilityError(
-            "sigma vanishes on a measure node; the harmonic average is undefined"
-        )
-    return float(np.sum(mu.weights / s2)) ** -0.5
+        raise DegenerateVolatilityError("sigma vanishes on a measure node; "
+                                        "the harmonic average is undefined")
+    return mu.mean_of(lambda y: 1.0 / s2) ** -0.5
 
 
 def bs_call(x, strike: float, r_tau, v):
@@ -282,15 +279,17 @@ def merton_hbar(spec: MertonSpec, mu: InvariantMeasure) -> float:
     is attained at ``u* = (alpha-r) / (2 (1-gamma) sigma^2)``; otherwise it
     sits at the upper control bound R.
     """
-    s2 = np.asarray(spec.sigma_fn(mu.nodes), dtype=float) ** 2
     excess = spec.alpha_drift - spec.r
     one_mg = 1.0 - spec.gamma
-    interior = 2.0 * spec.R * one_mg * s2 >= excess
-    with np.errstate(divide="ignore"):
-        interior_val = excess**2 / (4.0 * one_mg * s2)
-    boundary_val = excess * spec.R + (spec.gamma - 1.0) * spec.R**2 * s2
-    vals = np.where(interior, interior_val, boundary_val)
-    return spec.r + float(np.sum(mu.weights * vals))
+
+    def premium(y):  # h(y) - r: the inner maximum at the factor value y
+        s2 = np.asarray(spec.sigma_fn(y), dtype=float) ** 2
+        with np.errstate(divide="ignore"):
+            interior_val = excess**2 / (4.0 * one_mg * s2)
+        boundary_val = excess * spec.R + (spec.gamma - 1.0) * spec.R**2 * s2
+        return np.where(2.0 * spec.R * one_mg * s2 >= excess, interior_val, boundary_val)
+
+    return spec.r + mu.mean_of(premium)
 
 
 def merton_hara_closed_form(
@@ -298,8 +297,8 @@ def merton_hara_closed_form(
 ) -> float:
     """Explicit limit value ``a exp(gamma hbar (T - t)) w^gamma / gamma``."""
     w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr <= 0.0):
-        raise UsageError("wealth must be positive")
+    if not np.all((w_arr > 0.0) & (w_arr < math.inf)):
+        raise UsageError("wealth must be finite and positive")
     if not 0.0 <= t <= spec.horizon:
         raise UsageError("time must lie in [0, T]")
     hbar = merton_hbar(spec, mu)

@@ -60,6 +60,16 @@ N_CHECKPOINTS = 51
 SQRT2 = math.sqrt(2.0)
 
 
+def _require_uniform(name: str, nodes, min_nodes: int) -> None:
+    """Refuse a grid with fewer than ``min_nodes`` finite nodes or uneven increasing steps."""
+    nodes = np.asarray(nodes, dtype=float)
+    if len(nodes) < min_nodes or not np.all(np.isfinite(nodes)):
+        raise UsageError(f"{name} needs {min_nodes} or more nodes, all finite")
+    step = np.diff(nodes)
+    if len(step) and (np.any(step <= 0.0) or np.max(np.abs(step - step[0])) > 1e-9 * step[0]):
+        raise UsageError(f"{name} must be increasing and uniform")
+
+
 @dataclass(frozen=True)
 class QuadraticControlStructure:
     """Multiplicative single-asset model the grid solvers are built on.
@@ -113,12 +123,7 @@ class ControlProblemSpec:
             raise UsageError(f"discount must be finite and nonnegative, got {self.discount}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
-        controls = np.asarray(self.control_grid, dtype=float)
-        if len(controls) == 0 or not np.all(np.isfinite(controls)):
-            raise UsageError("control grid must be nonempty and finite")
-        du = np.diff(controls)
-        if len(du) and (np.any(du <= 0.0) or np.max(np.abs(du - du[0])) > 1e-9 * du[0]):
-            raise UsageError("control grid must be increasing and uniform")
+        _require_uniform("control grid", self.control_grid, 1)
 
 
 def hamiltonian_eval(spec: ControlProblemSpec, x, y, p, X) -> tuple[float, float]:
@@ -145,22 +150,9 @@ class Grids:
     y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        x = np.asarray(self.x)
-        if not np.all(np.isfinite(x)):
-            raise UsageError("x grid nodes must be finite")
-        if len(x) < 3 or np.any(np.diff(x) <= 0):
-            raise UsageError("x grid must be increasing with at least 3 nodes")
-        if np.max(np.abs(np.diff(x) - (x[1] - x[0]))) > 1e-9 * (x[1] - x[0]):
-            raise UsageError("x grid must be uniform")
+        _require_uniform("x grid", self.x, 3)
         if self.y is not None:
-            y = np.asarray(self.y)
-            if not np.all(np.isfinite(y)):
-                raise UsageError("y grid nodes must be finite")
-            dy = np.diff(y)
-            if len(y) < 5 or np.any(dy <= 0):
-                raise UsageError("y grid must be increasing with at least 5 nodes")
-            if np.max(np.abs(dy - dy[0])) > 1e-9 * dy[0]:
-                raise UsageError("y grid must be uniform")
+            _require_uniform("y grid", self.y, 5)
 
 
 @dataclass(frozen=True)
@@ -253,12 +245,11 @@ def assemble_factor_generator(
     sup[1:] += half_m2 / dy**2
 
     # drift -(y + comp) d/dy, comp the leftover compensator mean of jumps
-    # dy < |z| <= 1: central wherever the weights already on both neighbours
-    # keep them nonnegative, upwind elsewhere (mean reversion points inward,
-    # so the needed neighbour exists wherever the coefficient is large)
-    comp = interval_first_moment(model, dy, 1.0)
-    if model.two_sided:
-        comp += interval_first_moment(model, -1.0, -dy)
+    # dy < |z| <= 1 (zero on the symmetric model, whose two sides cancel):
+    # central wherever the weights already on both neighbours keep them
+    # nonnegative, upwind elsewhere (mean reversion points inward, so the
+    # needed neighbour exists wherever the coefficient is large)
+    comp = 0.0 if model.two_sided else interval_first_moment(model, dy, 1.0)
     beta = -(y + comp) / dy
     central = np.zeros(ny, dtype=bool)
     central[1:-1] = (sub[:-1] - 0.5 * beta[1:-1] >= 0.0) & (sup[1:] + 0.5 * beta[1:-1] >= 0.0)
@@ -462,8 +453,8 @@ def pide_solve(
     solve and each step applies it as one matrix product.  P is stochastic;
     its smallest entry is the diagnostics key ``propagator_min_entry``.
     """
-    if epsilon <= 0.0:
-        raise UsageError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise UsageError(f"epsilon must be finite and positive, got {epsilon}")
     if grids.y is None:
         raise UsageError("the stiff solve needs a factor grid")
     require_assumptions(model)

@@ -2,10 +2,10 @@
 
 Two parametric families are supported: the symmetric power-law measure
 ``intensity * |z|^(-1-alpha) dz`` on the punctured line, and its one-sided
-restriction to the positive half-line.  All moment-type functionals of these
-measures have closed-form antiderivatives, which the module prefers; the
-Levy-Khintchine exponent additionally has an adaptive-quadrature evaluation
-used as an independent route against the analytic stable exponent.
+restriction to the positive half-line.  Every moment, tail and interval
+functional reads one antiderivative, :func:`side_moment` (``int_a^b z^k nu(dz)``
+on one side of the origin); the Levy-Khintchine exponent also has an adaptive
+quadrature, an independent route against the analytic stable exponent.
 """
 
 from __future__ import annotations
@@ -96,6 +96,10 @@ class LevyMeasureModel:
     def two_sided(self) -> bool:
         return self.family is Family.SYMMETRIC_STABLE
 
+    @property
+    def sides(self) -> float:
+        return 2.0 if self.two_sided else 1.0
+
     def in_support(self, z: float) -> bool:
         if z == 0.0:
             return False
@@ -129,32 +133,39 @@ def density_eval(model: LevyMeasureModel, z: float) -> float:
     return model.intensity * abs(z) ** (-1.0 - model.alpha)
 
 
+def side_moment(model: LevyMeasureModel, k: float, a: float, b: float = INFINITE) -> float:
+    """``int_a^b z^k nu(dz)`` on one half-line, 0 <= a < b <= inf (a > 0 if k <= alpha).
+
+    ``intensity (b^e - a^e) / e`` with ``e = k - alpha``, or ``intensity log(b / a)``
+    when ``|e| < 1e-12``: INFINITE where the integral diverges at ``b = inf``.
+    """
+    e = k - model.alpha
+    if abs(e) < 1e-12:
+        return model.intensity * math.log(b / a)
+    return model.intensity * (b**e - a**e) / e
+
+
 def small_jump_variance(model: LevyMeasureModel, delta: float) -> float:
-    """``int_{|z| <= delta} z^2 nu(dz)`` by closed-form antiderivative."""
+    """``int_{|z| <= delta} z^2 nu(dz)`` for delta in (0, 1]."""
     if not 0.0 < delta <= 1.0:
         raise UsageError(f"delta must be in (0, 1], got {delta}")
-    sides = 2.0 if model.two_sided else 1.0
-    return sides * model.intensity * delta ** (2.0 - model.alpha) / (2.0 - model.alpha)
+    return truncated_moment(model, 2, delta)
 
 
 def tail_moment(model: LevyMeasureModel, q: float) -> float:
-    """``int_{|z| > 1} |z|^q nu(dz)``; returns the INFINITE marker when q >= alpha."""
-    if q <= 0.0:
-        raise UsageError(f"q must be positive, got {q}")
+    """``int_{|z| > 1} |z|^q nu(dz)``; INFINITE when q >= alpha."""
+    if not 0.0 < q < INFINITE:
+        raise UsageError(f"q must be finite and positive, got {q}")
     if model.intensity == 0.0:
-        return 0.0
-    if q >= model.alpha:
-        return INFINITE
-    sides = 2.0 if model.two_sided else 1.0
-    return sides * model.intensity / (model.alpha - q)
+        return 0.0  # the formula would give 0 * inf
+    return model.sides * side_moment(model, q, 1.0)
 
 
 def tail_mass(model: LevyMeasureModel, m: float) -> float:
     """``nu(|z| > m)`` for m > 0."""
     if not m > 0.0:
         raise UsageError(f"m must be positive, got {m}")
-    sides = 2.0 if model.two_sided else 1.0
-    return sides * model.intensity * m ** (-model.alpha) / model.alpha
+    return model.sides * side_moment(model, 0, m)
 
 
 def default_outer_cut(model: LevyMeasureModel) -> float:
@@ -163,43 +174,31 @@ def default_outer_cut(model: LevyMeasureModel) -> float:
 
 
 def truncated_moment(model: LevyMeasureModel, k: int, kappa: float) -> float:
-    """``int_{|z| <= kappa} z^k nu(dz)`` for k >= 2 (signed, closed form)."""
-    if k < 2:
-        raise UsageError("truncated moments are only defined for k >= 2 here")
-    c = model.intensity
-    a = model.alpha
-    if model.two_sided:
-        if k % 2 == 1:
-            return 0.0
-        return 2.0 * c * kappa ** (k - a) / (k - a)
-    return c * kappa ** (k - a) / (k - a)
+    """``int_{|z| <= kappa} z^k nu(dz)`` for k >= 2 (signed: 0 for odd k on the symmetric model)."""
+    if not (k >= 2 and 0.0 < kappa < INFINITE):
+        raise UsageError(f"need k >= 2 and a finite positive kappa, got k={k}, kappa={kappa}")
+    if model.two_sided and k % 2 == 1:
+        return 0.0
+    return model.sides * side_moment(model, k, 0.0, kappa)
+
+
+def _interval_moment(model: LevyMeasureModel, k: int, a: float, b: float) -> float:
+    """``int_[a,b] z^k nu(dz)`` for 0 < a < b or a < b < 0, reflected onto z > 0."""
+    if not (0.0 < a < b or a < b < 0.0):
+        raise UsageError(f"interval [{a}, {b}] must not straddle or touch the origin")
+    if b > 0.0:
+        return side_moment(model, k, a, b)
+    return (-1.0) ** k * side_moment(model, k, -b, -a) if model.two_sided else 0.0
 
 
 def interval_mass(model: LevyMeasureModel, a: float, b: float) -> float:
     """``nu([a, b])`` for an interval with 0 < a < b or a < b < 0."""
-    if a >= b or (a < 0.0 < b) or a == 0.0 or b == 0.0:
-        raise UsageError("interval must not straddle or touch the origin")
-    if b < 0.0 and not model.two_sided:
-        return 0.0
-    lo, hi = (abs(b), abs(a)) if b < 0.0 else (a, b)
-    al = model.alpha
-    return model.intensity * (lo ** (-al) - hi ** (-al)) / al
+    return _interval_moment(model, 0, a, b)
 
 
 def interval_first_moment(model: LevyMeasureModel, a: float, b: float) -> float:
     """``int_[a,b] z nu(dz)`` for an interval not straddling the origin (signed)."""
-    if a >= b or (a < 0.0 < b) or a == 0.0 or b == 0.0:
-        raise UsageError("interval must not straddle or touch the origin")
-    if b < 0.0 and not model.two_sided:
-        return 0.0
-    sign = -1.0 if b < 0.0 else 1.0
-    lo, hi = (abs(b), abs(a)) if b < 0.0 else (a, b)
-    al = model.alpha
-    if abs(al - 1.0) < 1e-12:
-        val = model.intensity * math.log(hi / lo)
-    else:
-        val = model.intensity * (hi ** (1.0 - al) - lo ** (1.0 - al)) / (1.0 - al)
-    return sign * val
+    return _interval_moment(model, 1, a, b)
 
 
 def stable_scale_exponent(model: LevyMeasureModel) -> float:
@@ -209,9 +208,7 @@ def stable_scale_exponent(model: LevyMeasureModel) -> float:
     ``psi(u) = -sigma^alpha |u|^alpha (1 - i beta sgn(u) tan(pi alpha/2)) + i u drift``
     with ``beta = 0`` (symmetric) or ``beta = 1`` (one-sided).
     """
-    c_alpha = _cos_gamma_constant(model.alpha)
-    sides = 2.0 if model.two_sided else 1.0
-    return sides * model.intensity * c_alpha
+    return model.sides * model.intensity * _cos_gamma_constant(model.alpha)
 
 
 def compensator_drift(model: LevyMeasureModel) -> float:
@@ -315,9 +312,8 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
             kappa, 1.0, epsabs=1e-14, epsrel=tol, limit=200)
         cos_tail, e3 = _tail_fourier(model, u * sign, "cos")
         sin_tail, e4 = _tail_fourier(model, u * sign, "sin")
-        mass = tail_mass(model, 1.0) / (2.0 if model.two_sided else 1.0)
         total_err += e1 + e2 + e3 + e4
-        return complex(re_mid + cos_tail - mass, im_mid + sin_tail)
+        return complex(re_mid + cos_tail - side_moment(model, 0, 1.0), im_mid + sin_tail)
 
     with warnings.catch_warnings():
         # the post-hoc error check below governs acceptance, not QUADPACK's
@@ -336,14 +332,13 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
 def check_assumptions(model: LevyMeasureModel) -> AssumptionReport:
     """Populate singularity, tail-moment, and support witnesses for the model.
 
-    The singularity constant comes from the closed-form antiderivative (shaved
-    by one part in 1e12 so the certified inequality survives floating point),
+    The singularity constant is ``small_jump_variance(1)`` (shaved by one part
+    in 1e12 so the certified inequality survives floating point),
     ``p = alpha``, and any ``q < alpha`` certifies the tail moment.
     """
     if model.intensity <= 0.0:
         raise UsageError("the null driver has no singularity; nothing to certify")
-    sides = 2.0 if model.two_sided else 1.0
-    c_wit = sides * model.intensity / (2.0 - model.alpha) * (1.0 - 1e-12)
+    c_wit = truncated_moment(model, 2, 1.0) * (1.0 - 1e-12)
     q_wit = model.alpha / 2.0
 
     if model.two_sided:

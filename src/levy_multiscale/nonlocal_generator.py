@@ -7,8 +7,8 @@ The operator acts on smooth functions as
 integrated over the support of the jump measure.  Quadrature splits the
 integral at ``kappa`` (second-order Taylor bound for the singular region, with
 closed-form truncated moments), at 1 (compensated vs plain increments), and at
-``M`` (polynomial tail extrapolation of f at the declared growth order; M is
-placed where the relative tail mass drops below 1e-8).
+``M`` (beyond it f grows like ``|z|^g`` at the declared order g, so the tail is
+``side_moment(g, M)``; M is placed where the relative tail mass drops below 1e-8).
 
 On top of the operator the module provides the Lyapunov drift certificate, the
 one-sided small-alpha counterexample to maximum-principle propagation, the
@@ -34,7 +34,7 @@ from .levy_measures import (
     DEFAULT_QUAD_TOL,
     LevyMeasureModel,
     default_outer_cut,
-    tail_mass,
+    side_moment,
     truncated_moment,
 )
 
@@ -62,18 +62,17 @@ def generator_apply(
 ):
     """Apply the generator to ``f`` at the finite point ``y`` by split quadrature.
 
-    ``df``/``d2f`` are the first and second derivatives of ``f``.  ``growth_order``
-    declares the polynomial order used to extrapolate ``f`` beyond the outer
-    cut; it must stay below the model's stability index or the tail integral
-    diverges.  With ``return_error`` the reported value comes with the summed
-    quadrature error estimates plus the small-jump Taylor remainder bound.
+    ``df``/``d2f`` are the first and second derivatives of ``f``.  Beyond the
+    outer cut M, ``f(y + s z)`` is extrapolated as ``f(y + s M) (z / M)^g`` at
+    the declared ``growth_order`` g in [0, alpha), so each side's tail is
+    ``side_moment(g, M)`` times that amplitude.  With ``return_error`` the
+    reported value comes with the summed quadrature error estimates plus the
+    small-jump Taylor remainder bound.
     """
     model = q.model
     c, alpha = model.intensity, model.alpha
-    if growth_order >= alpha:
-        raise UsageError(
-            f"tail growth order {growth_order} must be below alpha={alpha}"
-        )
+    if not 0.0 <= growth_order < alpha:
+        raise UsageError(f"tail growth order {growth_order} must lie in [0, alpha={alpha})")
     if not math.isfinite(y):
         raise UsageError(f"evaluation point must be finite, got {y}")
 
@@ -87,18 +86,16 @@ def generator_apply(
     # |z| <= kappa: second-order Taylor, closed-form second moment; the
     # remainder is bounded by the third absolute moment times a third
     # derivative estimate.
-    m2 = truncated_moment(model, 2, kappa)
-    value += 0.5 * d2f(y) * m2
-    m3_abs = c * kappa ** (3.0 - alpha) / (3.0 - alpha) * (2.0 if model.two_sided else 1.0)
+    value += 0.5 * d2f(y) * truncated_moment(model, 2, kappa)
+    m3_abs = model.sides * side_moment(model, 3, 0.0, kappa)
     d3_est = abs(d2f(y + kappa) - d2f(y - kappa)) / (2.0 * kappa)
     err += m3_abs * d3_est / 6.0
 
-    sides = (1.0, -1.0) if model.two_sided else (1.0,)
-    side_mass = tail_mass(model, m_cut) / len(sides)
+    side_mass, far_moment = side_moment(model, 0, m_cut), side_moment(model, growth_order, m_cut)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for s in sides:
+        for s in (1.0, -1.0) if model.two_sided else (1.0,):
             mid, e1 = integrate.quad(
                 lambda z: (f(y + s * z) - fy - dfy * s * z) * c * z ** (-1.0 - alpha),
                 kappa, 1.0, epsabs=1e-14, epsrel=tol, limit=200,
@@ -120,16 +117,8 @@ def generator_apply(
                 a = b
 
             # beyond M: extrapolate f at the declared polynomial order
-            f_edge = f(y + s * m_cut)
-            if growth_order == 0.0:
-                tail = (f_edge - fy) * side_mass
-            else:
-                amp = f_edge / m_cut**growth_order
-                tail = (
-                    amp * c * m_cut ** (growth_order - alpha) / (alpha - growth_order)
-                    - fy * side_mass
-                )
-            value += tail
+            amp = f(y + s * m_cut) / m_cut**growth_order
+            value += amp * far_moment - fy * side_mass
 
     if return_error:
         return value, err
@@ -151,6 +140,8 @@ def lyapunov_drift_check(
     alpha = q.model.alpha
     if not 0.0 < q_exp < alpha:
         raise UsageError(f"need 0 < q_exp < alpha={alpha}, got {q_exp}")
+    if not 0.0 <= R < math.inf:
+        raise UsageError(f"radius R must be finite and nonnegative, got {R}")
     y_samples = np.asarray(y_samples, dtype=float)
     if np.any(np.abs(y_samples) < R):
         raise UsageError("all samples must satisfy |y| >= R")
@@ -217,8 +208,7 @@ def counterexample_profile(model: LevyMeasureModel) -> CounterexampleProfile:
     """Build the profile with plateau point ``-c``, ``c = int_0^1 z nu(dz)``."""
     if not model.subordinator:
         raise UsageError("the counterexample profile needs a subordinator-mode model")
-    c = model.intensity / (1.0 - model.alpha)
-    return CounterexampleProfile(c=c)
+    return CounterexampleProfile(c=side_moment(model, 1, 0.0, 1.0))
 
 
 def subordinator_counterexample(q: GeneratorQuadrature) -> float:

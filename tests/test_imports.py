@@ -1,10 +1,13 @@
-"""Every name a package module imports is read, and every error class is used.
+"""Every name a package module imports is read, every error class is used, and
+no module reaches into another one's private names.
 
 No linter ships with the test extra, so these stdlib ``ast`` passes stand in for
-an unused-import check and an unused-class check.  A name counts as read when
-it appears as a loaded name anywhere in the module, annotations included.  An
-exception class of ``errors.py`` counts as used when some package module raises
-it or subclasses it.
+an unused-import check, an unused-class check and a private-import check.  A
+name counts as read when it appears as a loaded name anywhere in the module,
+annotations included.  An exception class of ``errors.py`` counts as used when
+some package module raises it or subclasses it.  A helper that several modules
+share must be public: no module imports an underscore-prefixed name from
+another package module.
 """
 
 import ast
@@ -58,3 +61,30 @@ def test_every_error_class_is_raised_or_subclassed():
 def test_the_check_sees_an_unraised_error():
     errors = "class Base(Exception): pass\nclass Used(Base): pass\nclass Stale(Base): pass\n"
     assert unused_errors(errors, [errors, "raise Used('x')\n"]) == ["Stale"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names that ``source`` imports from a package module."""
+    return sorted(
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "levy_multiscale")
+        for a in node.names
+        if a.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_a_private_name(module):
+    assert private_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_the_check_sees_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from numpy import _globals\n"
+        "from .levy_measures import _interval_moment, side_moment\n"
+        "from levy_multiscale.hjb_solvers import _require_uniform\n"
+    )
+    assert private_imports(source) == ["_interval_moment", "_require_uniform"]

@@ -1,0 +1,71 @@
+"""Inputs that used to pass unchecked now raise ``UsageError``.
+
+Each row is an input the package accepted before its guard existed: NaN slips
+through a check written as ``if x <= 0`` (every comparison with NaN is False),
+so each guard is written as ``if not (<accepted>)``.  The row's comment says
+what the call did without the guard.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from levy_multiscale import ergodicity, finance, hjb_solvers, levy_measures, nonlocal_generator
+from levy_multiscale.errors import UsageError
+from levy_multiscale.levy_measures import Family, LevyMeasureModel
+
+SYM = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5)
+ONE_SIDED = LevyMeasureModel(Family.ONE_SIDED_STABLE, 1.5)
+MERTON = finance.MertonSpec(
+    r=0.05, alpha_drift=0.1, sigma_fn=lambda y: 0.2 + 0.0 * np.asarray(y, dtype=float),
+    R1=0.0, R=1.0, gamma=0.5, a=1.0, horizon=1.0, w0=1.0,
+)
+MU = ergodicity.two_atom_measure(-1.0, 1.0)
+SAMPLES = np.linspace(-1.0, 1.0, 101)
+
+
+def pide(epsilon):
+    grids = hjb_solvers.Grids(x=np.linspace(0.0, 1.0, 5), y=np.linspace(-2.0, 2.0, 9))
+    return hjb_solvers.pide_solve(finance.merton_problem(MERTON), SYM, epsilon, grids)
+
+
+def lyapunov(radius):
+    q = nonlocal_generator.GeneratorQuadrature(ONE_SIDED)
+    return nonlocal_generator.lyapunov_drift_check(q, 1.0, radius, np.array([3.0]))
+
+
+def generator(growth_order):
+    q = nonlocal_generator.GeneratorQuadrature(SYM)
+    return nonlocal_generator.generator_apply(q, math.cos, 0.0, lambda v: -math.sin(v),
+                                              lambda v: -math.cos(v), growth_order=growth_order)
+
+
+ROWS = {
+    # scipy's ValueError from lu_factor
+    "pide_solve epsilon nan": lambda: pide(math.nan),
+    # solved with the implicit factor step frozen
+    "pide_solve epsilon inf": lambda: pide(math.inf),
+    # numpy's TypeError from linspace
+    "coarsen 2.5": lambda: ergodicity.measure_from_samples(SAMPLES, 256).coarsen(2.5),
+    "measure_from_samples n_nodes 2.5": lambda: ergodicity.measure_from_samples(SAMPLES, 2.5),
+    # a one-node measure
+    "coarsen True": lambda: ergodicity.measure_from_samples(SAMPLES, 256).coarsen(True),
+    # a certificate for a ball that was never stated
+    "lyapunov radius nan": lambda: lyapunov(math.nan),
+    "lyapunov radius -1": lambda: lyapunov(-1.0),
+    # nan
+    "tail_moment q nan": lambda: levy_measures.tail_moment(SYM, math.nan),
+    "truncated_moment kappa nan": lambda: levy_measures.truncated_moment(SYM, 2, math.nan),
+    "interval_mass a nan": lambda: levy_measures.interval_mass(SYM, math.nan, 1.0),
+    "interval_first_moment a nan": lambda: levy_measures.interval_first_moment(SYM, math.nan, 1.0),
+    "generator_apply growth order nan": lambda: generator(math.nan),
+    "merton_hara_closed_form wealth nan": lambda: finance.merton_hara_closed_form(
+        MERTON, MU, 0.0, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
+def test_refused(call):
+    with pytest.raises(UsageError):
+        call()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -18,6 +18,7 @@ from levy_multiscale.levy_measures import (
     interval_first_moment,
     interval_mass,
     levy_exponent,
+    side_moment,
     small_jump_variance,
     stable_exponent_closed,
     tail_mass,
@@ -238,6 +239,42 @@ class TestCompensatorDrift:
         m = one_sided(0.5, subordinator=True)
         small_mean, _ = integrate.quad(lambda z: z * density_eval(m, z), 0, 1)
         assert compensator_drift(m) == pytest.approx(-small_mean, rel=1e-9)
+
+
+class TestSideMoment:
+    @given(
+        alpha=st.floats(0.1, 1.95),
+        k=st.sampled_from([0, 1, 2, 3]),
+        a=st.floats(1e-3, 10.0),
+        r1=st.floats(1.5, 100.0),
+        r2=st.floats(1.5, 100.0),
+    )
+    @example(alpha=1.0, k=1, a=0.5, r1=2.0, r2=3.0)  # the log branch
+    @settings(max_examples=100, deadline=None)
+    def test_additive_over_adjacent_intervals(self, alpha, k, a, r1, r2):
+        # b^e - a^e cancels as e = k - alpha -> 0 outside the log branch
+        assume(k == alpha or abs(k - alpha) > 1e-2)
+        m = sym(alpha, 0.8)
+        b, c = a * r1, a * r1 * r2
+        whole = side_moment(m, k, a, c)
+        assert whole == pytest.approx(side_moment(m, k, a, b) + side_moment(m, k, b, c), rel=1e-12)
+
+    @pytest.mark.parametrize("model, k, a, b", [
+        (sym(1.5, 1.3), 0, 0.2, 3.0),
+        (one_sided(1.5, 0.7), 0, 1.0, math.inf),
+        (sym(1.0), 1, 0.1, 5.0),  # k = alpha = 1: the log branch
+        (one_sided(1.5), 1, 1.0, math.inf),
+        (sym(1.5), 2, 0.0, 1.0),
+        (sym(0.7, 2.0), 3, 0.0, 2.0),
+    ])
+    def test_agrees_with_quadrature_of_the_density(self, model, k, a, b):
+        want, _ = integrate.quad(lambda z: z**k * density_eval(model, z), a, b,
+                                 epsrel=1e-11, limit=200)
+        assert side_moment(model, k, a, b) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("k, alpha", [(1, 0.7), (1, 1.0), (2, 1.0), (2, 1.5), (3, 1.9)])
+    def test_infinite_where_the_tail_diverges(self, k, alpha):
+        assert side_moment(sym(alpha), k, 1.0) == INFINITE
 
 
 class TestIntervalFunctionals:
