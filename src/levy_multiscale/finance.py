@@ -185,13 +185,21 @@ def price_mc_surface(
     row i at ``taus[i]`` in the caller's order (repeated taus give repeated
     rows).  ``taus`` are times to maturity; the pair process is
     time-homogeneous, so the estimate at (t, x, y) uses paths over
-    [0, T - t].  Requested taus must lie in [0, T] and are rounded to the
-    step grid.
+    [0, T - t].  Requested taus must lie in [0, T]; each is priced at the
+    nearest point of the step grid, which shifts it by at most dt/2.
 
-    Each path contributes the discounted payoff expectation given its
-    integrated variance V (the mixing formula): dt times one ``path_integral``
-    of sigma^2 with unit weights, stopped at each tau.  A :class:`CallPayoff`
-    takes the closed form :func:`bs_call`; any other payoff is evaluated at
+    The step dt is that of ``replace(fast, horizon=T)``: ``fast.dt`` if set
+    (it must divide T), else :func:`~levy_multiscale.jump_processes.default_step`,
+    about epsilon/8 with T on the grid.  The factor's states are exact for
+    any step, so dt only sets the quadrature of V.  Each path contributes
+    the discounted payoff expectation given its integrated variance
+    V = int_0^tau sigma^2(Y_s) ds (the mixing formula), taken by the
+    trapezoid rule from one ``path_integral`` of sigma^2 with unit weights:
+    with S_k the sum over the first k states, V = dt ((S_k + S_{k+1})/2 -
+    sigma^2(y0)/2) at tau = k dt, exactly 0 at tau = 0.  The trapezoid
+    removes the first-order bias that the left rule takes from the factor's
+    relaxation out of y0.  A :class:`CallPayoff` takes the closed form
+    :func:`bs_call`; any other payoff is evaluated at
     ``x exp(r tau - V + sqrt(2 V) Z)`` with one standard normal Z per path
     from ``stream_rng(fast.seed, MIXING_STREAM)``, shared by every row,
     spot and start point.
@@ -205,13 +213,18 @@ def price_mc_surface(
         raise UsageError("need at least 1000 paths")
     if abs(fast.lam * epsilon - 1.0) > 1e-9:
         raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
-    dt = fast.step
+    run = replace(fast, horizon=spec.horizon)
+    dt = run.step
+    if not abs(run.n_steps * dt - spec.horizon) <= 1e-9 * spec.horizon:
+        raise UsageError(f"the step {dt:g} must divide the horizon {spec.horizon:g}")
     steps = np.rint(taus / dt).astype(int)
-    # pin the step: the default step depends on the horizon
-    run = replace(fast, horizon=spec.horizon, dt=dt)
-    variance = dt * path_integral(run, lambda y: np.asarray(spec.sigma_fn(y), dtype=float) ** 2,
-                                  n_paths, np.ones(run.n_steps), stops=steps,
-                                  starts=np.asarray(y_values, dtype=float))
+    n = len(steps)
+    # S_k, S_{k+1} at each tau, and S_1 = sigma^2(y0) as f gave it, so V(0) is exactly 0
+    sums = path_integral(run, lambda y: np.asarray(spec.sigma_fn(y), dtype=float) ** 2,
+                         n_paths, np.ones(run.n_steps + 1),
+                         stops=np.concatenate([steps, steps + 1, [1]]),
+                         starts=np.asarray(y_values, dtype=float))
+    variance = dt * ((sums[:n] + sums[n:2 * n]) / 2.0 - sums[2 * n] / 2.0)
     if isinstance(spec.payoff, CallPayoff):
         def given_variance(x, r_tau, v):
             return bs_call(x, spec.payoff.strike, r_tau, v)

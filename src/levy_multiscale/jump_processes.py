@@ -56,8 +56,15 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def default_step(epsilon: float, horizon: float) -> float:
-    """Default step ``min(eps/20, horizon/2000)`` resolving the fast scale."""
-    return min(epsilon / 20.0, horizon / 2000.0)
+    """Default quadrature step ``horizon / max(2, ceil(8 horizon / eps))``, about eps/8.
+
+    The transition is exact for any step (:func:`iter_fast_values`), so the
+    step only sets the quadrature of path functionals such as the integrated
+    variance.  It divides the horizon into a whole number of steps, at least
+    two, so ``0 < step < horizon``, and it is at most eps/8 whenever the
+    horizon spans two such steps.
+    """
+    return horizon / max(2, math.ceil(8.0 * horizon / epsilon))
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,10 @@ class CorrectorQuery:
 
     ``frozen_point`` is the (x, p, X) triple the Hamiltonian is frozen at; the
     corrector is computed on ``y_grid`` by Monte Carlo over fast paths with
-    unit mean-reversion rate, horizon ``10 / delta``.
+    unit mean-reversion rate, horizon ``10 / delta``.  The step ``dt`` is
+    required (its ``None`` default only lets it follow the defaulted fields):
+    the discount weights hold H at each step's left endpoint, a relative bias
+    of about ``delta dt / 2``, so the caller chooses it against delta.
     """
 
     model: LevyMeasureModel
@@ -250,6 +253,8 @@ class CorrectorQuery:
             raise UsageError(f"delta must be finite and positive, got {self.delta}")
         if not (isinstance(self.mc_paths, (int, np.integer)) and self.mc_paths >= 1000):
             raise UsageError(f"need an integer >= 1000 of Monte Carlo paths, got {self.mc_paths!r}")
+        if not (self.dt is not None and math.isfinite(self.dt) and self.dt > 0.0):
+            raise UsageError(f"the corrector needs a finite positive step dt, got {self.dt}")
 
 
 def approximate_corrector(

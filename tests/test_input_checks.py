@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from levy_multiscale import ergodicity, finance, hjb_solvers, levy_measures, nonlocal_generator
+from levy_multiscale import (ergodicity, finance, hjb_solvers, jump_processes, levy_measures,
+                             nonlocal_generator)
 from levy_multiscale.errors import UsageError
 from levy_multiscale.levy_measures import Family, LevyMeasureModel
 
@@ -62,6 +63,17 @@ ROWS = {
     "generator_apply growth order nan": lambda: generator(math.nan),
     "merton_hara_closed_form wealth nan": lambda: finance.merton_hara_closed_form(
         MERTON, MU, 0.0, math.nan),
+    # the corrector ran at the default step, whose left-endpoint weights bias by delta dt / 2
+    "CorrectorQuery without dt": lambda: nonlocal_generator.CorrectorQuery(
+        SYM, (1.0, 1.0, -1.0), 0.5, np.array([0.0])),
+    # priced maturity 0.9 for T = 1: the step count rounds T / dt = 3.33 to 3
+    "price_mc step not dividing the horizon": lambda: finance.price_mc(
+        finance.PricingSpec(r=0.05, sigma_fn=MERTON.sigma_fn, payoff=finance.CallPayoff(1.0),
+                            discount=0.05, horizon=1.0, x0=1.0),
+        0.1, jump_processes.FastProcessConfig(SYM, lam=10.0, y0=0.0, horizon=1.0, dt=0.3), 1000),
+    # refused only when the corrector built its fast config
+    "CorrectorQuery dt nan": lambda: nonlocal_generator.CorrectorQuery(
+        SYM, (1.0, 1.0, -1.0), 0.5, np.array([0.0]), dt=math.nan),
 }
 
 

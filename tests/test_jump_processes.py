@@ -23,6 +23,7 @@ from levy_multiscale.jump_processes import (
     FastProcessConfig,
     SlowSystemConfig,
     compensator_drift,
+    default_step,
     iter_fast_values,
     path_integral,
     sample_stable_increment,
@@ -158,6 +159,26 @@ class TestFastPath:
         # numpy's SeedSequence used to raise a bare ValueError at the first draw
         with pytest.raises(UsageError, match="seed"):
             FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=0.1, seed=-1)
+
+
+class TestDefaultStep:
+    """The default step is the factor's quadrature step: about eps/8, whole steps in the horizon."""
+
+    @pytest.mark.parametrize("epsilon, horizon", [
+        (0.1, 1.0), (0.02, 1.0), (0.05, 1.0), (0.3, 0.7), (1.0, 20.0), (0.5, 0.125),
+        (8.0, 1.0), (100.0, 1.0),  # epsilon >= 8 horizon: the floor of two steps binds
+    ])
+    def test_whole_steps_of_at_most_an_eighth_of_epsilon(self, epsilon, horizon):
+        step = default_step(epsilon, horizon)
+        n = horizon / step
+        assert n == pytest.approx(round(n), abs=1e-9) and round(n) >= 2
+        if 8.0 * horizon / epsilon >= 2.0:
+            assert step <= epsilon / 8.0
+        if round(n) > 2:  # the coarsest such step: one step fewer would exceed eps/8
+            assert horizon / (round(n) - 1) > epsilon / 8.0
+        cfg = FastProcessConfig(SYM15, lam=1.0 / epsilon, y0=0.0, horizon=horizon)
+        assert cfg.step == pytest.approx(step, rel=1e-12) and cfg.step < horizon
+        assert cfg.n_steps == round(n)
 
 
 def _ks_upper_bound(samples, cdf, n_eval=1000):
