@@ -29,7 +29,7 @@ from scipy.special import ndtr
 
 from .ergodicity import InvariantMeasure
 from .errors import DegenerateVolatilityError, UsageError
-from .hjb_solvers import ControlProblemSpec, QuadraticControlStructure
+from .hjb_solvers import ControlProblemSpec
 from .jump_processes import MIXING_STREAM, FastProcessConfig, path_integral, stream_rng
 
 #: Points of the equispaced Merton control grid on [R1, R].
@@ -105,7 +105,7 @@ class MertonSpec:
 def pricing_problem(spec: PricingSpec) -> ControlProblemSpec:
     """Uncontrolled lognormal pricing model: the one control u = 1, unit exposure."""
     return ControlProblemSpec(
-        structure=QuadraticControlStructure(beta0=spec.r, beta1=0.0, sigma_of_y=spec.sigma_fn),
+        beta0=spec.r, beta1=0.0, sigma_of_y=spec.sigma_fn,
         control_grid=np.array([1.0]),
         payoff=spec.payoff,
         discount=spec.discount,
@@ -116,8 +116,7 @@ def pricing_problem(spec: PricingSpec) -> ControlProblemSpec:
 def merton_problem(spec: MertonSpec) -> ControlProblemSpec:
     """Wealth-process control problem on ``MERTON_CONTROLS`` equispaced controls."""
     return ControlProblemSpec(
-        structure=QuadraticControlStructure(
-            beta0=spec.r, beta1=spec.alpha_drift - spec.r, sigma_of_y=spec.sigma_fn),
+        beta0=spec.r, beta1=spec.alpha_drift - spec.r, sigma_of_y=spec.sigma_fn,
         control_grid=np.linspace(spec.R1, spec.R, MERTON_CONTROLS),
         payoff=spec.utility,
         discount=0.0,

@@ -3,7 +3,7 @@
 Both solvers march the terminal payoff backwards with a monotone explicit
 treatment of the local Bellman part (central second differences, first-order
 upwind first differences, step size from the scheme's positivity bound).  The
-model must be the multiplicative one of :class:`QuadraticControlStructure` on
+model is the multiplicative one that :class:`ControlProblemSpec` states, on
 x >= 0, so the objective is a parabola in the control: its minimum over the
 uniform control grid is the control nearest the vertex where the parabola is
 convex and the better endpoint elsewhere, one evaluation per node, taken
@@ -71,23 +71,38 @@ def _require_uniform(name: str, nodes, min_nodes: int) -> None:
 
 
 @dataclass(frozen=True)
-class QuadraticControlStructure:
-    """Multiplicative single-asset model the grid solvers are built on.
+class ControlProblemSpec:
+    """Multiplicative single-asset model, control grid, and payoff of the control problem.
 
-    Drift ``x (beta0 + beta1 u)`` and volatility ``sqrt(2) x sigma(y) u``: the
-    control is the proportional exposure to the noise.  A model whose noise is
-    not controlled is the one-control grid ``[1.0]``.  The Bellman objective is
-    a parabola in u, so grid minimization reduces to the control nearest the
-    vertex or an endpoint.
+    The one statement of the model: the slow state moves as
+    ``dX = drift(X, Y, u) dt + vol(X, Y, u) dW``, drift ``x (beta0 + beta1 u)``
+    and volatility ``sqrt(2) x sigma_of_y(y) u``, root-two convention included.
+    The control is the proportional exposure to the noise; a model whose noise
+    is not controlled is the one-control grid ``[1.0]``.  The coefficients
+    vanish at x = 0, which makes the x = 0 boundary characteristic: the schemes
+    never impose a lateral boundary condition there.  The grid solvers,
+    :func:`hamiltonian_eval` and the path simulator
+    (``jump_processes.simulate_slow_system``) all read it.  The Bellman
+    objective is a parabola in u, and the solvers minimize it over the points
+    ``u_lo + k du``, so the control grid must be increasing and uniform.
     """
 
     beta0: float
     beta1: float
     sigma_of_y: Callable[[np.ndarray], np.ndarray]
+    control_grid: np.ndarray
+    payoff: Callable
+    discount: float
+    horizon: float
 
     def __post_init__(self):
         if not (math.isfinite(self.beta0) and math.isfinite(self.beta1)):
             raise UsageError(f"drift coefficients must be finite, got {self.beta0}, {self.beta1}")
+        if not (math.isfinite(self.discount) and self.discount >= 0.0):
+            raise UsageError(f"discount must be finite and nonnegative, got {self.discount}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
+        _require_uniform("control grid", self.control_grid, 1)
 
     def drift(self, x, y, u):
         return np.asarray(x, dtype=float) * (self.beta0 + self.beta1 * u)
@@ -98,42 +113,13 @@ class QuadraticControlStructure:
         )
 
 
-@dataclass(frozen=True)
-class ControlProblemSpec:
-    """Model, control grid, and payoff of the stochastic control problem.
-
-    ``structure`` is the one statement of the model: the slow state moves as
-    ``dX = structure.drift(X, Y, u) dt + structure.vol(X, Y, u) dW``, root-two
-    convention included.  The coefficients vanish at x = 0, which makes the
-    x = 0 boundary characteristic: the schemes never impose a lateral boundary
-    condition there.  The grid solvers, :func:`hamiltonian_eval` and the path
-    simulator (``jump_processes.iter_slow_values``) all read it.  The solvers
-    minimize over the points ``u_lo + k du``, so the control grid must be
-    increasing and uniform.
-    """
-
-    structure: QuadraticControlStructure
-    control_grid: np.ndarray
-    payoff: Callable
-    discount: float
-    horizon: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.discount) and self.discount >= 0.0):
-            raise UsageError(f"discount must be finite and nonnegative, got {self.discount}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
-        _require_uniform("control grid", self.control_grid, 1)
-
-
 def hamiltonian_eval(spec: ControlProblemSpec, x, y, p, X) -> tuple[float, float]:
     """Bellman minimization over the finite control grid; first index wins ties."""
-    st = spec.structure
     controls = np.asarray(spec.control_grid, dtype=float)
     vals = np.empty(len(controls))
     for k, u in enumerate(controls):
-        vol = float(st.vol(x, y, float(u)))
-        dri = float(st.drift(x, y, float(u)))
+        vol = float(spec.vol(x, y, float(u)))
+        dri = float(spec.drift(x, y, float(u)))
         vals[k] = -0.5 * vol * vol * X - dri * p
     k = int(np.argmin(vals))
     return float(vals[k]), float(controls[k])
@@ -213,6 +199,7 @@ def assemble_factor_generator(
     ``extrapolated_tail_mass`` is that mass beyond the outer cut,
     nu(|z| > M), which every row drops alike.
     """
+    _require_uniform("y grid", y_grid, 5)
     y = np.asarray(y_grid, dtype=float)
     ny = len(y)
     dy = float(y[1] - y[0])
@@ -283,15 +270,12 @@ class _LocalBellman:
 
     def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray,
                  weights: Optional[np.ndarray]):
-        st = spec.structure
-        if st is None:
-            raise UsageError("the grid solvers need the problem's QuadraticControlStructure")
         if x[0] < 0.0:
             raise UsageError("x grid must be nonnegative: the drift's sign is read off its coefficient")
         self.dx = float(x[1] - x[0])
         self.weights = weights        # None for pide, atom weights for effective
-        sig2 = np.asarray(st.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
-        self.beta0, self.beta1 = st.beta0, st.beta1
+        sig2 = np.asarray(spec.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
+        self.beta0, self.beta1 = spec.beta0, spec.beta1
         # per step: p = p_coef * (fwd - bwd) and q = neg_x * (fwd or bwd)
         self.neg_x = -x[:, None]
         self.p_coef = -(x**2)[:, None] * sig2[None, :] / self.dx

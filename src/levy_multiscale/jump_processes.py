@@ -26,7 +26,7 @@ is :func:`path_integral`, a weighted sum along these states.
 
 Randomness derives from one 64-bit seed through numpy ``SeedSequence`` spawn
 keys: key ``(0,)`` feeds the jump stream (:func:`iter_fast_values`), ``(1,)``
-the Brownian stream of the slow-state step (:func:`iter_slow_values`), and
+the Brownian stream of the slow-state step (:func:`simulate_slow_system`), and
 ``(2,)`` the one normal per path of the conditional Monte Carlo pricer
 (``finance.price_mc_surface``, for payoffs without a closed form); further
 components get successive keys.  Draws are vectorized across paths, so a
@@ -61,10 +61,13 @@ def default_step(epsilon: float, horizon: float) -> float:
     The transition is exact for any step (:func:`iter_fast_values`), so the
     step only sets the quadrature of path functionals such as the integrated
     variance.  It divides the horizon into a whole number of steps, at least
-    two, so ``0 < step < horizon``, and it is at most eps/8 whenever the
-    horizon spans two such steps.
+    two, so ``0 < step < horizon``, and it is at most eps/8, to one part in
+    10^12, whenever the horizon spans two such steps.  That part is taken off
+    the ratio before the ceiling, so a ratio that rounding lifts just past a
+    whole number, as 8 / eps can be when eps is read back as 1 / lam, takes
+    that number of steps and not one more.
     """
-    return horizon / max(2, math.ceil(8.0 * horizon / epsilon))
+    return horizon / max(2, math.ceil(8.0 * horizon / epsilon * (1.0 - 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,8 @@ class PathSample:
 class SlowSystemConfig:
     """Controlled slow state coupled to a fast factor.
 
-    ``problem`` is a ``hjb_solvers.ControlProblemSpec``: its required
-    ``structure`` states the model, and the control is its first grid control.
+    ``problem`` is a ``hjb_solvers.ControlProblemSpec``, which states the model;
+    the control is its first grid control.
     """
 
     problem: object
@@ -132,8 +135,8 @@ class SlowSystemConfig:
     x0: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.x0) < 0.0):
-            raise UsageError("slow initial state must be componentwise nonnegative")
+        if not (math.isfinite(self.x0) and self.x0 >= 0.0):
+            raise UsageError(f"slow initial state must be finite and nonnegative, got {self.x0}")
 
 
 def standard_stable(alpha: float, beta: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -289,55 +292,31 @@ def simulate_fast_path(cfg: FastProcessConfig) -> PathSample:
     return PathSample(times=times, values=values[0], seed=cfg.seed)
 
 
-def iter_slow_values(
-    problem,
-    fast: FastProcessConfig,
-    x0: float,
-    n_paths: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream the slow state and the factor at grid times 0, dt, ... across a batch.
-
-    This is the package's one slow-state step; :func:`simulate_slow_system`
-    reads it.  It yields (x, y) pairs of shape ``(n_paths,)``, n_steps + 1 in
-    total, with y from ``iter_fast_values(fast, n_paths)`` and x starting at
-    ``x0``.  The model is ``problem.structure``, whose drift b and volatility
-    s are linear in x, so Euler-Maruyama with the factor read at left
-    endpoints takes the floored factor form
-
-        X_{k+1} = X_k * max(1 + b(1, Y_k, u) dt + s(1, Y_k, u) dW_k, 0):
-
-    an Euler step that would overshoot zero is absorbed there, and x = 0 stays
-    absorbing.  The Brownian stream is ``stream_rng(fast.seed,
-    BROWNIAN_STREAM)``, one increment per path and step, and u is the first
-    grid control.
-    """
-    st = problem.structure
-    if st is None:
-        raise UsageError("the slow-state step needs the problem's QuadraticControlStructure")
-    dt = fast.step
-    sq_dt = math.sqrt(dt)
-    n = fast.n_steps
-    rng = stream_rng(fast.seed, BROWNIAN_STREAM)
-    u = float(np.asarray(problem.control_grid, dtype=float)[0])
-    x = np.full(n_paths, float(x0))
-    for k, y in enumerate(iter_fast_values(fast, n_paths)):
-        yield x, y
-        if k == n:
-            return
-        dw = rng.normal(0.0, sq_dt, size=n_paths)
-        x = x * np.maximum(1.0 + st.drift(1.0, y, u) * dt + st.vol(1.0, y, u) * dw, 0.0)
-
-
 def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]:
-    """One path of the slow state and its factor, read from :func:`iter_slow_values`.
+    """One path of the slow state and its factor at grid times 0, dt, 2*dt, ...
 
-    ``cfg.problem.structure`` is the model, driven at the first grid control.
-    Nonnegativity holds by construction.
+    This is the package's one slow-state step.  The factor is
+    ``simulate_fast_paths(cfg.fast, 1)`` and the model is ``cfg.problem``, whose
+    drift b and volatility s are linear in x, so Euler-Maruyama with the factor
+    read at left endpoints takes the floored factor form
+
+        X_{k+1} = X_k * max(1 + b(1, Y_k, u) dt + s(1, Y_k, u) dW_k, 0),
+
+    started at ``cfg.x0``: an Euler step that would overshoot zero is absorbed
+    there, and x = 0 stays absorbing, so nonnegativity holds by construction.
+    The Brownian stream is ``stream_rng(fast.seed, BROWNIAN_STREAM)``, one
+    increment per step, and u is the first grid control.
     """
-    fast = cfg.fast
-    times = np.arange(fast.n_steps + 1) * fast.step
-    path = np.array([(x[0], y[0]) for x, y in iter_slow_values(cfg.problem, fast, cfg.x0, 1)])
+    fast, problem = cfg.fast, cfg.problem
+    dt = fast.step
+    times, ys = simulate_fast_paths(fast, 1)
+    y = ys[0, :-1]
+    dw = stream_rng(fast.seed, BROWNIAN_STREAM).normal(0.0, math.sqrt(dt), size=fast.n_steps)
+    u = float(np.asarray(problem.control_grid, dtype=float)[0])
+    growth = np.maximum(1.0 + problem.drift(1.0, y, u) * dt + problem.vol(1.0, y, u) * dw, 0.0)
+    # x0 leads the product, so each state has the bits of the step-by-step loop
+    xs = np.cumprod(np.concatenate([[float(cfg.x0)], growth]))
     return (
-        PathSample(times=times, values=path[:, 0], seed=fast.seed),
-        PathSample(times=times, values=path[:, 1], seed=fast.seed),
+        PathSample(times=times, values=xs, seed=fast.seed),
+        PathSample(times=times, values=ys[0], seed=fast.seed),
     )

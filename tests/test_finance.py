@@ -235,7 +235,7 @@ class TestEpsilonLimit:
         bs = bs_oracle(spec, sigma_bar)
         dev = {}
         for eps in self.EPS:
-            # one seed and one step: the three runs share their random numbers
+            # one seed for all three: each run reads the same jump stream at its own step
             fast = FastProcessConfig(model, lam=1.0 / eps, y0=0.0, horizon=1.0, seed=1)
             price, se = price_mc(spec, eps, fast, 2000)
             dev[eps] = price - bs

@@ -13,7 +13,6 @@ from levy_multiscale.hjb_solvers import (
     CompactBox,
     ControlProblemSpec,
     Grids,
-    QuadraticControlStructure,
     ValueField,
     _LocalBellman,
     _propagator,
@@ -93,9 +92,8 @@ class TestSignChangingDrift:
 
     def upwinded_scan(self, x, y, fwd, bwd, d2):
         """Brute-force minimum: forward difference where the coefficient is >= 0."""
-        st = self.prob.structure
         controls = np.asarray(self.prob.control_grid)
-        forward = st.beta0 + st.beta1 * controls >= 0.0
+        forward = self.prob.beta0 + self.prob.beta1 * controls >= 0.0
         runs = [
             hamiltonian_eval(dataclasses.replace(self.prob, control_grid=controls[sel]), x, y, p, d2)[0]
             for sel, p in ((forward, fwd), (~forward, bwd))
@@ -379,8 +377,7 @@ class TestGridsValidation:
     def test_spec_validation(self):
         with pytest.raises(UsageError):
             ControlProblemSpec(
-                structure=QuadraticControlStructure(
-                    beta0=0.0, beta1=0.0, sigma_of_y=const_sigma(0.2)),
+                beta0=0.0, beta1=0.0, sigma_of_y=const_sigma(0.2),
                 control_grid=np.array([]), payoff=lambda x: x,
                 discount=0.0, horizon=1.0,
             )
@@ -390,7 +387,7 @@ class TestGridsValidation:
     ])
     def test_drift_coefficients_must_be_finite(self, beta0, beta1):
         with pytest.raises(UsageError, match="finite"):
-            QuadraticControlStructure(beta0=beta0, beta1=beta1, sigma_of_y=const_sigma(0.2))
+            dataclasses.replace(merton_problem(merton_spec()), beta0=beta0, beta1=beta1)
 
     @pytest.mark.parametrize("field, value", [
         ("horizon", math.nan), ("horizon", math.inf), ("discount", math.nan),
@@ -431,11 +428,6 @@ class TestGridsValidation:
         with pytest.raises(UsageError):
             pide_solve(prob, SYM15, epsilon=0.5, grids=Grids(x=x, y=np.linspace(-2.0, 2.0, 9)))
 
-    def test_solvers_need_structure(self, invariant_measure_15):
-        prob = dataclasses.replace(merton_problem(merton_spec()), structure=None)
-        with pytest.raises(UsageError):
-            effective_solve(prob, invariant_measure_15, Grids(x=np.linspace(0.0, 2.0, 21)))
-
 
 BELLMAN_ROUTES = {
     # the benchmark's one-run Merton spec: every control upwinds forward
@@ -462,9 +454,8 @@ class TestBellmanRoutes:
     @staticmethod
     def upwinded_scan(prob, x, y, fwd, bwd, d2):
         """Brute-force minimum and its control, forward difference where the drift is >= 0."""
-        st = prob.structure
         controls = np.asarray(prob.control_grid)
-        forward = st.beta0 + st.beta1 * controls >= 0.0
+        forward = prob.beta0 + prob.beta1 * controls >= 0.0
         best = None
         for sel, p in ((forward, fwd), (~forward, bwd)):
             if np.any(sel):

@@ -74,6 +74,19 @@ ROWS = {
     # refused only when the corrector built its fast config
     "CorrectorQuery dt nan": lambda: nonlocal_generator.CorrectorQuery(
         SYM, (1.0, 1.0, -1.0), 0.5, np.array([0.0]), dt=math.nan),
+    # built a wrong generator: (L @ y) at y = 0 was -1.43, not 0
+    "assemble_factor_generator uneven y grid": lambda: hjb_solvers.assemble_factor_generator(
+        SYM, np.array([-2.0, -1.5, -1.2, -0.5, 0.0, 0.3, 0.9, 1.7, 2.0])),
+    # IndexError
+    "assemble_factor_generator one-node y grid": lambda: hjb_solvers.assemble_factor_generator(
+        SYM, np.array([0.0])),
+    # refused, but with a misleading "straddle the origin" error
+    "assemble_factor_generator decreasing y grid": lambda: hjb_solvers.assemble_factor_generator(
+        SYM, np.linspace(2.0, -2.0, 9)),
+    # a slow path of NaN
+    "SlowSystemConfig x0 nan": lambda: jump_processes.SlowSystemConfig(
+        finance.merton_problem(MERTON),
+        jump_processes.FastProcessConfig(SYM, lam=1.0, y0=0.0, horizon=1.0, dt=0.1), math.nan),
 }
 
 

@@ -10,7 +10,7 @@ from scipy import stats
 
 from levy_multiscale import jump_processes
 from levy_multiscale.errors import UsageError
-from levy_multiscale.hjb_solvers import ControlProblemSpec, QuadraticControlStructure
+from levy_multiscale.hjb_solvers import ControlProblemSpec
 from levy_multiscale.levy_measures import (
     Family,
     LevyMeasureModel,
@@ -180,6 +180,11 @@ class TestDefaultStep:
         assert cfg.step == pytest.approx(step, rel=1e-12) and cfg.step < horizon
         assert cfg.n_steps == round(n)
 
+    def test_eps_eight_over_n_takes_n_steps(self):
+        # the bare ceiling of 8 T / eps took n + 1 steps for 306 of these n
+        for n in range(2, 4001):
+            assert FastProcessConfig(SYM15, lam=1.0 / (8.0 / n), y0=0.0, horizon=1.0).n_steps == n
+
 
 def _ks_upper_bound(samples, cdf, n_eval=1000):
     """Upper bound on the KS statistic from ``cdf`` at ``n_eval`` order statistics.
@@ -338,7 +343,7 @@ class TestPathIntegral:
 def _toy_pricing(r, sigma_fn):
     """Single-asset model dX = r X dt + sqrt(2) sigma(y) X dW."""
     return ControlProblemSpec(
-        structure=QuadraticControlStructure(beta0=r, beta1=0.0, sigma_of_y=sigma_fn),
+        beta0=r, beta1=0.0, sigma_of_y=sigma_fn,
         control_grid=np.array([1.0]), payoff=lambda x: x, discount=0.0, horizon=1.0,
     )
 
@@ -346,7 +351,7 @@ def _toy_pricing(r, sigma_fn):
 def _toy_merton(r, alpha_drift, sigma_fn, controls):
     """Wealth dW = W (r + (alpha - r) u) dt + sqrt(2) W u sigma(y) dB."""
     return ControlProblemSpec(
-        structure=QuadraticControlStructure(beta0=r, beta1=alpha_drift - r, sigma_of_y=sigma_fn),
+        beta0=r, beta1=alpha_drift - r, sigma_of_y=sigma_fn,
         control_grid=np.asarray(controls, dtype=float), payoff=lambda x: x, discount=0.0,
         horizon=1.0,
     )
@@ -399,11 +404,22 @@ class TestSlowSystem:
         assert np.array_equal(ys.times, path.times)
         assert np.array_equal(ys.values, path.values)
 
-    def test_missing_structure_refused_before_the_first_step(self):
-        prob = replace(_toy_pricing(r=0.05, sigma_fn=lambda y: 0.2), structure=None)
-        fast = FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=1.0, dt=0.01, seed=2)
-        with pytest.raises(UsageError, match="QuadraticControlStructure"):
-            simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0))
+    def test_matches_the_step_by_step_floored_euler_loop(self):
+        # one step at a time, X_{k+1} = X_k max(1 + b dt + s dW_k, 0), from x0 != 1:
+        # the cumulative product must start at x0 to give the same bits
+        x0, r, sigma_fn = 0.37, 0.05, lambda y: 0.3 + 0.1 * np.tanh(y)
+        prob = _toy_merton(r, 0.1, sigma_fn, controls=[1.5, 2.0])
+        fast = FastProcessConfig(SYM15, lam=20.0, y0=0.4, horizon=1.0, seed=7)
+        xs, ys = simulate_slow_system(SlowSystemConfig(prob, fast, x0=x0))
+        dt = fast.step
+        rng = stream_rng(fast.seed, BROWNIAN_STREAM)
+        x = [x0]
+        for y in ys.values[:-1]:
+            dw = rng.normal(0.0, math.sqrt(dt))
+            drift = r + (0.1 - r) * 1.5
+            vol = math.sqrt(2.0) * 1.5 * float(sigma_fn(np.array([y]))[0])
+            x.append(x[-1] * max(1.0 + drift * dt + vol * dw, 0.0))
+        assert np.array_equal(xs.values, np.array(x))
 
     def test_negative_initial_state_rejected(self):
         prob = _toy_pricing(r=0.05, sigma_fn=lambda y: 0.2)
@@ -452,7 +468,7 @@ class TestOneKernel:
     def test_each_random_stream_has_one_consumer(self):
         # the fast-factor recursion and the slow-state step each have one implementation
         assert _readers("sample_stable_increment") == {"jump_processes.iter_fast_values"}
-        assert _readers("BROWNIAN_STREAM") == {"jump_processes.iter_slow_values"}
+        assert _readers("BROWNIAN_STREAM") == {"jump_processes.simulate_slow_system"}
 
     def test_quadrature_constants_are_read_where_quadrature_runs(self):
         # the Taylor cut and the tolerance are constants, not options passed along
@@ -465,6 +481,5 @@ class TestOneKernel:
         assert _readers("iter_fast_values") == {
             "jump_processes.path_integral",
             "jump_processes.simulate_fast_paths",
-            "jump_processes.iter_slow_values",
             "ergodicity.stationary_samples",
         }
