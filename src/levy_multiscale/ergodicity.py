@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .errors import AssumptionError, UsageError
+from .errors import UsageError
 from .jump_processes import FastProcessConfig, discount_weights, iter_fast_values, path_integral
 from .levy_measures import (
     LevyMeasureModel,
@@ -117,10 +117,6 @@ def stationary_samples(
     path and step until ``n_samples`` values are collected in total.
     ``cfg.dt`` and ``cfg.horizon`` play no part.
     """
-    if cfg.model.subordinator:
-        raise AssumptionError(
-            "subordinator-mode drivers are outside the ergodicity theory"
-        )
     if not (math.isfinite(burn_in) and burn_in >= 5.0 / cfg.lam):
         raise UsageError(
             f"burn_in must be finite and cover at least five relaxation times "
@@ -184,8 +180,8 @@ def ergodic_time_average(
 
     Unit weights on the n states before t, divided by n: constants are exact.
     """
-    if t <= 0.0:
-        raise UsageError("t must be positive")
+    if not (math.isfinite(t) and t > 0.0):
+        raise UsageError(f"t must be finite and positive, got {t}")
     run_cfg = replace(cfg, horizon=t)
     n = run_cfg.n_steps
     return float(path_integral(run_cfg, f, n_paths, np.ones(n))[0].mean()) / n
@@ -203,8 +199,8 @@ def abel_average(
     ``e^{-10} sup|f|``); the weights are the exact discount weights
     normalized to total mass one, so constants are reproduced exactly.
     """
-    if delta <= 0.0:
-        raise UsageError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise UsageError(f"delta must be finite and positive, got {delta}")
     run_cfg = replace(cfg, horizon=10.0 / delta)
     w = discount_weights(delta, run_cfg.step, run_cfg.n_steps + 1)
     return float(path_integral(run_cfg, f, n_paths, w / w.sum())[0].mean())

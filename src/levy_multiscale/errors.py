@@ -14,10 +14,6 @@ class UsageError(LevyMultiscaleError):
 class AssumptionError(LevyMultiscaleError):
     """A jump-measure standing assumption required by an operation fails."""
 
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class NumericalError(LevyMultiscaleError):
     """Quadrature, linear solve, or scheme-stability failure.

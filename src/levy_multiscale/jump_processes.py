@@ -43,7 +43,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import UsageError
-from .levy_measures import LevyMeasureModel, compensator_drift, stable_scale_exponent
+from .levy_measures import (LevyMeasureModel, compensator_drift, require_assumptions,
+                             stable_scale_exponent)
 
 JUMP_STREAM = 0
 BROWNIAN_STREAM = 1
@@ -72,7 +73,10 @@ def default_step(epsilon: float, horizon: float) -> float:
 
 @dataclass(frozen=True)
 class FastProcessConfig:
-    """Parameters of the mean-reverting factor ``dY = -lam Y dt + dZ(lam t)``."""
+    """Parameters of the mean-reverting factor ``dY = -lam Y dt + dZ(lam t)``.
+
+    A subordinator drives no factor: it is refused here, before any draw.
+    """
 
     model: LevyMeasureModel
     lam: float
@@ -82,6 +86,7 @@ class FastProcessConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_assumptions(self.model)
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise UsageError(f"mean-reversion rate must be finite and positive, got {self.lam}")
         if not math.isfinite(self.y0):
@@ -169,12 +174,11 @@ def sample_stable_increment(
 
     Scaling uses self-similarity: the increment has stable scale
     ``(sigma^alpha * dt_scaled)^(1/alpha)`` plus ``dt_scaled`` times the
-    compensator drift.  Subordinator-mode models drive no factor and are refused.
+    compensator drift.  A subordinator drives no factor and is refused.
     """
     if not (math.isfinite(dt_scaled) and dt_scaled > 0.0):
         raise UsageError(f"dt_scaled must be finite and positive, got {dt_scaled}")
-    if model.subordinator:
-        raise UsageError("subordinator-mode models are outside the factor's sampler")
+    require_assumptions(model)
     if not isinstance(rng, np.random.Generator):
         raise UsageError("rng must be a numpy Generator")
 

@@ -6,6 +6,9 @@ restriction to the positive half-line.  Every moment, tail and interval
 functional reads one antiderivative, :func:`side_moment` (``int_a^b z^k nu(dz)``
 on one side of the origin); the Levy-Khintchine exponent also has an adaptive
 quadrature, an independent route against the analytic stable exponent.
+
+The paper's standing conditions (A1)-(A3) on the jump measure hold for every model
+here but the one-sided alpha < 1 subordinator (:func:`require_assumptions`).
 """
 
 from __future__ import annotations
@@ -36,12 +39,6 @@ class Family(enum.Enum):
     ONE_SIDED_STABLE = "one-sided-stable"
 
 
-class A2Reason(enum.Enum):
-    P_GT_1 = "P_GT_1"
-    SUPPORT_COVERS = "SUPPORT_COVERS"
-    NONE = "NONE"
-
-
 def _cos_gamma_constant(alpha: float) -> float:
     """Value of the one-sided cosine moment ``int_0^inf (1-cos t) t^(-1-alpha) dt``.
 
@@ -62,35 +59,23 @@ class LevyMeasureModel:
     the general formulas give it vanishing functionals and zero increments,
     and only the tail moment, infinite by its formula, treats it apart.
 
-    A one-sided model driving the mean-reverting factor requires
-    ``alpha in (1, 2)``.  One-sided models with ``alpha in (0, 1)`` have
-    finite-variation, non-decreasing jump parts; they are only accepted in
-    counterexample mode, flagged with ``subordinator=True``.
+    A one-sided model needs ``alpha != 1``, where its drift diverges.  With
+    ``alpha in (1, 2)`` it drives the factor; with ``alpha in (0, 1)`` its jump
+    part never decreases, so it is a :attr:`subordinator`, the counterexample's
+    model, which every factor route refuses (:func:`require_assumptions`).
     """
 
     family: Family
     alpha: float
     intensity: float = 1.0
-    subordinator: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise UsageError(f"alpha must be in (0, 2), got {self.alpha}")
         if not (math.isfinite(self.intensity) and self.intensity >= 0.0):
             raise UsageError(f"intensity must be finite and nonnegative, got {self.intensity}")
-        if self.family is Family.ONE_SIDED_STABLE:
-            if self.subordinator and not self.alpha < 1.0:
-                raise UsageError(
-                    "subordinator mode requires one-sided alpha in (0, 1), "
-                    f"got alpha={self.alpha}"
-                )
-            if not self.subordinator and not self.alpha > 1.0:
-                raise UsageError(
-                    "one-sided driver requires alpha in (1, 2); alpha in (0, 1] "
-                    "is only available with subordinator=True"
-                )
-        elif self.subordinator:
-            raise UsageError("symmetric models are never subordinators")
+        if not self.two_sided and self.alpha == 1.0:
+            raise UsageError("a one-sided model needs alpha != 1, where its drift diverges")
 
     @property
     def two_sided(self) -> bool:
@@ -100,35 +85,17 @@ class LevyMeasureModel:
     def sides(self) -> float:
         return 2.0 if self.two_sided else 1.0
 
-    def in_support(self, z: float) -> bool:
-        if z == 0.0:
-            return False
-        return self.two_sided or z > 0.0
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Witnesses for the three standing conditions on the jump measure.
-
-    ``p_witness``/``C_witness`` certify the small-jump singularity lower bound
-    ``small_jump_variance(delta) >= C * delta^(2 - p)`` on ``delta in (0, 1]``;
-    ``q_witness`` certifies a finite tail moment.  ``a2_reason`` explains why
-    the support/variation condition holds (or does not).
-    """
-
-    p_witness: float
-    C_witness: float
-    q_witness: float
-    a2_satisfied: bool
-    a2_reason: A2Reason
-    is_subordinator: bool
+    @property
+    def subordinator(self) -> bool:
+        """One-sided with ``alpha < 1``: the one model outside the standing conditions."""
+        return not self.two_sided and self.alpha < 1.0
 
 
 def density_eval(model: LevyMeasureModel, z: float) -> float:
     """Jump density ``intensity * |z|^(-1-alpha)`` at z, or 0 outside the support."""
     if z == 0.0:
         raise UsageError("the jump measure has no mass at the origin")
-    if not model.in_support(z):
+    if z < 0.0 and not model.two_sided:
         return 0.0
     return model.intensity * abs(z) ** (-1.0 - model.alpha)
 
@@ -214,8 +181,8 @@ def stable_scale_exponent(model: LevyMeasureModel) -> float:
 def compensator_drift(model: LevyMeasureModel) -> float:
     """Linear drift left over after compensating only jumps with ``|z| <= 1``.
 
-    Zero for symmetric models; ``intensity / (alpha - 1)`` for one-sided ones
-    (negative in subordinator mode, where it is minus the small-jump mean).
+    Zero for symmetric models; ``intensity / (alpha - 1)`` for one-sided ones: the
+    tail mean if alpha > 1, minus the small-jump mean for a subordinator (alpha < 1).
     """
     if model.two_sided:
         return 0.0
@@ -329,42 +296,15 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
     return value
 
 
-def check_assumptions(model: LevyMeasureModel) -> AssumptionReport:
-    """Populate singularity, tail-moment, and support witnesses for the model.
+def require_assumptions(model: LevyMeasureModel) -> None:
+    """Raise :class:`AssumptionError` if the model is a subordinator.
 
-    The singularity constant is ``small_jump_variance(1)`` (shaved by one part
-    in 1e12 so the certified inequality survives floating point),
-    ``p = alpha``, and any ``q < alpha`` certifies the tail moment.
+    For the stable family this one test covers (A1)-(A3): the small-jump variance
+    is exactly ``C delta^(2 - alpha)`` with C = ``small_jump_variance(1)``, so (A1)
+    holds with p = alpha; (A3) holds for any q < alpha; (A2) holds by covering
+    support (symmetric) or p > 1, so it fails exactly for a subordinator.  The
+    null driver passes: (A1) degenerates to C = 0, and its factor is deterministic.
     """
-    if model.intensity <= 0.0:
-        raise UsageError("the null driver has no singularity; nothing to certify")
-    c_wit = truncated_moment(model, 2, 1.0) * (1.0 - 1e-12)
-    q_wit = model.alpha / 2.0
-
-    if model.two_sided:
-        a2, reason = True, A2Reason.SUPPORT_COVERS
-    elif model.alpha > 1.0:
-        a2, reason = True, A2Reason.P_GT_1
-    else:
-        a2, reason = False, A2Reason.NONE
-
-    return AssumptionReport(
-        p_witness=model.alpha,
-        C_witness=c_wit,
-        q_witness=q_wit,
-        a2_satisfied=a2,
-        a2_reason=reason,
-        is_subordinator=model.subordinator,
-    )
-
-
-def require_assumptions(model: LevyMeasureModel):
-    """Raise :class:`AssumptionError` unless the standing conditions all hold."""
-    report = check_assumptions(model)
-    if model.subordinator or not report.a2_satisfied:
-        raise AssumptionError(
-            "the ergodicity and convergence theory requires a non-subordinator "
-            f"measure with a covering support or p > 1 (got {model})",
-            report=report,
-        )
-    return report
+    if model.subordinator:
+        raise AssumptionError("the ergodicity and convergence theory needs covering support or "
+                              f"alpha > 1; the one-sided model at alpha={model.alpha} has neither")

@@ -207,7 +207,7 @@ class CounterexampleProfile:
 def counterexample_profile(model: LevyMeasureModel) -> CounterexampleProfile:
     """Build the profile with plateau point ``-c``, ``c = int_0^1 z nu(dz)``."""
     if not model.subordinator:
-        raise UsageError("the counterexample profile needs a subordinator-mode model")
+        raise UsageError("the counterexample profile needs a subordinator (one-sided, alpha < 1)")
     return CounterexampleProfile(c=side_moment(model, 1, 0.0, 1.0))
 
 

@@ -59,7 +59,7 @@ class TestEstimateInvariantMeasure:
         assert mu.weights[0] == 1.0
 
     def test_subordinator_refused(self):
-        sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5, subordinator=True)
+        sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5)
         with pytest.raises(AssumptionError):
             estimate_invariant_measure(fast_cfg(model=sub), burn_in=10.0, n_samples=1000)
 

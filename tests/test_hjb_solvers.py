@@ -7,7 +7,7 @@ from scipy import linalg
 
 from levy_multiscale import hjb_solvers
 from levy_multiscale.errors import NumericalError, UsageError
-from levy_multiscale.ergodicity import two_atom_measure
+from levy_multiscale.ergodicity import InvariantMeasure, two_atom_measure
 from levy_multiscale.finance import MertonSpec, PricingSpec, merton_problem, pricing_problem
 from levy_multiscale.hjb_solvers import (
     CompactBox,
@@ -308,12 +308,25 @@ class TestPideSolve:
         assert np.array_equal(field.values[-1], want)
 
     def test_assumption_gate(self):
-        sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5, subordinator=True)
+        sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5)
         prob = pricing_problem(pricing_spec(lambda x: np.asarray(x, float)))
         from levy_multiscale.errors import AssumptionError
 
         with pytest.raises(AssumptionError):
             pide_solve(prob, sub, epsilon=0.5, grids=self.grids(nx=41, ny=21))
+
+    def test_null_driver_solves_the_averaged_problem(self):
+        # no jumps: the factor stays put, so with constant sigma every y row
+        # is the averaged solution on the point mass at 0
+        payoff = lambda x: np.maximum(np.asarray(x, float) - 1.0, 0.0)
+        prob = pricing_problem(pricing_spec(payoff, sigma_fn=const_sigma(0.2)))
+        null = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5, 0.0)
+        grids = self.grids(nx=41, ny=21)
+        field = pide_solve(prob, null, epsilon=0.5, grids=grids)
+        eff = effective_solve(prob, InvariantMeasure(np.array([0.0]), np.array([1.0])),
+                              Grids(x=grids.x))
+        assert np.array_equal(field.t_grid, eff.t_grid)
+        assert np.max(np.abs(field.values - eff.values[:, :, None])) < 1e-12
 
     def test_approaches_effective_solution_as_epsilon_shrinks(self, invariant_measure_15):
         payoff = lambda x: np.maximum(np.asarray(x, float) - 1.0, 0.0)

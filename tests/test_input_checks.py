@@ -3,7 +3,8 @@
 Each row is an input the package accepted before its guard existed: NaN slips
 through a check written as ``if x <= 0`` (every comparison with NaN is False),
 so each guard is written as ``if not (<accepted>)``.  The row's comment says
-what the call did without the guard.
+what the call did without the guard.  A subordinator is refused with
+``AssumptionError`` by every route of the factor, before any draw.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 
 from levy_multiscale import (ergodicity, finance, hjb_solvers, jump_processes, levy_measures,
                              nonlocal_generator)
-from levy_multiscale.errors import UsageError
+from levy_multiscale.errors import AssumptionError, UsageError
 from levy_multiscale.levy_measures import Family, LevyMeasureModel
 
 SYM = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5)
@@ -24,11 +25,16 @@ MERTON = finance.MertonSpec(
 )
 MU = ergodicity.two_atom_measure(-1.0, 1.0)
 SAMPLES = np.linspace(-1.0, 1.0, 101)
+SUB = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5)
 
 
-def pide(epsilon):
+def fast(model):
+    return jump_processes.FastProcessConfig(model, lam=1.0, y0=0.0, horizon=1.0, dt=0.1)
+
+
+def pide(epsilon, model=SYM):
     grids = hjb_solvers.Grids(x=np.linspace(0.0, 1.0, 5), y=np.linspace(-2.0, 2.0, 9))
-    return hjb_solvers.pide_solve(finance.merton_problem(MERTON), SYM, epsilon, grids)
+    return hjb_solvers.pide_solve(finance.merton_problem(MERTON), model, epsilon, grids)
 
 
 def lyapunov(radius):
@@ -93,4 +99,46 @@ ROWS = {
 @pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
 def test_refused(call):
     with pytest.raises(UsageError):
+        call()
+
+
+#: Each guard names its own argument.  Without it the refusal came from the
+#: config the function builds: "horizon must be finite and positive, got nan".
+NAMED_ROWS = {
+    "ergodic_time_average t nan": ("t", lambda: ergodicity.ergodic_time_average(
+        fast(SYM), np.cos, math.nan, 4)),
+    "ergodic_time_average t inf": ("t", lambda: ergodicity.ergodic_time_average(
+        fast(SYM), np.cos, math.inf, 4)),
+    "abel_average delta nan": ("delta", lambda: ergodicity.abel_average(
+        fast(SYM), np.cos, math.nan, 4)),
+    "abel_average delta inf": ("delta", lambda: ergodicity.abel_average(
+        fast(SYM), np.cos, math.inf, 4)),
+}
+
+
+@pytest.mark.parametrize("arg, call", NAMED_ROWS.values(), ids=NAMED_ROWS.keys())
+def test_refusal_names_the_argument(arg, call):
+    with pytest.raises(UsageError, match=f"^{arg} must"):
+        call()
+
+
+SUBORDINATOR_ROWS = {
+    "FastProcessConfig": lambda: fast(SUB),
+    "sample_stable_increment": lambda: jump_processes.sample_stable_increment(
+        SUB, 1.0, jump_processes.stream_rng(0, jump_processes.JUMP_STREAM), 3),
+    # returned zeros: one weight reads only the start state, which needs no draw
+    "path_integral one weight": lambda: jump_processes.path_integral(
+        fast(SUB), np.cos, 10, np.ones(1)),
+    "estimate_invariant_measure": lambda: ergodicity.estimate_invariant_measure(
+        fast(SUB), burn_in=10.0, n_samples=1000),
+    "approximate_corrector": lambda: nonlocal_generator.approximate_corrector(
+        nonlocal_generator.CorrectorQuery(SUB, (1.0, 1.0, -1.0), 0.5, np.array([0.0]), dt=0.1),
+        lambda x, y, p, X: np.zeros(np.shape(y))),
+    "pide_solve": lambda: pide(0.5, SUB),
+}
+
+
+@pytest.mark.parametrize("call", SUBORDINATOR_ROWS.values(), ids=SUBORDINATOR_ROWS.keys())
+def test_subordinator_refused(call):
+    with pytest.raises(AssumptionError):
         call()

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from levy_multiscale import jump_processes
-from levy_multiscale.errors import UsageError
+from levy_multiscale.errors import AssumptionError, UsageError
 from levy_multiscale.hjb_solvers import ControlProblemSpec
 from levy_multiscale.levy_measures import (
     Family,
@@ -53,10 +53,10 @@ class TestStableIncrement:
         with pytest.raises(UsageError):
             sample_stable_increment(SYM15, dt_scaled, stream_rng(7, JUMP_STREAM), 3)
 
-    def test_subordinator_mode_needs_opt_in(self):
-        sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5, subordinator=True)
+    def test_subordinator_refused(self):
+        sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5)
         rng = stream_rng(1, JUMP_STREAM)
-        with pytest.raises(UsageError):
+        with pytest.raises(AssumptionError):
             sample_stable_increment(sub, 1.0, rng, size=1)
 
     def test_empirical_cf_matches_exponent(self):
@@ -469,6 +469,12 @@ class TestOneKernel:
         # the fast-factor recursion and the slow-state step each have one implementation
         assert _readers("sample_stable_increment") == {"jump_processes.iter_fast_values"}
         assert _readers("BROWNIAN_STREAM") == {"jump_processes.simulate_slow_system"}
+
+    def test_standing_conditions_have_one_gate(self):
+        # the subordinator is refused in one place, and otherwise read only to build its profile
+        assert _readers("AssumptionError") == {"levy_measures.require_assumptions"}
+        assert _readers("subordinator") == {"levy_measures.require_assumptions",
+                                            "nonlocal_generator.counterexample_profile"}
 
     def test_quadrature_constants_are_read_where_quadrature_runs(self):
         # the Taylor cut and the tolerance are constants, not options passed along

@@ -9,10 +9,8 @@ from scipy import integrate
 from levy_multiscale.errors import UsageError
 from levy_multiscale.levy_measures import (
     INFINITE,
-    A2Reason,
     Family,
     LevyMeasureModel,
-    check_assumptions,
     compensator_drift,
     density_eval,
     interval_first_moment,
@@ -30,8 +28,8 @@ def sym(alpha, c=1.0):
     return LevyMeasureModel(Family.SYMMETRIC_STABLE, alpha, c)
 
 
-def one_sided(alpha, c=1.0, subordinator=False):
-    return LevyMeasureModel(Family.ONE_SIDED_STABLE, alpha, c, subordinator)
+def one_sided(alpha, c=1.0):
+    return LevyMeasureModel(Family.ONE_SIDED_STABLE, alpha, c)
 
 
 class TestModelValidation:
@@ -40,20 +38,14 @@ class TestModelValidation:
             with pytest.raises(UsageError):
                 sym(bad)
 
-    def test_one_sided_small_alpha_needs_subordinator_flag(self):
-        with pytest.raises(UsageError):
-            one_sided(0.5)
-        assert one_sided(0.5, subordinator=True).subordinator
+    @pytest.mark.parametrize("model, want", [
+        (one_sided(0.5), True), (one_sided(1.5), False), (sym(0.5), False)])
+    def test_subordinator_is_derived(self, model, want):
+        assert model.subordinator is want
 
     def test_one_sided_alpha_one_rejected(self):
         with pytest.raises(UsageError):
             one_sided(1.0)
-        with pytest.raises(UsageError):
-            one_sided(1.0, subordinator=True)
-
-    def test_symmetric_never_subordinator(self):
-        with pytest.raises(UsageError):
-            LevyMeasureModel(Family.SYMMETRIC_STABLE, 0.5, 1.0, subordinator=True)
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(UsageError):
@@ -125,11 +117,13 @@ class TestSmallJumpVariance:
             alpha = 1.0 + alpha / 2.0  # keep the one-sided model a valid driver
         fam = Family.SYMMETRIC_STABLE if two_sided else Family.ONE_SIDED_STABLE
         m = LevyMeasureModel(fam, alpha, intensity)
-        rep = check_assumptions(m)
+        # (A1) with p = alpha and C = small_jump_variance(1), shaved by one part
+        # in 1e12 so the inequality survives floating point
+        c_witness = small_jump_variance(m, 1.0) * (1.0 - 1e-12)
         for k in range(11):
             delta = 2.0 ** (-k)
             lhs = small_jump_variance(m, delta)
-            assert lhs >= rep.C_witness * delta ** (2.0 - rep.p_witness)
+            assert lhs >= c_witness * delta ** (2.0 - alpha)
 
 
 class TestTailMoment:
@@ -236,7 +230,7 @@ class TestCompensatorDrift:
         assert compensator_drift(m) == pytest.approx(want, rel=1e-9)
 
     def test_subordinator_drift_is_minus_small_jump_mean(self):
-        m = one_sided(0.5, subordinator=True)
+        m = one_sided(0.5)
         small_mean, _ = integrate.quad(lambda z: z * density_eval(m, z), 0, 1)
         assert compensator_drift(m) == pytest.approx(-small_mean, rel=1e-9)
 
@@ -295,28 +289,3 @@ class TestIntervalFunctionals:
     def test_straddling_interval_rejected(self):
         with pytest.raises(UsageError):
             interval_mass(sym(1.5), -1.0, 1.0)
-
-
-class TestCheckAssumptions:
-    def test_symmetric_small_alpha(self):
-        rep = check_assumptions(sym(0.7))
-        assert rep.a2_satisfied and rep.a2_reason is A2Reason.SUPPORT_COVERS
-        assert not rep.is_subordinator
-        assert rep.p_witness == pytest.approx(0.7)
-
-    def test_one_sided_driver(self):
-        rep = check_assumptions(one_sided(1.5))
-        assert rep.a2_satisfied and rep.a2_reason is A2Reason.P_GT_1
-
-    def test_one_sided_subordinator(self):
-        rep = check_assumptions(one_sided(0.5, subordinator=True))
-        assert rep.is_subordinator
-        assert not rep.a2_satisfied and rep.a2_reason is A2Reason.NONE
-
-    def test_tail_witness_is_finite(self):
-        rep = check_assumptions(sym(1.2))
-        assert math.isfinite(tail_moment(sym(1.2), rep.q_witness))
-
-    def test_null_driver_refused(self):
-        with pytest.raises(UsageError):
-            check_assumptions(sym(1.5, 0.0))

@@ -26,7 +26,7 @@ from levy_multiscale.nonlocal_generator import (
 
 SYM15 = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5)
 SYM10 = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.0)
-SUB05 = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5, subordinator=True)
+SUB05 = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5)
 
 
 def brute_generator(model, f, df, y, inner=1e-6):
