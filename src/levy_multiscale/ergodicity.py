@@ -150,8 +150,6 @@ def stationary_cf_oracle(model: LevyMeasureModel, u: float) -> complex:
     """
     if not math.isfinite(u):
         raise UsageError(f"frequency must be finite, got {u}")
-    if u == 0.0:
-        return 1.0 + 0.0j
     drift = compensator_drift(model)
     psi_stable = stable_exponent_closed(model, u) - 1j * u * drift
     return complex(np.exp(psi_stable / model.alpha + 1j * u * drift))
@@ -159,15 +157,9 @@ def stationary_cf_oracle(model: LevyMeasureModel, u: float) -> complex:
 
 def stationary_cf_bruteforce(model: LevyMeasureModel, u: float) -> complex:
     """Independent route: numerical s-integration of the quadrature exponent."""
-    if u == 0.0:
-        return 1.0 + 0.0j
-    re, _ = integrate.quad(
-        lambda s: levy_exponent(model, u * math.exp(-s)).real, 0.0, 40.0,
-        epsabs=1e-9, limit=200)
-    im, _ = integrate.quad(
-        lambda s: levy_exponent(model, u * math.exp(-s)).imag, 0.0, 40.0,
-        epsabs=1e-9, limit=200)
-    return complex(np.exp(complex(re, im)))
+    log_cf, _ = integrate.quad(lambda s: levy_exponent(model, u * math.exp(-s)), 0.0, 40.0,
+                               epsabs=1e-9, limit=200, complex_func=True)
+    return complex(np.exp(log_cf))
 
 
 def ergodic_time_average(
@@ -178,12 +170,14 @@ def ergodic_time_average(
 ) -> float:
     """Monte Carlo estimate of ``(1/t) int_0^t E f(Y(s)) ds`` by the uniform left rule.
 
-    Unit weights on the n states before t, divided by n: constants are exact.
+    Unit weights on the n = t / dt states before t, divided by n: constants are exact.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise UsageError(f"t must be finite and positive, got {t}")
     run_cfg = replace(cfg, horizon=t)
     n = run_cfg.n_steps
+    if abs(n * run_cfg.step - t) > 1e-9 * t:
+        raise UsageError(f"t must be a whole number of steps dt={run_cfg.step}, got {t}")
     return float(path_integral(run_cfg, f, n_paths, np.ones(n))[0].mean()) / n
 
 

@@ -159,13 +159,6 @@ class ValueField:
         if not np.all(np.isfinite(self.values)):
             raise NumericalError("value field contains non-finite entries")
 
-    def quadratic_growth_ratio(self) -> float:
-        """max |V| / (1 + x^2) over the whole stored field."""
-        denom = 1.0 + self.x_grid**2
-        if self.values.ndim == 3:
-            return float(np.max(np.abs(self.values) / denom[None, :, None]))
-        return float(np.max(np.abs(self.values) / denom[None, :]))
-
 
 def _checkpoint_times(n_t: int) -> np.ndarray:
     return np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))

@@ -118,13 +118,6 @@ class PathSample:
 
     times: np.ndarray
     values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0.0):
-            raise UsageError("times must start at 0 and strictly increase")
-        if len(self.times) != len(self.values):
-            raise UsageError("times and values must have equal length")
 
 
 @dataclass(frozen=True)
@@ -290,12 +283,6 @@ def simulate_fast_paths(cfg: FastProcessConfig, n_paths: int) -> tuple[np.ndarra
     return times, values
 
 
-def simulate_fast_path(cfg: FastProcessConfig) -> PathSample:
-    """Single factor path, deterministic given the config seed."""
-    times, values = simulate_fast_paths(cfg, 1)
-    return PathSample(times=times, values=values[0], seed=cfg.seed)
-
-
 def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]:
     """One path of the slow state and its factor at grid times 0, dt, 2*dt, ...
 
@@ -321,6 +308,6 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
     # x0 leads the product, so each state has the bits of the step-by-step loop
     xs = np.cumprod(np.concatenate([[float(cfg.x0)], growth]))
     return (
-        PathSample(times=times, values=xs, seed=fast.seed),
-        PathSample(times=times, values=ys[0], seed=fast.seed),
+        PathSample(times=times, values=xs),
+        PathSample(times=times, values=ys[0]),
     )

@@ -103,12 +103,15 @@ def density_eval(model: LevyMeasureModel, z: float) -> float:
 def side_moment(model: LevyMeasureModel, k: float, a: float, b: float = INFINITE) -> float:
     """``int_a^b z^k nu(dz)`` on one half-line, 0 <= a < b <= inf (a > 0 if k <= alpha).
 
-    ``intensity (b^e - a^e) / e`` with ``e = k - alpha``, or ``intensity log(b / a)``
-    when ``|e| < 1e-12``: INFINITE where the integral diverges at ``b = inf``.
+    ``intensity (b^e - a^e) / e`` with ``e = k - alpha`` (as ``a^e expm1(e log(b / a))``
+    for 0 < a, b < inf, where the difference cancels), or ``intensity log(b / a)`` when
+    ``|e| < 1e-12``: INFINITE where the integral diverges at ``b = inf``.
     """
     e = k - model.alpha
     if abs(e) < 1e-12:
         return model.intensity * math.log(b / a)
+    if 0.0 < a and b < INFINITE:
+        return model.intensity * a**e * math.expm1(e * math.log(b / a)) / e
     return model.intensity * (b**e - a**e) / e
 
 
@@ -195,8 +198,6 @@ def stable_exponent_closed(model: LevyMeasureModel, u: float) -> complex:
     This is the closed-form counterpart of :func:`levy_exponent`; the two are
     checked against each other in the test suite.
     """
-    if u == 0.0:
-        return 0.0 + 0.0j
     sig_a = stable_scale_exponent(model)
     a = model.alpha
     if model.two_sided:
@@ -204,21 +205,6 @@ def stable_exponent_closed(model: LevyMeasureModel, u: float) -> complex:
     skew = math.tan(math.pi * a / 2.0)
     core = -sig_a * abs(u) ** a * complex(1.0, -math.copysign(1.0, u) * skew)
     return core + 1j * u * compensator_drift(model)
-
-
-def _tail_fourier(model: LevyMeasureModel, u: float, kind: str) -> tuple[float, float]:
-    """``int_1^inf trig(u z) nu(dz)`` on one side via oscillatory quadrature."""
-    c, a = model.intensity, model.alpha
-    val, err = integrate.quad(
-        lambda z: c * z ** (-1.0 - a),
-        1.0,
-        np.inf,
-        weight=kind,
-        wvar=u,
-        epsabs=1e-12,
-        limit=200,
-    )
-    return val, err
 
 
 #: Below this frequency the oscillatory tail integral cancels against the tail
@@ -277,8 +263,11 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
         im_mid, e2 = integrate.quad(
             lambda z: (math.sin(u * sign * z) - u * sign * z) * dens(z),
             kappa, 1.0, epsabs=1e-14, epsrel=tol, limit=200)
-        cos_tail, e3 = _tail_fourier(model, u * sign, "cos")
-        sin_tail, e4 = _tail_fourier(model, u * sign, "sin")
+        # |z| > 1: oscillatory quadrature of the density against cos and sin
+        cos_tail, e3 = integrate.quad(dens, 1.0, np.inf, weight="cos", wvar=u * sign,
+                                      epsabs=1e-12, limit=200)
+        sin_tail, e4 = integrate.quad(dens, 1.0, np.inf, weight="sin", wvar=u * sign,
+                                      epsabs=1e-12, limit=200)
         total_err += e1 + e2 + e3 + e4
         return complex(re_mid + cos_tail - side_moment(model, 0, 1.0), im_mid + sin_tail)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -182,25 +182,19 @@ class CounterexampleProfile:
     c: float
 
     def _t(self, y):
-        return -self.c - y
+        return max(-self.c - y, 0.0)
 
     def f(self, y: float) -> float:
         t = self._t(y)
-        if t <= 0.0:
-            return 0.0
         s = 1.0 / (1.0 + t * t)
         return -(0.5 * (1.0 - s) - 0.25 * (1.0 - s * s))
 
     def df(self, y: float) -> float:
         t = self._t(y)
-        if t <= 0.0:
-            return 0.0
         return t**3 / (1.0 + t * t) ** 3
 
     def d2f(self, y: float) -> float:
         t = self._t(y)
-        if t <= 0.0:
-            return 0.0
         return -3.0 * t * t * (1.0 - t * t) / (1.0 + t * t) ** 4
 
 
@@ -234,26 +228,25 @@ class CorrectorQuery:
 
     ``frozen_point`` is the (x, p, X) triple the Hamiltonian is frozen at; the
     corrector is computed on ``y_grid`` by Monte Carlo over fast paths with
-    unit mean-reversion rate, horizon ``10 / delta``.  The step ``dt`` is
-    required (its ``None`` default only lets it follow the defaulted fields):
-    the discount weights hold H at each step's left endpoint, a relative bias
-    of about ``delta dt / 2``, so the caller chooses it against delta.
+    unit mean-reversion rate, horizon ``10 / delta``.  The discount weights
+    hold H at each step's left endpoint, a relative bias of about
+    ``delta dt / 2``, so the caller chooses the step ``dt`` against delta.
     """
 
     model: LevyMeasureModel
     frozen_point: tuple
     delta: float
     y_grid: np.ndarray
+    dt: float
     mc_paths: int = 10_000
     seed: int = 0
-    dt: Optional[float] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise UsageError(f"delta must be finite and positive, got {self.delta}")
         if not (isinstance(self.mc_paths, (int, np.integer)) and self.mc_paths >= 1000):
             raise UsageError(f"need an integer >= 1000 of Monte Carlo paths, got {self.mc_paths!r}")
-        if not (self.dt is not None and math.isfinite(self.dt) and self.dt > 0.0):
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise UsageError(f"the corrector needs a finite positive step dt, got {self.dt}")
 
 

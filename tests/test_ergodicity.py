@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levy_multiscale.errors import AssumptionError, UsageError
+from levy_multiscale.errors import UsageError
 from levy_multiscale.ergodicity import (
     InvariantMeasure,
     abel_average,
@@ -57,11 +57,6 @@ class TestEstimateInvariantMeasure:
         assert len(mu.nodes) == 1
         assert mu.nodes[0] == pytest.approx(0.0)
         assert mu.weights[0] == 1.0
-
-    def test_subordinator_refused(self):
-        sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5)
-        with pytest.raises(AssumptionError):
-            estimate_invariant_measure(fast_cfg(model=sub), burn_in=10.0, n_samples=1000)
 
     def test_short_burn_in_refused(self):
         with pytest.raises(UsageError):

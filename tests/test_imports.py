@@ -1,5 +1,6 @@
-"""Every name a package module imports is read, every error class is used, and
-no module reaches into another one's private names.
+"""Every name a package module imports is read, every error class is used, no
+module reaches into another one's private names, and every public name has a
+reader outside the tests.
 
 No linter ships with the test extra, so these stdlib ``ast`` passes stand in for
 an unused-import check, an unused-class check and a private-import check.  A
@@ -7,7 +8,8 @@ name counts as read when it appears as a loaded name anywhere in the module,
 annotations included.  An exception class of ``errors.py`` counts as used when
 some package module raises it or subclasses it.  A helper that several modules
 share must be public: no module imports an underscore-prefixed name from
-another package module.
+another package module.  A public function or class is read by a package
+module or by the benchmark, or ``TEST_ONLY`` says why the tests alone keep it.
 """
 
 import ast
@@ -88,3 +90,53 @@ def test_the_check_sees_a_private_import():
         "from levy_multiscale.hjb_solvers import _require_uniform\n"
     )
     assert private_imports(source) == ["_interval_moment", "_require_uniform"]
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+#: Public names that only the tests read, each with the reason it stays.
+TEST_ONLY = {
+    "abel_average": "the paper's discounted long-run average of the fast factor",
+    "ergodic_time_average": "the paper's ergodic time average of the fast factor",
+    "effective_vol_harmonic": "the paper's Merton effective volatility, the harmonic mean",
+    "subordinator_counterexample": "the paper's counterexample to maximum-principle propagation",
+    "hamiltonian_eval": "pointwise oracle of the grid solvers' Bellman minimisation",
+    "density_eval": "pointwise oracle of the jump density for the closed-form moments",
+    "small_jump_variance": "the (A1) functional of the standing conditions",
+    "tail_moment": "the (A3) functional of the standing conditions",
+    "two_atom_measure": "the hand-computable measure the tests share",
+}
+
+
+def unread_public_names(package_sources: list[str], reader_sources: list[str]) -> list[str]:
+    """Public module-level functions and classes that no source reads.
+
+    A name is read where it is loaded as a name or taken as an attribute in any
+    of ``package_sources`` or ``reader_sources``.
+    """
+    defined = {
+        n.name
+        for src in package_sources
+        for n in ast.parse(src).body
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+    }
+    read = set()
+    for node in (n for src in package_sources + reader_sources for n in ast.walk(ast.parse(src))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_every_public_name_has_a_reader():
+    package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    readers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))
+               if not p.name.startswith("test_")]
+    assert unread_public_names(package, readers) == sorted(TEST_ONLY)
+
+
+def test_the_check_sees_an_unread_public_name():
+    package = ["def used(): pass\ndef stale(): pass\nclass _Private: pass\nclass Kept: pass\n",
+               "from .a import used\nx = used()\n"]
+    assert unread_public_names(package, ["import a\na.Kept\n"]) == ["stale"]

@@ -69,14 +69,15 @@ ROWS = {
     "generator_apply growth order nan": lambda: generator(math.nan),
     "merton_hara_closed_form wealth nan": lambda: finance.merton_hara_closed_form(
         MERTON, MU, 0.0, math.nan),
-    # the corrector ran at the default step, whose left-endpoint weights bias by delta dt / 2
-    "CorrectorQuery without dt": lambda: nonlocal_generator.CorrectorQuery(
-        SYM, (1.0, 1.0, -1.0), 0.5, np.array([0.0])),
     # priced maturity 0.9 for T = 1: the step count rounds T / dt = 3.33 to 3
     "price_mc step not dividing the horizon": lambda: finance.price_mc(
         finance.PricingSpec(r=0.05, sigma_fn=MERTON.sigma_fn, payoff=finance.CallPayoff(1.0),
                             discount=0.05, horizon=1.0, x0=1.0),
         0.1, jump_processes.FastProcessConfig(SYM, lam=10.0, y0=0.0, horizon=1.0, dt=0.3), 1000),
+    # averaged over [0, 0.9) for t = 1: the step count rounds t / dt = 3.33 to 3
+    "ergodic_time_average t off the step grid": lambda: ergodicity.ergodic_time_average(
+        jump_processes.FastProcessConfig(SYM, lam=1.0, y0=0.0, horizon=1.0, dt=0.3), np.cos,
+        1.0, 4),
     # refused only when the corrector built its fast config
     "CorrectorQuery dt nan": lambda: nonlocal_generator.CorrectorQuery(
         SYM, (1.0, 1.0, -1.0), 0.5, np.array([0.0]), dt=math.nan),
@@ -100,6 +101,12 @@ ROWS = {
 def test_refused(call):
     with pytest.raises(UsageError):
         call()
+
+
+def test_corrector_query_needs_dt():
+    # the step has no default: the left-endpoint weights bias the corrector by delta dt / 2
+    with pytest.raises(TypeError):
+        nonlocal_generator.CorrectorQuery(SYM, (1.0, 1.0, -1.0), 0.5, np.array([0.0]))
 
 
 #: Each guard names its own argument.  Without it the refusal came from the

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from levy_multiscale import jump_processes
-from levy_multiscale.errors import AssumptionError, UsageError
+from levy_multiscale.errors import UsageError
 from levy_multiscale.hjb_solvers import ControlProblemSpec
 from levy_multiscale.levy_measures import (
     Family,
@@ -27,7 +27,6 @@ from levy_multiscale.jump_processes import (
     iter_fast_values,
     path_integral,
     sample_stable_increment,
-    simulate_fast_path,
     simulate_fast_paths,
     simulate_slow_system,
     stable_scale_exponent,
@@ -52,12 +51,6 @@ class TestStableIncrement:
     def test_non_finite_internal_time_is_refused(self, dt_scaled):
         with pytest.raises(UsageError):
             sample_stable_increment(SYM15, dt_scaled, stream_rng(7, JUMP_STREAM), 3)
-
-    def test_subordinator_refused(self):
-        sub = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5)
-        rng = stream_rng(1, JUMP_STREAM)
-        with pytest.raises(AssumptionError):
-            sample_stable_increment(sub, 1.0, rng, size=1)
 
     def test_empirical_cf_matches_exponent(self):
         # E exp(i u Z(1)) = exp(psi(1)); psi from the quadrature route.
@@ -110,25 +103,25 @@ class TestStableIncrement:
 class TestFastPath:
     def test_null_driver_decays_exactly(self):
         cfg = FastProcessConfig(NULL, lam=2.0, y0=3.0, horizon=1.0, dt=0.005, seed=0)
-        path = simulate_fast_path(cfg)
-        k = np.argmin(np.abs(path.times - 1.0))
-        assert path.times[k] == pytest.approx(1.0)
-        assert path.values[k] == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12)
-        assert np.allclose(np.abs(path.values), 3.0 * np.exp(-2.0 * path.times))
+        times, values = simulate_fast_paths(cfg, 1)
+        k = np.argmin(np.abs(times - 1.0))
+        assert times[k] == pytest.approx(1.0)
+        assert values[0, k] == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12)
+        assert np.allclose(np.abs(values[0]), 3.0 * np.exp(-2.0 * times))
 
     def test_zero_start_null_driver_stays_zero(self):
         cfg = FastProcessConfig(NULL, lam=1.0, y0=0.0, horizon=2.0, dt=0.01, seed=0)
-        assert np.all(simulate_fast_path(cfg).values == 0.0)
+        assert np.all(simulate_fast_paths(cfg, 1)[1] == 0.0)
 
     def test_seed_reproducibility_bit_identical(self):
         cfg = FastProcessConfig(SYM15, lam=1.0, y0=0.5, horizon=5.0, dt=0.05, seed=99)
-        p1 = simulate_fast_path(cfg)
-        p2 = simulate_fast_path(cfg)
-        assert np.array_equal(p1.values, p2.values)
-        p3 = simulate_fast_path(
-            FastProcessConfig(SYM15, lam=1.0, y0=0.5, horizon=5.0, dt=0.05, seed=100)
+        _, v1 = simulate_fast_paths(cfg, 1)
+        _, v2 = simulate_fast_paths(cfg, 1)
+        assert np.array_equal(v1, v2)
+        _, v3 = simulate_fast_paths(
+            FastProcessConfig(SYM15, lam=1.0, y0=0.5, horizon=5.0, dt=0.05, seed=100), 1
         )
-        assert not np.array_equal(p1.values, p3.values)
+        assert not np.array_equal(v1, v3)
 
     def test_terminal_cf_near_stationary_law(self):
         # long-run CF approaches exp(psi(1)/alpha); coarse-batch version of the
@@ -400,9 +393,9 @@ class TestSlowSystem:
         prob = _toy_pricing(r=0.05, sigma_fn=lambda y: 0.3 + 0.1 * np.tanh(y))
         fast = FastProcessConfig(SYM15, lam=20.0, y0=0.4, horizon=1.0, seed=31)
         xs, ys = simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0))
-        path = simulate_fast_path(fast)
-        assert np.array_equal(ys.times, path.times)
-        assert np.array_equal(ys.values, path.values)
+        times, values = simulate_fast_paths(fast, 1)
+        assert np.array_equal(ys.times, times)
+        assert np.array_equal(ys.values, values[0])
 
     def test_matches_the_step_by_step_floored_euler_loop(self):
         # one step at a time, X_{k+1} = X_k max(1 + b dt + s dW_k, 0), from x0 != 1:

@@ -266,6 +266,12 @@ class TestSideMoment:
                                  epsrel=1e-11, limit=200)
         assert side_moment(model, k, a, b) == pytest.approx(want, rel=1e-9)
 
+    def test_keeps_its_digits_just_outside_the_log_branch(self):
+        # e = k - alpha = -1e-11 on a short cell, where b^e - a^e errs by 6.4e-4 relative
+        m = sym(1.0 + 1e-11)
+        want, _ = integrate.quad(lambda z: z * density_eval(m, z), 127 / 64, 2.0, epsrel=1e-13)
+        assert side_moment(m, 1, 127 / 64, 2.0) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("k, alpha", [(1, 0.7), (1, 1.0), (2, 1.0), (2, 1.5), (3, 1.9)])
     def test_infinite_where_the_tail_diverges(self, k, alpha):
         assert side_moment(sym(alpha), k, 1.0) == INFINITE

@@ -241,7 +241,8 @@ class TestApproximateCorrector:
     ])
     def test_query_validation(self, field, value):
         # nan and inf deltas used to be accepted, 1000.5 paths to fail in numpy as a TypeError
-        args = dict(model=SYM15, frozen_point=(1.0, 1.0, -1.0), delta=0.1, y_grid=np.array([0.0]))
+        args = dict(model=SYM15, frozen_point=(1.0, 1.0, -1.0), delta=0.1, y_grid=np.array([0.0]),
+                    dt=0.02)
         with pytest.raises(UsageError):
             CorrectorQuery(**{**args, field: value})
 
