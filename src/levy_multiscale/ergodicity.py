@@ -156,7 +156,12 @@ def stationary_cf_oracle(model: LevyMeasureModel, u: float) -> complex:
 
 
 def stationary_cf_bruteforce(model: LevyMeasureModel, u: float) -> complex:
-    """Independent route: numerical s-integration of the quadrature exponent."""
+    """Independent route: numerical s-integration of the quadrature exponent.
+
+    One call costs one :func:`levy_exponent` quadrature per s-node where
+    ``|u| e^{-s}`` is at or above the exponent's floor 1e-2, and a closed-form
+    continuation from the model's floor value (one quadrature per model) below it.
+    """
     log_cf, _ = integrate.quad(lambda s: levy_exponent(model, u * math.exp(-s)), 0.0, 40.0,
                                epsabs=1e-9, limit=200, complex_func=True)
     return complex(np.exp(log_cf))

@@ -14,6 +14,7 @@ here but the one-sided alpha < 1 subordinator (:func:`require_assumptions`).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -221,7 +222,9 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
     series terms are far below the tolerance).  Symmetric models return a real
     value.  Frequencies below 1e-2 are continued from the quadrature value at
     the floor via the family's exact ``|u|^alpha`` scaling of the drift-free
-    part, avoiding catastrophic cancellation in the tail.
+    part, avoiding catastrophic cancellation in the tail.  That floor
+    quadrature runs once per model and its value is reused; a
+    ``NumericalError`` there is not cached, so it is raised again on every call.
 
     Raises
     ------
@@ -238,8 +241,7 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
         return levy_exponent(model, -u).conjugate()
     if u < _U_SCALING_FLOOR:
         drift = compensator_drift(model)
-        ref = levy_exponent(model, _U_SCALING_FLOOR)
-        stable_part = ref - 1j * _U_SCALING_FLOOR * drift
+        stable_part = _floor_exponent(model) - 1j * _U_SCALING_FLOOR * drift
         return stable_part * (u / _U_SCALING_FLOOR) ** model.alpha + 1j * u * drift
 
     c, a = model.intensity, model.alpha
@@ -283,6 +285,12 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
             f"levy exponent quadrature did not reach tolerance {tol}",
             partial=value, achieved_tol=total_err / abs(value))
     return value
+
+
+@functools.cache
+def _floor_exponent(model: LevyMeasureModel) -> complex:
+    """``levy_exponent(model, _U_SCALING_FLOOR)``, computed once per model for the continuation."""
+    return levy_exponent(model, _U_SCALING_FLOOR)
 
 
 def require_assumptions(model: LevyMeasureModel) -> None:

@@ -16,7 +16,7 @@ from levy_multiscale.ergodicity import (
     stationary_samples,
     two_atom_measure,
 )
-from levy_multiscale import jump_processes
+from levy_multiscale import jump_processes, levy_measures
 from levy_multiscale.jump_processes import FastProcessConfig
 from levy_multiscale.levy_measures import Family, LevyMeasureModel
 
@@ -137,6 +137,13 @@ class TestStationaryCfOracle:
             want = stationary_cf_oracle(model, u)
             got = stationary_cf_bruteforce(model, u)
             assert abs(got - want) < 1e-6
+
+    @pytest.mark.parametrize("u", [0.5, 1.0])
+    def test_bruteforce_same_from_cold_and_warm_floor_cache(self, u):
+        model = LevyMeasureModel(Family.ONE_SIDED_STABLE, 1.5)
+        levy_measures._floor_exponent.cache_clear()
+        cold = stationary_cf_bruteforce(model, u)
+        assert stationary_cf_bruteforce(model, u) == cold
 
 
 class TestErgodicTimeAverage:

@@ -6,7 +6,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from levy_multiscale.errors import UsageError
+from levy_multiscale import levy_measures
+from levy_multiscale.ergodicity import stationary_cf_bruteforce
+from levy_multiscale.errors import NumericalError, UsageError
 from levy_multiscale.levy_measures import (
     INFINITE,
     Family,
@@ -217,6 +219,62 @@ class TestLevyExponent:
         for m in (sym(1.5), one_sided(1.5)):
             with pytest.raises(UsageError, match="finite"):
                 levy_exponent(m, u)
+
+
+class TestFloorContinuation:
+    """Below the floor the exponent is continued from one quadrature per model."""
+
+    FLOOR = levy_measures._U_SCALING_FLOOR
+
+    @pytest.mark.parametrize("model", [sym(1.5), one_sided(1.5)], ids=["sym", "one-sided"])
+    def test_is_the_continuation_of_a_fresh_floor_value(self, model):
+        # the first call fills the cache, the rest read it: all equal the formula bit for bit
+        levy_measures._floor_exponent.cache_clear()
+        drift = compensator_drift(model)
+        stable_part = levy_exponent(model, self.FLOOR) - 1j * self.FLOOR * drift
+        for u in (1e-3, -1e-3, 5e-3, -5e-3):
+            want = stable_part * (abs(u) / self.FLOOR) ** model.alpha + 1j * abs(u) * drift
+            assert levy_exponent(model, u) == (want if u > 0.0 else want.conjugate())
+
+    @pytest.mark.parametrize("model", [sym(1.5), one_sided(1.5)], ids=["sym", "one-sided"])
+    def test_continuous_across_the_floor(self, model):
+        below = levy_exponent(model, math.nextafter(self.FLOOR, 0.0))
+        at = levy_exponent(model, self.FLOOR)
+        assert abs(below - at) <= 1e-8 * abs(at)
+
+    def test_floor_quadrature_runs_once_per_model(self, monkeypatch):
+        levy_measures._floor_exponent.cache_clear()
+        floor_calls = []
+        inner = levy_measures.levy_exponent
+
+        def counted(model, u):
+            if u == self.FLOOR:
+                floor_calls.append(model)
+            return inner(model, u)
+
+        monkeypatch.setattr(levy_measures, "levy_exponent", counted)
+        model = one_sided(1.5)
+        for _ in range(2):
+            stationary_cf_bruteforce(model, 1.0)
+        assert floor_calls == [model]
+
+    def test_a_failed_floor_quadrature_is_not_cached(self, monkeypatch):
+        class FailingQuad:
+            IntegrationWarning = integrate.IntegrationWarning
+
+            @staticmethod
+            def quad(*args, **kwargs):
+                return 1.0, 1.0  # an error estimate far above the tolerance
+
+        levy_measures._floor_exponent.cache_clear()
+        monkeypatch.setattr(levy_measures, "integrate", FailingQuad)
+        for _ in range(2):
+            with pytest.raises(NumericalError):
+                levy_exponent(sym(1.5), 1e-3)
+        assert levy_measures._floor_exponent.cache_info().currsize == 0
+        monkeypatch.undo()
+        levy_exponent(sym(1.5), 1e-3)
+        assert levy_measures._floor_exponent.cache_info().currsize == 1
 
 
 class TestCompensatorDrift:
