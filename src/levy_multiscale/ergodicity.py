@@ -94,13 +94,13 @@ def two_atom_measure(y1: float, y2: float) -> InvariantMeasure:
     return InvariantMeasure(np.array(sorted([y1, y2]), dtype=float), np.array([0.5, 0.5]))
 
 
-def measure_from_samples(samples: np.ndarray, n_nodes: int = DEFAULT_NODES) -> InvariantMeasure:
-    """The samples' empirical law, tied samples as one atom, coarsened to ``n_nodes``."""
+def measure_from_samples(samples: np.ndarray) -> InvariantMeasure:
+    """The samples' empirical law, tied samples as one atom, coarsened to ``DEFAULT_NODES``."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 2:
         raise UsageError("need at least two samples")
     values, counts = np.unique(samples, return_counts=True)
-    return InvariantMeasure(values, counts / samples.size).coarsen(n_nodes)
+    return InvariantMeasure(values, counts / samples.size).coarsen(DEFAULT_NODES)
 
 
 def stationary_samples(

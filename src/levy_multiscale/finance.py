@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -245,24 +245,18 @@ def price_mc_surface(
     return est, se
 
 
-def bs_oracle(spec: PricingSpec, s: float, tau: Optional[float] = None,
-              x0: Optional[float] = None) -> float:
-    """Discounted expected payoff under constant volatility s.
+def bs_oracle(spec: PricingSpec, s: float) -> float:
+    """Discounted expected payoff under constant volatility s, from the spec's spot and horizon.
 
-    The terminal state is lognormal with log-mean ``log x0 + (r - s^2) tau``
+    With tau the horizon, the terminal state is lognormal with log-mean ``log x0 + (r - s^2) tau``
     and log-variance ``2 s^2 tau`` (the root-two convention doubles the
     instantaneous variance).  Calls use the closed formula :func:`bs_call`
     at integrated variance ``s^2 tau``; other payoffs are integrated
     adaptively against the lognormal in log space.
     """
-    tau = spec.horizon if tau is None else tau
-    x0 = spec.x0 if x0 is None else x0
+    tau, x0 = spec.horizon, spec.x0
     if not (math.isfinite(s) and s >= 0.0):
         raise UsageError(f"volatility must be finite and nonnegative, got {s}")
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise UsageError(f"time to maturity must be finite and nonnegative, got {tau}")
-    if not (math.isfinite(x0) and x0 >= 0.0):
-        raise UsageError(f"spot must be finite and nonnegative, got {x0}")
     disc = math.exp(-spec.discount * tau)
     v = s * s * tau
     if isinstance(spec.payoff, CallPayoff):

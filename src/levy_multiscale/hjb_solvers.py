@@ -160,10 +160,6 @@ class ValueField:
             raise NumericalError("value field contains non-finite entries")
 
 
-def _checkpoint_times(n_t: int) -> np.ndarray:
-    return np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))
-
-
 def assemble_factor_generator(
     model: LevyMeasureModel,
     y_grid: np.ndarray,
@@ -368,7 +364,7 @@ def _march(
     pair (times, slices) of the checkpoints already filled, all of them finite.
     """
     c = spec.discount
-    keep = _checkpoint_times(n_t)
+    keep = np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))
     slot = {int(k): j for j, k in enumerate(keep)}
     values = np.empty((len(keep),) + v.shape)
     values[-1] = v

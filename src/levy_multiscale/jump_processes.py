@@ -4,8 +4,8 @@ Increment sampling uses the Chambers-Mallows-Stuck transformation of one
 uniform and one exponential variate.  With U ~ Uniform(-pi/2, pi/2) and
 E ~ Exp(1),
 
-    X = S * sin(a (U + B)) / cos(U)^(1/a) * (cos(U - a (U + B)) / E)^((1-a)/a),
-    B = arctan(beta tan(pi a / 2)) / a,   S = (1 + beta^2 tan^2(pi a / 2))^(1/(2a)),
+    X = S * sin(a U + a B) / cos(U)^(1/a) * (cos((1-a) U - a B) / E)^((1-a)/a),
+    a B = arctan(beta tan(pi a / 2)),   S = (1 + beta^2 tan^2(pi a / 2))^(1/(2a)),
 
 is standard stable with stability ``a``, skewness ``beta``, unit scale and zero
 location in the parameterization whose characteristic function is
@@ -100,12 +100,8 @@ class FastProcessConfig:
             raise UsageError(f"need 0 < dt < horizon, got dt={step}")
 
     @property
-    def epsilon(self) -> float:
-        return 1.0 / self.lam
-
-    @property
     def step(self) -> float:
-        return self.dt if self.dt is not None else default_step(self.epsilon, self.horizon)
+        return self.dt if self.dt is not None else default_step(1.0 / self.lam, self.horizon)
 
     @property
     def n_steps(self) -> int:
@@ -137,26 +133,6 @@ class SlowSystemConfig:
             raise UsageError(f"slow initial state must be finite and nonnegative, got {self.x0}")
 
 
-def standard_stable(alpha: float, beta: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """CMS transform of uniforms ``u`` on (-pi/2, pi/2) and unit exponentials ``e``."""
-    inv_a = 1.0 / alpha
-    if beta == 0.0:
-        return (
-            np.sin(alpha * u)
-            / np.cos(u) ** inv_a
-            * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) * inv_a)
-        )
-    skew = math.tan(math.pi * alpha / 2.0)
-    b = math.atan(beta * skew) * inv_a
-    s = (1.0 + beta * beta * skew * skew) ** (0.5 * inv_a)
-    return (
-        s
-        * np.sin(alpha * (u + b))
-        / np.cos(u) ** inv_a
-        * (np.cos(u - alpha * (u + b)) / e) ** ((1.0 - alpha) * inv_a)
-    )
-
-
 def sample_stable_increment(
     model: LevyMeasureModel,
     dt_scaled: float,
@@ -174,12 +150,18 @@ def sample_stable_increment(
     require_assumptions(model)
     if not isinstance(rng, np.random.Generator):
         raise UsageError("rng must be a numpy Generator")
+    if isinstance(size, bool) or not (isinstance(size, (int, np.integer)) and size >= 1):
+        raise UsageError(f"size must be a positive integer, got {size!r}")
 
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
     e = rng.standard_exponential(size=size)
-    beta = 0.0 if model.two_sided else 1.0
-    scale = (stable_scale_exponent(model) * dt_scaled) ** (1.0 / model.alpha)
-    out = scale * standard_stable(model.alpha, beta, u, e)
+    a, inv_a = model.alpha, 1.0 / model.alpha
+    skew = 0.0 if model.two_sided else math.tan(math.pi * a / 2.0)  # beta tan(pi a / 2)
+    ab, s = math.atan(skew), (1.0 + skew * skew) ** (0.5 * inv_a)
+    scale = (stable_scale_exponent(model) * dt_scaled) ** inv_a
+    # at skew = 0, ab = 0 and s = 1 keep the bits of the symmetric map
+    out = (scale * s) * (np.sin(a * u + ab) / np.cos(u) ** inv_a
+                         * (np.cos((1.0 - a) * u - ab) / e) ** ((1.0 - a) * inv_a))
     out += dt_scaled * compensator_drift(model)
     return out
 

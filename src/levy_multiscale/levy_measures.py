@@ -40,17 +40,6 @@ class Family(enum.Enum):
     ONE_SIDED_STABLE = "one-sided-stable"
 
 
-def _cos_gamma_constant(alpha: float) -> float:
-    """Value of the one-sided cosine moment ``int_0^inf (1-cos t) t^(-1-alpha) dt``.
-
-    Equals ``-Gamma(-alpha) * cos(pi*alpha/2)`` with the removable singularity
-    ``pi/2`` at ``alpha = 1``.
-    """
-    if abs(alpha - 1.0) < 1e-12:
-        return math.pi / 2.0
-    return float(-gamma_fn(-alpha) * math.cos(math.pi * alpha / 2.0))
-
-
 @dataclass(frozen=True)
 class LevyMeasureModel:
     """Stable-family jump measure with density ``intensity * |z|^(-1-alpha)``.
@@ -177,9 +166,13 @@ def stable_scale_exponent(model: LevyMeasureModel) -> float:
 
     The exponent decomposes as
     ``psi(u) = -sigma^alpha |u|^alpha (1 - i beta sgn(u) tan(pi alpha/2)) + i u drift``
-    with ``beta = 0`` (symmetric) or ``beta = 1`` (one-sided).
+    with ``beta = 0`` (symmetric) or ``beta = 1`` (one-sided).  Each side gives intensity
+    times ``int_0^inf (1-cos t) t^(-1-alpha) dt = -Gamma(-alpha) cos(pi alpha/2)``, pi/2 at 1.
     """
-    return model.sides * model.intensity * _cos_gamma_constant(model.alpha)
+    a = model.alpha
+    side = (math.pi / 2.0 if abs(a - 1.0) < 1e-12
+            else float(-gamma_fn(-a) * math.cos(math.pi * a / 2.0)))
+    return model.sides * model.intensity * side
 
 
 def compensator_drift(model: LevyMeasureModel) -> float:
@@ -199,12 +192,9 @@ def stable_exponent_closed(model: LevyMeasureModel, u: float) -> complex:
     This is the closed-form counterpart of :func:`levy_exponent`; the two are
     checked against each other in the test suite.
     """
-    sig_a = stable_scale_exponent(model)
     a = model.alpha
-    if model.two_sided:
-        return complex(-sig_a * abs(u) ** a, 0.0)
-    skew = math.tan(math.pi * a / 2.0)
-    core = -sig_a * abs(u) ** a * complex(1.0, -math.copysign(1.0, u) * skew)
+    skew = 0.0 if model.two_sided else math.tan(math.pi * a / 2.0)  # beta tan(pi a / 2)
+    core = -stable_scale_exponent(model) * abs(u) ** a * complex(1.0, -math.copysign(1, u) * skew)
     return core + 1j * u * compensator_drift(model)
 
 
@@ -219,7 +209,8 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
     Adaptive quadrature to relative tolerance ``DEFAULT_QUAD_TOL`` with a
     Taylor series for the singular region ``|z| <= DEFAULT_KAPPA`` (the
     compensated integrand there is an entire function of ``u z``, so eight
-    series terms are far below the tolerance).  Symmetric models return a real
+    series terms are far below the tolerance).  Only the side z > 0 is
+    integrated; a symmetric model doubles its real part and returns a real
     value.  Frequencies below 1e-2 are continued from the quadrature value at
     the floor via the family's exact ``|u|^alpha`` scaling of the drift-free
     part, avoiding catastrophic cancellation in the tail.  That floor
@@ -235,8 +226,6 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
     """
     if not math.isfinite(u):
         raise UsageError(f"frequency must be finite, got {u}")
-    if u == 0.0:
-        return 0.0 + 0.0j
     if u < 0.0:
         return levy_exponent(model, -u).conjugate()
     if u < _U_SCALING_FLOOR:
@@ -254,31 +243,26 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
         if mk != 0.0:
             taylor += (1j * u) ** k / math.factorial(k) * mk
 
-    total_err = 0.0
-
-    def one_side(sign: float) -> complex:
-        nonlocal total_err
-        dens = lambda z: c * z ** (-1.0 - a)
-        re_mid, e1 = integrate.quad(
-            lambda z: (math.cos(u * sign * z) - 1.0) * dens(z),
-            kappa, 1.0, epsabs=1e-14, epsrel=tol, limit=200)
-        im_mid, e2 = integrate.quad(
-            lambda z: (math.sin(u * sign * z) - u * sign * z) * dens(z),
-            kappa, 1.0, epsabs=1e-14, epsrel=tol, limit=200)
-        # |z| > 1: oscillatory quadrature of the density against cos and sin
-        cos_tail, e3 = integrate.quad(dens, 1.0, np.inf, weight="cos", wvar=u * sign,
-                                      epsabs=1e-12, limit=200)
-        sin_tail, e4 = integrate.quad(dens, 1.0, np.inf, weight="sin", wvar=u * sign,
-                                      epsabs=1e-12, limit=200)
-        total_err += e1 + e2 + e3 + e4
-        return complex(re_mid + cos_tail - side_moment(model, 0, 1.0), im_mid + sin_tail)
-
+    # kappa < z: the side z < 0 of a symmetric model is the complex conjugate of
+    # this side, so it doubles the real part and cancels the imaginary one
+    dens = lambda z: c * z ** (-1.0 - a)
     with warnings.catch_warnings():
         # the post-hoc error check below governs acceptance, not QUADPACK's
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value = taylor + one_side(1.0)
+        re_mid, e1 = integrate.quad(lambda z: (math.cos(u * z) - 1.0) * dens(z),
+                                    kappa, 1.0, epsabs=1e-14, epsrel=tol, limit=200)
+        # z > 1: oscillatory quadrature of the density against cos and sin
+        cos_tail, e3 = integrate.quad(dens, 1.0, np.inf, weight="cos", wvar=u,
+                                      epsabs=1e-12, limit=200)
+        real = re_mid + cos_tail - side_moment(model, 0, 1.0)
         if model.two_sided:
-            value += one_side(-1.0)
+            value, total_err = taylor + 2.0 * real, 2.0 * (e1 + e3)
+        else:
+            im_mid, e2 = integrate.quad(lambda z: (math.sin(u * z) - u * z) * dens(z),
+                                        kappa, 1.0, epsabs=1e-14, epsrel=tol, limit=200)
+            sin_tail, e4 = integrate.quad(dens, 1.0, np.inf, weight="sin", wvar=u,
+                                          epsabs=1e-12, limit=200)
+            value, total_err = taylor + complex(real, im_mid + sin_tail), e1 + e2 + e3 + e4
 
     if abs(value) > 0.0 and total_err > 100.0 * tol * abs(value) + 1e-11:
         raise NumericalError(

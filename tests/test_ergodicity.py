@@ -45,7 +45,7 @@ class TestInvariantMeasureType:
 
     def test_measure_from_samples_weights(self):
         rng = np.random.default_rng(0)
-        mu = measure_from_samples(rng.normal(size=20_000), n_nodes=64)
+        mu = measure_from_samples(rng.normal(size=20_000))
         assert np.sum(mu.weights) == pytest.approx(1.0, abs=1e-13)
         assert np.all(np.diff(mu.nodes) > 0)
         assert mu.mean_of(lambda y: y) == pytest.approx(0.0, abs=0.05)
@@ -258,20 +258,22 @@ class TestCoarsen:
 
     def test_samples_give_equal_weights_and_keep_the_mean(self):
         samples = stationary_samples(fast_cfg(seed=3), 10.0, 40_000)
-        mu = measure_from_samples(samples, 256)
+        mu = measure_from_samples(samples)
         assert len(mu.nodes) == 256
         assert np.all(mu.weights == 1.0 / 256)
         assert mu.mean_of(lambda y: y) == pytest.approx(np.mean(samples), abs=1e-12)
 
     def test_blocks_nest(self):
         samples = stationary_samples(fast_cfg(seed=3), 10.0, 40_000)
-        fine = measure_from_samples(samples, 256).coarsen(64)
-        coarse = measure_from_samples(samples, 64)
+        values, counts = np.unique(samples, return_counts=True)
+        raw = InvariantMeasure(values, counts / samples.size)
+        fine = raw.coarsen(256).coarsen(64)
+        coarse = raw.coarsen(64)
         assert np.max(np.abs(fine.nodes - coarse.nodes)) <= 1e-12
         assert np.all(fine.weights == coarse.weights)
 
     def test_few_distinct_samples_keep_their_counts(self):
-        mu = measure_from_samples(np.array([2.0, -1.0, 2.0, 2.0]), 64)
+        mu = measure_from_samples(np.array([2.0, -1.0, 2.0, 2.0]))
         assert mu.nodes.tolist() == [-1.0, 2.0]
         assert mu.weights.tolist() == [0.25, 0.75]
 

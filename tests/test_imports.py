@@ -10,6 +10,10 @@ some package module raises it or subclasses it.  A helper that several modules
 share must be public: no module imports an underscore-prefixed name from
 another package module.  A public function or class is read by a package
 module or by the benchmark, or ``TEST_ONLY`` says why the tests alone keep it.
+Likewise every defaulted parameter of a public function and every defaulted
+field of a public class is set, by keyword or by position, in some call of a
+package module or the benchmark, or ``TEST_ONLY_SETTINGS`` says why only the
+tests set it: a setting nothing else sets is a second value of one constant.
 """
 
 import ast
@@ -140,3 +144,58 @@ def test_the_check_sees_an_unread_public_name():
     package = ["def used(): pass\ndef stale(): pass\nclass _Private: pass\nclass Kept: pass\n",
                "from .a import used\nx = used()\n"]
     assert unread_public_names(package, ["import a\na.Kept\n"]) == ["stale"]
+
+
+#: Defaulted settings that only the tests set, each with the reason it stays.
+TEST_ONLY_SETTINGS = {
+    "LevyMeasureModel.intensity": "the paper's measure scale, and the null driver at 0",
+    "generator_apply.return_error": "the achieved-error diagnostic of the pointwise generator",
+}
+
+
+def unset_settings(package_sources: list[str], reader_sources: list[str]) -> list[str]:
+    """``name.setting`` for each defaulted setting of a public function or class that no call sets.
+
+    A setting is a parameter with a default, or a class-body field with one.  A
+    call sets it when the callee's name (a plain name or an attribute) is the
+    function or class and the call passes the setting by keyword or passes
+    enough positional arguments to reach it.
+    """
+    settings = {}
+    for node in (n for src in package_sources for n in ast.parse(src).body):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            params = node.args.posonlyargs + node.args.args
+            first = len(params) - len(node.args.defaults)
+            settings[node.name] = [(i, a.arg) for i, a in enumerate(params) if i >= first] + [
+                (None, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if d is not None]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            settings[node.name] = [(i, f.target.id) for i, f in enumerate(fields)
+                                   if f.value is not None]
+    given = set()
+    for node in (n for src in package_sources + reader_sources for n in ast.walk(ast.parse(src))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            given |= {f"{name}.{p}" for i, p in settings.get(name, [])
+                     if p in keywords or (i is not None and len(node.args) > i)}
+    return sorted({f"{name}.{p}" for name, ps in settings.items() for _, p in ps} - given)
+
+
+def test_every_setting_has_a_caller():
+    package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    readers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))
+               if not p.name.startswith("test_")]
+    assert unset_settings(package, readers) == sorted(TEST_ONLY_SETTINGS)
+
+
+def test_the_check_sees_an_unset_setting():
+    package = [
+        "def f(a, b=1, c=2, *, d=3): pass\n"
+        "class K:\n    x: int\n    y: int = 0\n    z: int = 1\n"
+        "def _g(e=4): pass\n",
+        "from .a import f, K\nf(0, 1, d=2)\nK(1, 2)\n",
+    ]
+    assert unset_settings(package, ["import a\na.K(1, z=2)\n"]) == ["f.c"]

@@ -37,6 +37,11 @@ def pide(epsilon, model=SYM):
     return hjb_solvers.pide_solve(finance.merton_problem(MERTON), model, epsilon, grids)
 
 
+def stable_draws(size):
+    return jump_processes.sample_stable_increment(
+        ONE_SIDED, 1.0, jump_processes.stream_rng(0, jump_processes.JUMP_STREAM), size)
+
+
 def lyapunov(radius):
     q = nonlocal_generator.GeneratorQuadrature(ONE_SIDED)
     return nonlocal_generator.lyapunov_drift_check(q, 1.0, radius, np.array([3.0]))
@@ -54,10 +59,9 @@ ROWS = {
     # solved with the implicit factor step frozen
     "pide_solve epsilon inf": lambda: pide(math.inf),
     # numpy's TypeError from linspace
-    "coarsen 2.5": lambda: ergodicity.measure_from_samples(SAMPLES, 256).coarsen(2.5),
-    "measure_from_samples n_nodes 2.5": lambda: ergodicity.measure_from_samples(SAMPLES, 2.5),
+    "coarsen 2.5": lambda: ergodicity.measure_from_samples(SAMPLES).coarsen(2.5),
     # a one-node measure
-    "coarsen True": lambda: ergodicity.measure_from_samples(SAMPLES, 256).coarsen(True),
+    "coarsen True": lambda: ergodicity.measure_from_samples(SAMPLES).coarsen(True),
     # a certificate for a ball that was never stated
     "lyapunov radius nan": lambda: lyapunov(math.nan),
     "lyapunov radius -1": lambda: lyapunov(-1.0),
@@ -90,6 +94,13 @@ ROWS = {
     # refused, but with a misleading "straddle the origin" error
     "assemble_factor_generator decreasing y grid": lambda: hjb_solvers.assemble_factor_generator(
         SYM, np.linspace(2.0, -2.0, 9)),
+    # numpy's ValueError: negative dimensions are not allowed
+    "sample_stable_increment size -1": lambda: stable_draws(-1),
+    # numpy's TypeError
+    "sample_stable_increment size 2.5": lambda: stable_draws(2.5),
+    "sample_stable_increment size True": lambda: stable_draws(True),
+    # a 0-d draw, not an array of draws
+    "sample_stable_increment size None": lambda: stable_draws(None),
     # a slow path of NaN
     "SlowSystemConfig x0 nan": lambda: jump_processes.SlowSystemConfig(
         finance.merton_problem(MERTON),

@@ -100,6 +100,43 @@ class TestStableIncrement:
         assert stats.ks_2samp(a, b_rescaled).pvalue > 0.01
 
 
+class TestOneCmsMap:
+    """Both families draw through one CMS map, which at beta = 0 keeps the symmetric map's bits."""
+
+    N = 10_000
+
+    def uniforms_and_exponentials(self):
+        rng = stream_rng(9, JUMP_STREAM)
+        u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=self.N)
+        return u, rng.standard_exponential(size=self.N)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_symmetric_draws_are_the_symmetric_map_bit_for_bit(self, alpha):
+        model = LevyMeasureModel(Family.SYMMETRIC_STABLE, alpha, 0.8)
+        got = sample_stable_increment(model, 0.3, stream_rng(9, JUMP_STREAM), self.N)
+        u, e = self.uniforms_and_exponentials()
+        inv_a = 1.0 / alpha
+        want = (stable_scale_exponent(model) * 0.3) ** inv_a * (
+            np.sin(alpha * u)
+            / np.cos(u) ** inv_a
+            * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) * inv_a)
+        )
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5])
+    def test_one_sided_draws_match_the_textbook_map(self, alpha):
+        model = LevyMeasureModel(Family.ONE_SIDED_STABLE, alpha)
+        got = sample_stable_increment(model, 1.0, stream_rng(9, JUMP_STREAM), self.N)
+        u, e = self.uniforms_and_exponentials()
+        skew = math.tan(math.pi * alpha / 2.0)
+        b = math.atan(skew) / alpha
+        s = (1.0 + skew * skew) ** (0.5 / alpha)
+        x = (s * np.sin(alpha * (u + b)) / np.cos(u) ** (1.0 / alpha)
+             * (np.cos(u - alpha * (u + b)) / e) ** ((1.0 - alpha) / alpha))
+        want = stable_scale_exponent(model) ** (1.0 / alpha) * x + compensator_drift(model)
+        np.testing.assert_allclose(got, want, rtol=1e-8)
+
+
 class TestFastPath:
     def test_null_driver_decays_exactly(self):
         cfg = FastProcessConfig(NULL, lam=2.0, y0=3.0, horizon=1.0, dt=0.005, seed=0)

@@ -221,6 +221,28 @@ class TestLevyExponent:
                 levy_exponent(m, u)
 
 
+class TestOneSide:
+    """The exponent integrates z > 0 once; the symmetric model's z < 0 is its conjugate."""
+
+    @pytest.mark.parametrize("model, calls", [(sym(1.5), 2), (one_sided(1.5), 4)],
+                             ids=["sym", "one-sided"])
+    def test_quadratures_per_call_above_the_floor(self, monkeypatch, model, calls):
+        # the symmetric model ran all four quadratures on each side: 8 per call
+        counted = []
+
+        class CountingQuad:
+            IntegrationWarning = integrate.IntegrationWarning
+
+            @staticmethod
+            def quad(*args, **kwargs):
+                counted.append(kwargs.get("weight"))
+                return integrate.quad(*args, **kwargs)
+
+        monkeypatch.setattr(levy_measures, "integrate", CountingQuad)
+        levy_exponent(model, 1.0)
+        assert len(counted) == calls
+
+
 class TestFloorContinuation:
     """Below the floor the exponent is continued from one quadrature per model."""
 
