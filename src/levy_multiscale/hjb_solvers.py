@@ -11,8 +11,10 @@ separately for the controls whose drift is upwinded forward and those upwinded
 backward, which equals the upwinded scan over every control.  The stiff
 nonlocal part in the factor variable is linear, so it is taken implicitly.
 The implicit map is the same on every step, so it is built once per solve as a
-propagator matrix, and each step applies it with one matrix product.  The
-generator restricted to the factor grid is assembled once from closed-form
+propagator matrix, and each step applies it with one matrix product.  Both
+run on scipy's BLAS: the numpy and scipy wheels may each bundle an OpenBLAS
+with its own thread pool, and alternating between the two makes them compete.
+The generator restricted to the factor grid is assembled once from closed-form
 cell masses of the jump measure, one pass over the offsets j - i (small jumps
 below one grid spacing become an exact-variance diffusion stencil, jumps
 landing between nodes are split by linear interpolation, so on the uniform
@@ -284,6 +286,15 @@ class _LocalBellman:
         )
         self.a_over_dx2 = a_max / self.dx**2
         self.b_over_dx = b_max / self.dx
+        # per-step arrays: slopes fill rows 1..nx-1 of a block whose zero edge
+        # rows close the forward slope on the last row and the backward on the first
+        nx, ny, cols = len(x), len(y_vals), len(y_vals) if weights is None else 1
+        self.slopes, self.curv = np.zeros((nx + 1, cols)), np.zeros((nx, cols))
+        self.fwd, self.bwd = self.slopes[1:], self.slopes[:-1]
+        self.q, self.slope_u = np.empty((2, nx, cols))
+        self.p, self.u, self.vertex, self.h, self.run_h = np.empty((5, nx, ny))
+        self.convex, self.endpoint_hi = np.empty((2, nx, ny), dtype=bool)
+        self.h_avg = np.empty(nx)
 
     def hamiltonian(self, v: np.ndarray) -> np.ndarray:
         """H evaluated with discrete derivatives; collapses the y axis iff weighted.
@@ -292,35 +303,39 @@ class _LocalBellman:
         backward slope (zero on the first); their difference over dx is the
         central second difference, taken as zero on both end rows (payoffs
         here are asymptotically linear or sublinear, and x = 0 is
-        characteristic).
+        characteristic).  The result lives in this object's per-step arrays,
+        so it is valid only until the next call.
         """
-        slope = np.diff(v, axis=0) / self.dx
-        if v.ndim == 1:
-            slope = slope[:, None]  # effective solve: y axis lives in the atoms
-        edge = np.zeros_like(slope[:1])
-        fwd = np.concatenate([slope, edge])
-        bwd = np.concatenate([edge, slope])
-        curv = fwd - bwd
-        curv[[0, -1]] = 0.0
-        p = self.p_coef * curv
-        h = None
+        v = v.reshape(len(v), -1)  # effective solve: y axis lives in the atoms
+        slope = np.subtract(v[1:], v[:-1], out=self.slopes[1:-1])
+        slope /= self.dx
+        np.subtract(slope[1:], slope[:-1], out=self.curv[1:-1])
+        p = np.multiply(self.p_coef, self.curv, out=self.p)
+        np.greater(p, 0.0, out=self.convex)
+        u, k, h = self.u, self.vertex, None
         for lo, hi, n, forward in self.runs:
-            q = self.neg_x * (fwd if forward else bwd)
+            q = np.multiply(self.neg_x, self.fwd if forward else self.bwd, out=self.q)
             if n == 0:
-                u = lo
+                u.fill(lo)
             else:
-                slope_u = self.beta1 * q
+                slope_u = np.multiply(self.beta1, q, out=self.slope_u)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    k = np.rint((-0.5 * slope_u / p - lo) / self.du)
-                u = np.where(
-                    p > 0.0,
-                    lo + np.clip(k, 0, n) * self.du,
-                    np.where(p * (lo + hi) + slope_u < 0.0, hi, lo),
-                )
-            run_h = q * (self.beta0 + self.beta1 * u) + p * u * u
-            h = run_h if h is None else np.minimum(h, run_h)
+                    np.divide(np.multiply(-0.5, slope_u, out=k), p, out=k)
+                    np.rint(np.divide(np.subtract(k, lo, out=k), self.du, out=k), out=k)
+                np.add(lo, np.multiply(np.clip(k, 0, n, out=k), self.du, out=k), out=k)
+                # the better endpoint, then the control nearest the vertex where convex
+                np.less(np.add(np.multiply(p, lo + hi, out=u), slope_u, out=u), 0.0,
+                        out=self.endpoint_hi)
+                u.fill(lo)
+                np.copyto(u, hi, where=self.endpoint_hi)
+                np.copyto(u, k, where=self.convex)
+            run_h = self.h if h is None else self.run_h
+            np.multiply(np.multiply(p, u, out=run_h), u, out=run_h)
+            np.multiply(q, np.add(self.beta0, np.multiply(self.beta1, u, out=u), out=u), out=u)
+            np.add(u, run_h, out=run_h)
+            h = run_h if h is None else np.minimum(h, run_h, out=h)
         if self.weights is not None:
-            return h @ self.weights
+            return np.matmul(h, self.weights, out=self.h_avg)
         return h
 
 
@@ -342,10 +357,11 @@ def _propagator(gen: np.ndarray, dt_over_eps: float) -> np.ndarray:
 
     L has nonnegative off-diagonal entries and zero row sums, so I - (dt/eps) L
     is an M-matrix with unit row sums: P is stochastic (entries >= 0, rows
-    summing to 1) and the implicit step ``v @ P.T`` is monotone.
+    summing to 1) and the implicit step ``v @ P.T`` is monotone.  P is kept in
+    Fortran order, as scipy's ``dgemm`` in the march reads it without a copy.
     """
     eye = np.eye(len(gen))
-    return linalg.lu_solve(linalg.lu_factor(eye - dt_over_eps * gen), eye)
+    return np.asfortranarray(linalg.lu_solve(linalg.lu_factor(eye - dt_over_eps * gen), eye))
 
 
 def _march(
@@ -375,11 +391,16 @@ def _march(
 
     if not np.all(np.isfinite(v)):
         raise NumericalError("terminal payoff is not finite", partial=filled_after(n_t))
+    # two state buffers: the explicit step updates v in place, using the other
+    # as scratch, and the product P v^T is written into the other
+    v, spare, finite = np.array(v, order="C"), np.empty_like(v), np.empty(v.shape, dtype=bool)
+    dgemm = linalg.blas.dgemm
     for k in range(n_t - 1, -1, -1):
-        v = v - dt * (local.hamiltonian(v) + c * v)
+        h = local.hamiltonian(v)
+        v -= np.multiply(dt, np.add(h, np.multiply(c, v, out=spare), out=spare), out=spare)
         if propagator is not None:
-            v = v @ propagator.T
-        if not np.all(np.isfinite(v)):
+            v, spare = dgemm(1.0, propagator, v.T, c=spare.T, overwrite_c=True).T, v
+        if not np.isfinite(v, out=finite).all():
             raise NumericalError(f"backward march diverged at step {k}", partial=filled_after(k))
         if k in slot:
             values[slot[k]] = v
@@ -423,7 +444,8 @@ def pide_solve(
     generator (linear, scaled by 1/epsilon) is taken implicitly, so the
     stiffness never restricts the step.  The implicit map is the same on every
     step, so its propagator P = (I - (dt/epsilon) L)^-1 is built once per
-    solve and each step applies it as one matrix product.  P is stochastic;
+    solve and each step applies it as one matrix product, factorisation and
+    products both on scipy's BLAS (see the module notes).  P is stochastic;
     its smallest entry is the diagnostics key ``propagator_min_entry``.
     """
     if not 0.0 < epsilon < math.inf:

@@ -352,6 +352,17 @@ class TestPideSolve:
         ratio = np.abs(field.values) / (1.0 + field.x_grid**2)[None, :, None]
         assert np.max(ratio) <= c_t
 
+    def test_march_leaves_the_payoff_array_alone(self):
+        # both solvers march in place: the payoff's own array must be copied first
+        x = np.linspace(0.0, 3.0, 31)
+        stored = np.maximum(x - 1.0, 0.0)
+        prob = pricing_problem(pricing_spec(lambda _: stored))
+        eff = effective_solve(prob, two_atom_measure(-1.0, 1.0), Grids(x=x))
+        field = pide_solve(prob, SYM15, 0.1, Grids(x=x, y=np.linspace(-4.0, 4.0, 17)))
+        assert np.array_equal(stored, np.maximum(x - 1.0, 0.0))
+        assert np.array_equal(eff.values[-1], stored)
+        assert np.array_equal(field.values[-1], np.repeat(stored[:, None], 17, axis=1))
+
 
 class TestSupNormGap:
     def _field(self, values, ts, xs, ys=None):
@@ -514,6 +525,19 @@ class TestBellmanRoutes:
             )
             assert h[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @each_bellman_route
+    @pytest.mark.parametrize("weighted", [False, True], ids=["factor-grid", "weighted"])
+    def test_reused_arrays_leak_no_state(self, route, weighted):
+        """A call on v1, then on v2 (other slope and curvature signs), then on v1 returns the first result."""
+        y = np.linspace(-2.0, 2.0, 5)
+        local = _LocalBellman(BELLMAN_ROUTES[route], self.x, y, np.full(5, 0.2) if weighted else None)
+        v1 = np.sin(2.0 * self.x)
+        if not weighted:
+            v1 = v1[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
+        first = local.hamiltonian(v1).copy()
+        assert not np.array_equal(local.hamiltonian(-2.0 * v1), first)
+        assert np.array_equal(local.hamiltonian(v1), first)
+
 
 class TestPropagator:
     """The implicit factor step as one stochastic matrix built once per solve."""
@@ -568,6 +592,19 @@ class TestPropagator:
         field = pide_solve(self.prob, SYM15, 0.05, self.grids)
         assert field.diagnostics["n_t"] > 1
         assert calls == {"lu_factor": 1, "lu_solve": 1}
+
+    def test_every_product_runs_on_scipy_blas(self, monkeypatch):
+        # the factorisation is scipy's, so each step's product must be too:
+        # numpy and scipy may each bundle their own BLAS and thread pool
+        calls = []
+        original = hjb_solvers.linalg.blas.dgemm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(hjb_solvers.linalg.blas, "dgemm", counted)
+        field = pide_solve(self.prob, SYM15, 0.05, self.grids)
+        assert len(calls) == field.diagnostics["n_t"] > 1
 
 
 class TestStepDiagnostics:
