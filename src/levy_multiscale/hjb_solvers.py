@@ -4,16 +4,18 @@ Both solvers march the terminal payoff backwards with a monotone explicit
 treatment of the local Bellman part (central second differences, first-order
 upwind first differences, step size from the scheme's positivity bound).  The
 model is the multiplicative one that :class:`ControlProblemSpec` states, on
-x >= 0, so the objective is a parabola in the control: its minimum over the
-uniform control grid is the control nearest the vertex where the parabola is
-convex and the better endpoint elsewhere, one evaluation per node, taken
-separately for the controls whose drift is upwinded forward and those upwinded
-backward, which equals the upwinded scan over every control.  The stiff
-nonlocal part in the factor variable is linear, so it is taken implicitly.
-The implicit map is the same on every step, so it is built once per solve as a
-propagator matrix, and each step applies it with one matrix product.  Both
-run on scipy's BLAS: the numpy and scipy wheels may each bundle an OpenBLAS
-with its own thread pool, and alternating between the two makes them compete.
+x >= 0, so the objective is a parabola in the control whose coefficients are
+raw differences of v times per-node coefficients built once.  Its minimum over
+the uniform control grid is the control nearest the vertex where it is convex
+and the better endpoint elsewhere, taken separately for the controls upwinded
+forward and those upwinded backward, which equals the upwinded scan over every
+control (:class:`_LocalBellman`, which returns H; each step is
+``v (1 - c dt) - dt H``).  The stiff nonlocal part in the factor variable is
+linear, so it is taken implicitly.  The implicit map is the same on every
+step, so it is built once per solve as a propagator matrix, and each step
+applies it with one matrix product.  Both run on scipy's BLAS: the numpy and
+scipy wheels may each bundle an OpenBLAS with its own thread pool, and
+alternating between the two makes them compete.
 The generator restricted to the factor grid is assembled once from closed-form
 cell masses of the jump measure, one pass over the offsets j - i (small jumps
 below one grid spacing become an exact-variance diffusion stencil, jumps
@@ -251,25 +253,27 @@ class _LocalBellman:
     coefficient, so the sorted control grid splits into at most two runs: the
     controls with coefficient >= 0 (forward difference) and the rest (backward
     difference).  The grid-min is taken on each run and the smaller kept,
-    which equals the upwinded scan over every control.  On a run the objective
-    is ``p u^2 + q (beta0 + beta1 u)`` with curvature coefficient
-    ``p = -x^2 sigma^2(y) v_xx``: where p > 0 it is a convex parabola
-    symmetric about its vertex, so its grid-min is the one control nearest the
-    vertex, clipped to the run; elsewhere it is the better endpoint.  Each node
-    evaluates one control.
+    which equals the upwinded scan over every control.  On a run [lo, hi] the
+    objective is ``p u^2 + q (beta0 + beta1 u)`` with ``p = p_coef d2`` and
+    ``q = q_coef d``, d2 and d the raw second and upwind first differences of
+    v, and the grid constants in the coefficients built once:
+    ``p_coef = -x^2 sigma^2(y) / dx^2`` and ``q_coef = -x / dx``.  Where p > 0
+    the parabola is convex, so its grid-min is the control at index
+    ``rint(-beta1 q / (2 du p) - lo / du)`` clamped to the run; elsewhere it
+    is the better endpoint, hi iff ``p (lo + hi) + beta1 q < 0``.
     """
 
     def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray,
                  weights: Optional[np.ndarray]):
         if x[0] < 0.0:
             raise UsageError("x grid must be nonnegative: the drift's sign is read off its coefficient")
-        self.dx = float(x[1] - x[0])
+        dx = float(x[1] - x[0])
         self.weights = weights        # None for pide, atom weights for effective
         sig2 = np.asarray(spec.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
         self.beta0, self.beta1 = spec.beta0, spec.beta1
-        # per step: p = p_coef * (fwd - bwd) and q = neg_x * (fwd or bwd)
-        self.neg_x = -x[:, None]
-        self.p_coef = -(x**2)[:, None] * sig2[None, :] / self.dx
+        nx, ny, cols = len(x), len(y_vals), len(y_vals) if weights is None else 1
+        self.p_coef = -(x**2)[:, None] * sig2[None, :] / dx**2
+        self.q_coef = np.repeat(-x[:, None] / dx, cols, axis=1)
         controls = np.asarray(spec.control_grid, dtype=float)
         u_lo, u_hi = float(controls[0]), float(controls[-1])
         self.du = float(controls[1] - controls[0]) if len(controls) > 1 else 0.0
@@ -280,59 +284,53 @@ class _LocalBellman:
             if len(run)
         ]
         a_max = float(np.max(sig2)) * float(x[-1]) ** 2 * max(u_lo**2, u_hi**2)
-        b_max = float(x[-1]) * max(
-            abs(self.beta0 + self.beta1 * u_lo),
-            abs(self.beta0 + self.beta1 * u_hi),
-        )
-        self.a_over_dx2 = a_max / self.dx**2
-        self.b_over_dx = b_max / self.dx
-        # per-step arrays: slopes fill rows 1..nx-1 of a block whose zero edge
-        # rows close the forward slope on the last row and the backward on the first
-        nx, ny, cols = len(x), len(y_vals), len(y_vals) if weights is None else 1
+        b_max = float(x[-1]) * max(abs(self.beta0 + self.beta1 * u) for u in (u_lo, u_hi))
+        self.a_over_dx2 = a_max / dx**2
+        self.b_over_dx = b_max / dx
+        # per-step arrays: differences fill rows 1..nx-1 of a block whose zero edge
+        # rows close the forward difference on the last row and the backward on the first
         self.slopes, self.curv = np.zeros((nx + 1, cols)), np.zeros((nx, cols))
         self.fwd, self.bwd = self.slopes[1:], self.slopes[:-1]
-        self.q, self.slope_u = np.empty((2, nx, cols))
-        self.p, self.u, self.vertex, self.h, self.run_h = np.empty((5, nx, ny))
-        self.convex, self.endpoint_hi = np.empty((2, nx, ny), dtype=bool)
+        self.q, self.s = np.empty((2, nx, cols))
+        self.p, self.index, self.h, self.run_h = np.empty((4, nx, ny))
+        self.not_convex = np.empty((nx, ny), dtype=bool)
         self.h_avg = np.empty(nx)
 
     def hamiltonian(self, v: np.ndarray) -> np.ndarray:
         """H evaluated with discrete derivatives; collapses the y axis iff weighted.
 
-        One difference gives the forward slope (zero on the last row) and the
-        backward slope (zero on the first); their difference over dx is the
-        central second difference, taken as zero on both end rows (payoffs
-        here are asymptotically linear or sublinear, and x = 0 is
-        characteristic).  The result lives in this object's per-step arrays,
-        so it is valid only until the next call.
+        One difference gives the forward difference (zero on the last row) and
+        the backward one (zero on the first); their difference is the raw
+        second difference, zero on both end rows (payoffs here are
+        asymptotically linear or sublinear, and x = 0 is characteristic).  The
+        result is H, not dt H, held in this object's arrays until the next call.
         """
         v = v.reshape(len(v), -1)  # effective solve: y axis lives in the atoms
-        slope = np.subtract(v[1:], v[:-1], out=self.slopes[1:-1])
-        slope /= self.dx
-        np.subtract(slope[1:], slope[:-1], out=self.curv[1:-1])
+        diff = np.subtract(v[1:], v[:-1], out=self.slopes[1:-1])
+        np.subtract(diff[1:], diff[:-1], out=self.curv[1:-1])
         p = np.multiply(self.p_coef, self.curv, out=self.p)
-        np.greater(p, 0.0, out=self.convex)
-        u, k, h = self.u, self.vertex, None
+        np.less_equal(p, 0.0, out=self.not_convex)
+        h = None
         for lo, hi, n, forward in self.runs:
-            q = np.multiply(self.neg_x, self.fwd if forward else self.bwd, out=self.q)
-            if n == 0:
-                u.fill(lo)
-            else:
-                slope_u = np.multiply(self.beta1, q, out=self.slope_u)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(np.multiply(-0.5, slope_u, out=k), p, out=k)
-                    np.rint(np.divide(np.subtract(k, lo, out=k), self.du, out=k), out=k)
-                np.add(lo, np.multiply(np.clip(k, 0, n, out=k), self.du, out=k), out=k)
-                # the better endpoint, then the control nearest the vertex where convex
-                np.less(np.add(np.multiply(p, lo + hi, out=u), slope_u, out=u), 0.0,
-                        out=self.endpoint_hi)
-                u.fill(lo)
-                np.copyto(u, hi, where=self.endpoint_hi)
-                np.copyto(u, k, where=self.convex)
+            slope = self.fwd if forward else self.bwd
+            q = np.multiply(self.q_coef, slope, out=self.q)
             run_h = self.h if h is None else self.run_h
-            np.multiply(np.multiply(p, u, out=run_h), u, out=run_h)
-            np.multiply(q, np.add(self.beta0, np.multiply(self.beta1, u, out=u), out=u), out=u)
-            np.add(u, run_h, out=run_h)
+            if n == 0:
+                np.multiply(lo * lo, p, out=run_h)
+                run_h += np.multiply(self.beta0 + self.beta1 * lo, q, out=q)
+            else:
+                s, j = np.multiply(self.beta1, q, out=self.s), self.index
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    np.divide(s, p, out=j)
+                    np.subtract(np.multiply(j, -0.5 / self.du, out=j), lo / self.du, out=j)
+                    # where p <= 0 the endpoint test enters as +inf (hi) or -inf, and
+                    # the nan of a tie as lo: fmax and fmin clamp all three
+                    t = np.add(np.multiply(p, lo + hi, out=run_h), s, out=run_h)
+                    np.copyto(j, np.multiply(t, -np.inf, out=t), where=self.not_convex)
+                np.fmin(np.fmax(np.rint(j, out=j), 0.0, out=j), n, out=j)
+                u = np.add(lo, np.multiply(j, self.du, out=j), out=j)
+                np.multiply(np.add(np.multiply(p, u, out=run_h), s, out=run_h), u, out=run_h)
+                run_h += np.multiply(self.beta0, q, out=q)
             h = run_h if h is None else np.minimum(h, run_h, out=h)
         if self.weights is not None:
             return np.matmul(h, self.weights, out=self.h_avg)
@@ -397,7 +395,9 @@ def _march(
     dgemm = linalg.blas.dgemm
     for k in range(n_t - 1, -1, -1):
         h = local.hamiltonian(v)
-        v -= np.multiply(dt, np.add(h, np.multiply(c, v, out=spare), out=spare), out=spare)
+        if c > 0.0:
+            v *= 1.0 - c * dt
+        v -= np.multiply(dt, h, out=spare)
         if propagator is not None:
             v, spare = dgemm(1.0, propagator, v.T, c=spare.T, overwrite_c=True).T, v
         if not np.isfinite(v, out=finite).all():

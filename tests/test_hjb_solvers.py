@@ -8,7 +8,13 @@ from scipy import linalg
 from levy_multiscale import hjb_solvers
 from levy_multiscale.errors import NumericalError, UsageError
 from levy_multiscale.ergodicity import InvariantMeasure, two_atom_measure
-from levy_multiscale.finance import MertonSpec, PricingSpec, merton_problem, pricing_problem
+from levy_multiscale.finance import (
+    CallPayoff,
+    MertonSpec,
+    PricingSpec,
+    merton_problem,
+    pricing_problem,
+)
 from levy_multiscale.hjb_solvers import (
     CompactBox,
     ControlProblemSpec,
@@ -461,6 +467,8 @@ BELLMAN_ROUTES = {
     "merton-one-run": merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=0.0, R=1.0)),
     # the single control u = 1
     "pricing": pricing_problem(pricing_spec(lambda x: np.asarray(x, dtype=float))),
+    # shorting: the drift changes sign on [-2, 2], so a backward run joins the forward one
+    "merton-two-runs": merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=-2.0, R=2.0)),
 }
 each_bellman_route = pytest.mark.parametrize("route", list(BELLMAN_ROUTES))
 
@@ -527,6 +535,30 @@ class TestBellmanRoutes:
 
     @each_bellman_route
     @pytest.mark.parametrize("weighted", [False, True], ids=["factor-grid", "weighted"])
+    def test_kinked_ramp_matches_upwinded_scan(self, route, weighted):
+        """Linear and flat stretches give p = 0 with and without a slope: the endpoint rule and the 0/0 vertex."""
+        prob = BELLMAN_ROUTES[route]
+        y = np.linspace(-2.0, 2.0, 5)
+        # dyadic values, so the second difference is exactly 0 on every straight stretch
+        v = np.maximum(self.x - 1.5, 0.0) - 0.5 * np.maximum(0.75 - self.x, 0.0)
+        if not weighted:
+            v = v[:, None] * (1.0 + 0.25 * y)[None, :]
+        weights = np.full(5, 0.2) if weighted else None
+        h = _LocalBellman(prob, self.x, y, weights).hamiltonian(v)
+        fwd, bwd, d2 = (np.broadcast_to(a.reshape(len(self.x), -1), (len(self.x), len(y)))
+                        for a in self.slopes(v))
+        # both kinds of p = 0 node occur inside the grid, not only on the end rows
+        straight = (d2 == 0.0)[1:-1]
+        assert np.any(straight & (fwd == 0.0)[1:-1] & (bwd == 0.0)[1:-1])
+        assert np.any(straight & ((fwd != 0.0) | (bwd != 0.0))[1:-1])
+        scan = np.array([
+            [self.upwinded_scan(prob, xi, yj, fwd[i, j], bwd[i, j], d2[i, j])[0] for j, yj in enumerate(y)]
+            for i, xi in enumerate(self.x)
+        ])
+        np.testing.assert_allclose(h, scan @ weights if weighted else scan, rtol=1e-12, atol=1e-12)
+
+    @each_bellman_route
+    @pytest.mark.parametrize("weighted", [False, True], ids=["factor-grid", "weighted"])
     def test_reused_arrays_leak_no_state(self, route, weighted):
         """A call on v1, then on v2 (other slope and curvature signs), then on v1 returns the first result."""
         y = np.linspace(-2.0, 2.0, 5)
@@ -543,18 +575,20 @@ class TestPropagator:
     """The implicit factor step as one stochastic matrix built once per solve."""
 
     prob = merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=0.0, R=1.0))
+    # Merton has no discount; the call at c = 0.05 takes the march's discounted update
+    discounted = pricing_problem(pricing_spec(CallPayoff(1.0), c=0.05))
     grids = Grids(x=np.linspace(0.0, 3.0, 21), y=np.linspace(-4.0, 4.0, 17))
 
-    def reference_march(self, model, epsilon, dt, n_t):
+    def reference_march(self, prob, model, epsilon, dt, n_t):
         """Explicit Bellman step, then one LU solve per step against I - (dt/eps) L."""
         x, y = self.grids.x, self.grids.y
         gen, _ = assemble_factor_generator(model, y)
-        local = _LocalBellman(self.prob, x, y, None)
+        local = _LocalBellman(prob, x, y, None)
         lu = linalg.lu_factor(np.eye(len(y)) - (dt / epsilon) * gen)
-        v = np.repeat(self.prob.payoff(x)[:, None], len(y), axis=1)
+        v = np.repeat(prob.payoff(x)[:, None], len(y), axis=1)
         slices = {n_t: v}
         for k in range(n_t - 1, -1, -1):
-            v = v - dt * (local.hamiltonian(v) + self.prob.discount * v)
+            v = v - dt * (local.hamiltonian(v) + prob.discount * v)
             v = linalg.lu_solve(lu, v.T).T
             slices[k] = v
         return slices
@@ -562,13 +596,14 @@ class TestPropagator:
     @pytest.mark.parametrize("model", [SYM15, ONE15], ids=["sym15", "one15"])
     @pytest.mark.parametrize("epsilon", [1.0, 0.05, 1e-3])
     def test_matches_per_step_lu_solve_march(self, model, epsilon):
-        field = pide_solve(self.prob, model, epsilon, self.grids)
-        dt, n_t = field.diagnostics["dt"], field.diagnostics["n_t"]
-        ref = self.reference_march(model, epsilon, dt, n_t)
-        steps = np.rint(field.t_grid / dt).astype(int)
-        assert steps[-1] == n_t
-        want = np.stack([ref[k] for k in steps])
-        assert np.max(np.abs(field.values - want)) <= 1e-12 * np.max(np.abs(want))
+        for prob in (self.prob, self.discounted):
+            field = pide_solve(prob, model, epsilon, self.grids)
+            dt, n_t = field.diagnostics["dt"], field.diagnostics["n_t"]
+            ref = self.reference_march(prob, model, epsilon, dt, n_t)
+            steps = np.rint(field.t_grid / dt).astype(int)
+            assert steps[-1] == n_t
+            want = np.stack([ref[k] for k in steps])
+            assert np.max(np.abs(field.values - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("model", [SYM15, ONE15], ids=["sym15", "one15"])
     @pytest.mark.parametrize("epsilon", [1.0, 0.05, 1e-3])
