@@ -570,6 +570,72 @@ class TestBellmanRoutes:
         assert not np.array_equal(local.hamiltonian(-2.0 * v1), first)
         assert np.array_equal(local.hamiltonian(v1), first)
 
+    @each_bellman_route
+    @pytest.mark.parametrize("weighted", [False, True], ids=["factor-grid", "weighted"])
+    @pytest.mark.parametrize("nx, ny", [(13, 5), (61, 9)], ids=["520B", "4392B"])
+    def test_every_buffer_a_step_writes_starts_a_cache_line(self, route, weighted, nx, ny,
+                                                            monkeypatch):
+        """The kernel's outputs and the march's state buffers each start a 64-byte line.
+
+        A 13 x 5 block of floats is 520 bytes, 8 mod 64, so buffers cut from
+        one block cannot all start a line.  The 61 x 9 block is above 4 KiB,
+        where glibc may serve it by mmap, 16 bytes past a line.
+        """
+        x, y = np.linspace(0.0, 3.0, nx), np.linspace(-2.0, 2.0, ny)
+        local = _LocalBellman(BELLMAN_ROUTES[route], x, y, np.full(ny, 1.0 / ny) if weighted else None)
+        states, products = [], []
+        hamiltonian, dgemm = local.hamiltonian, hjb_solvers.linalg.blas.dgemm
+
+        def recorded_hamiltonian(v):
+            states.append(v)
+            return hamiltonian(v)
+
+        def recorded_dgemm(*args, c, **kwargs):
+            products.append(c)
+            return dgemm(*args, c=c, **kwargs)
+        monkeypatch.setattr(local, "hamiltonian", recorded_hamiltonian)
+        monkeypatch.setattr(hjb_solvers.linalg.blas, "dgemm", recorded_dgemm)
+        v, prop = np.sin(2.0 * x), None
+        if not weighted:
+            v = v[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
+            prop = np.asfortranarray(np.full((ny, ny), 1.0 / ny))  # any stochastic matrix
+        hjb_solvers._march(BELLMAN_ROUTES[route], local, v, 1e-3, 4, prop)
+        written = [local.slopes[1:-1], local.curv[1:-1], local.q, local.s, local.p, local.index,
+                   local.h, local.run_h, local.not_convex, local.h_avg] + states + products
+        assert len(states) == 4 and len(products) == (0 if weighted else 4)
+        assert [a.ctypes.data % 64 for a in written] == [0] * len(written)
+        # the product alternates between the two state buffers
+        assert len({a.ctypes.data for a in states + products}) == (1 if weighted else 2)
+
+
+class TestAlignedBuffers:
+    """Where a buffer starts is a matter of speed alone: it never changes a bit."""
+
+    @pytest.mark.parametrize("dtype", [float, bool])
+    @pytest.mark.parametrize("shape, lead", [((13, 5), 0), ((14, 5), 5), ((13, 1), 1), ((61,), 0)])
+    def test_aligned_empty_is_the_array_asked_for(self, dtype, shape, lead):
+        a = hjb_solvers._aligned_empty(shape, dtype, lead=lead)
+        assert a.shape == shape and a.dtype == np.dtype(dtype)
+        assert a.flags.writeable and a.flags.c_contiguous
+        assert (a.ctypes.data + lead * a.itemsize) % 64 == 0
+
+    @each_bellman_route
+    @pytest.mark.parametrize("weighted", [False, True], ids=["factor-grid", "weighted"])
+    def test_hamiltonian_bits_do_not_depend_on_where_v_lies(self, route, weighted):
+        x, y = np.linspace(0.0, 3.0, 13), np.linspace(-2.0, 2.0, 5)
+        local = _LocalBellman(BELLMAN_ROUTES[route], x, y, np.full(5, 0.2) if weighted else None)
+        v = np.sin(2.0 * x)
+        if not weighted:
+            v = v[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
+        block = hjb_solvers._aligned_empty((v.size + 7,))
+        results = []
+        for offset in range(8):  # v starting 8 * offset bytes past a line
+            placed = block[offset:offset + v.size].reshape(v.shape)
+            placed[...] = v
+            assert placed.ctypes.data % 64 == 8 * offset
+            results.append(local.hamiltonian(placed).copy())
+        assert all(np.array_equal(h, results[0]) for h in results[1:])
+
 
 class TestPropagator:
     """The implicit factor step as one stochastic matrix built once per solve."""
