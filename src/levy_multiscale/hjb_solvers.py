@@ -9,11 +9,12 @@ raw differences of v times per-node coefficients built once.  Its minimum over
 the uniform control grid is the control nearest the vertex where it is convex
 and the better endpoint elsewhere, taken separately for the controls upwinded
 forward and those upwinded backward, which equals the upwinded scan over every
-control (:class:`_LocalBellman`, which returns H; each step is
-``v (1 - c dt) - dt H``).  The stiff nonlocal part in the factor variable is
-linear, so it is taken implicitly.  The implicit map is the same on every
-step, so it is built once per solve as a propagator matrix, and each step
-applies it with one matrix product.  Both run on scipy's BLAS: the numpy and
+control (:class:`_LocalBellman`, which returns H).  The stiff nonlocal part in
+the factor variable is linear and taken implicitly, by a stochastic matrix P
+built once per solve: each step of both solvers is ``v <- P (v (1 - c dt) -
+dt H)^T``, one matrix product, with P = (I - (dt/eps) L)^-1 in the stiff solve
+and its eps -> 0 limit 1 mu^T (on a one-column v, the row of weights) in the
+averaged one.  P's LU and the products run on scipy's BLAS: the numpy and
 scipy wheels may each bundle an OpenBLAS with its own thread pool, and
 alternating between the two makes them compete.  Every buffer a step writes
 starts a 64-byte cache line (:func:`_aligned_empty`): a misaligned AVX-512 store
@@ -275,15 +276,13 @@ class _LocalBellman:
     call writes starts a cache line, as a misaligned AVX-512 store spans two.
     """
 
-    def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray,
-                 weights: Optional[np.ndarray]):
+    def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray, cols: int):
         if x[0] < 0.0:
             raise UsageError("x grid must be nonnegative: the drift's sign is read off its coefficient")
         dx = float(x[1] - x[0])
-        self.weights = weights        # None for pide, atom weights for effective
         sig2 = np.asarray(spec.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
         self.beta0, self.beta1 = spec.beta0, spec.beta1
-        nx, ny, cols = len(x), len(y_vals), len(y_vals) if weights is None else 1
+        nx, ny = len(x), len(y_vals)
         self.p_coef = -(x**2)[:, None] * sig2[None, :] / dx**2
         self.q_coef = np.repeat(-x[:, None] / dx, cols, axis=1)
         controls = np.asarray(spec.control_grid, dtype=float)
@@ -307,10 +306,9 @@ class _LocalBellman:
         self.q, self.s = (_aligned_empty((nx, cols)) for _ in range(2))
         self.p, self.index, self.h, self.run_h = (_aligned_empty((nx, ny)) for _ in range(4))
         self.not_convex = _aligned_empty((nx, ny), bool)
-        self.h_avg = _aligned_empty((nx,))
 
     def hamiltonian(self, v: np.ndarray) -> np.ndarray:
-        """H evaluated with discrete derivatives; collapses the y axis iff weighted.
+        """H on ``(nx, len(y_vals))`` from the discrete derivatives of the ``(nx, cols)`` state.
 
         One difference gives the forward difference (zero on the last row) and
         the backward one (zero on the first); their difference is the raw
@@ -318,7 +316,6 @@ class _LocalBellman:
         asymptotically linear or sublinear, and x = 0 is characteristic).  The
         result is H, not dt H, held in this object's arrays until the next call.
         """
-        v = v.reshape(len(v), -1)  # effective solve: y axis lives in the atoms
         diff = np.subtract(v[1:], v[:-1], out=self.slopes[1:-1])
         np.subtract(diff[1:], diff[:-1], out=self.curv[1:-1])
         p = np.multiply(self.p_coef, self.curv, out=self.p)
@@ -345,8 +342,6 @@ class _LocalBellman:
                 np.multiply(np.add(np.multiply(p, u, out=run_h), s, out=run_h), u, out=run_h)
                 run_h += np.multiply(self.beta0, q, out=q)
             h = run_h if h is None else np.minimum(h, run_h, out=h)
-        if self.weights is not None:
-            return np.matmul(h, self.weights, out=self.h_avg)
         return h
 
 
@@ -381,15 +376,17 @@ def _march(
     v: np.ndarray,
     dt: float,
     n_t: int,
-    propagator: Optional[np.ndarray] = None,
+    propagator: np.ndarray,
 ):
-    """March the terminal slice ``v`` back to t = 0 with n_t explicit Bellman steps.
+    """March ``v`` from t = T back to 0 in n_t steps ``state <- P (state (1 - c dt) - dt H)^T``.
 
-    ``propagator``, if given, is applied to the factor axis after each
-    explicit step.  Returns the checkpoint times and the slices kept there.  A
-    non-finite slice raises :class:`NumericalError` whose ``partial`` is the
-    pair (times, slices) of the checkpoints already filled, all of them finite.
-    The state buffers start a cache line, as a misaligned AVX-512 store spans two.
+    P, the ``propagator``, is a Fortran-ordered stochastic (cols, ny) matrix:
+    (I - (dt/eps) L)^-1 in the stiff solve, and its eps -> 0 limit, the row of
+    atom weights, on the one-column state of the averaged solve.  Returns the
+    checkpoint times and the slices kept there, shaped as ``v``.  A non-finite
+    slice raises :class:`NumericalError` whose ``partial`` is the pair
+    (times, slices) of the checkpoints already filled, all of them finite.
+    The buffers start a cache line, as a misaligned AVX-512 store spans two.
     """
     c = spec.discount
     keep = np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))
@@ -403,22 +400,20 @@ def _march(
 
     if not np.all(np.isfinite(v)):
         raise NumericalError("terminal payoff is not finite", partial=filled_after(n_t))
-    # two state buffers: the explicit step updates v in place, using the other
-    # as scratch, and the product P v^T is written into the other
-    v, spare, finite = (_aligned_empty(values.shape[1:], dtype) for dtype in (float, float, bool))
-    v[...] = values[-1]
+    state, finite = (_aligned_empty((len(v), len(propagator)), dtype) for dtype in (float, bool))
+    work = _aligned_empty((len(v), propagator.shape[1]))
+    state[...] = values[-1].reshape(state.shape)
     dgemm = linalg.blas.dgemm
     for k in range(n_t - 1, -1, -1):
-        h = local.hamiltonian(v)
+        h = local.hamiltonian(state)
         if c > 0.0:
-            v *= 1.0 - c * dt
-        v -= np.multiply(dt, h, out=spare)
-        if propagator is not None:
-            v, spare = dgemm(1.0, propagator, v.T, c=spare.T, overwrite_c=True).T, v
-        if not np.isfinite(v, out=finite).all():
+            state *= 1.0 - c * dt
+        np.subtract(state, np.multiply(dt, h, out=work), out=work)
+        state = dgemm(1.0, propagator, work.T, c=state.T, overwrite_c=True).T
+        if not np.isfinite(state, out=finite).all():
             raise NumericalError(f"backward march diverged at step {k}", partial=filled_after(k))
         if k in slot:
-            values[slot[k]] = v
+            values[slot[k]] = state.reshape(v.shape)
     return keep * dt, values
 
 
@@ -429,18 +424,20 @@ def effective_solve(
 ) -> ValueField:
     """Backward solve of the measure-averaged limit equation on the slow grid.
 
-    The averaged Hamiltonian is evaluated node-by-node (Bellman minimization
-    inside the average) on ``mu.coarsen(MAX_ATOMS)``: at most 64 equal-mass
-    blocks of the measure, each at its conditional mean.  No lateral boundary
-    condition is imposed; the x = 0 column evolves by pure discounting because
-    the coefficients vanish there.
+    The Hamiltonian is evaluated node-by-node (Bellman minimization inside the
+    average) on ``mu.coarsen(MAX_ATOMS)``: at most 64 equal-mass blocks of the
+    measure, each at its conditional mean.  The average is the stiff step's
+    propagator at eps -> 0, 1 mu^T, here the 1 x n_atoms row of weights.  No
+    lateral boundary condition is imposed; the x = 0 column evolves by pure
+    discounting because the coefficients vanish there.
     """
     x = np.asarray(grids.x, dtype=float)
     atoms = mu.coarsen(MAX_ATOMS)
-    local = _LocalBellman(spec, x, atoms.nodes, atoms.weights)
+    local = _LocalBellman(spec, x, atoms.nodes, 1)
     steps = _time_steps(spec, local)
     v = np.asarray(spec.payoff(x), dtype=float)
-    t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"])
+    prop = np.asfortranarray(atoms.weights[None, :])
+    t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"], prop)
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values,
         diagnostics={**steps, "atoms": len(atoms.nodes)},
@@ -472,7 +469,7 @@ def pide_solve(
     x = np.asarray(grids.x, dtype=float)
     y = np.asarray(grids.y, dtype=float)
     gen, gen_diag = assemble_factor_generator(model, y)
-    local = _LocalBellman(spec, x, y, weights=None)
+    local = _LocalBellman(spec, x, y, len(y))
     steps = _time_steps(spec, local)
     prop = _propagator(gen, steps["dt"] / epsilon)
 

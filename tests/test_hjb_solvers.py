@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg
+from test_jump_processes import _readers
 
 from levy_multiscale import hjb_solvers
 from levy_multiscale.errors import NumericalError, UsageError
@@ -88,55 +89,6 @@ class TestHamiltonianEval:
         want = -0.5 * (math.sqrt(2) * 2.0 * sig) ** 2 * (-0.5) - 0.05 * 2.0 * 1.0
         assert val == pytest.approx(want, rel=1e-12)
         assert u == 1.0
-
-
-class TestSignChangingDrift:
-    """Merton with shorting: r + (alpha - r) u changes sign on [-2, 2]."""
-
-    prob = merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=-2.0, R=2.0))
-    x = np.linspace(0.0, 3.0, 13)
-
-    def upwinded_scan(self, x, y, fwd, bwd, d2):
-        """Brute-force minimum: forward difference where the coefficient is >= 0."""
-        controls = np.asarray(self.prob.control_grid)
-        forward = self.prob.beta0 + self.prob.beta1 * controls >= 0.0
-        runs = [
-            hamiltonian_eval(dataclasses.replace(self.prob, control_grid=controls[sel]), x, y, p, d2)[0]
-            for sel, p in ((forward, fwd), (~forward, bwd))
-        ]
-        return min(runs), runs[1] < runs[0]
-
-    def differences(self, v):
-        dx = self.x[1] - self.x[0]
-        fwd = (v[2:] - v[1:-1]) / dx
-        bwd = (v[1:-1] - v[:-2]) / dx
-        d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
-        return fwd, bwd, d2
-
-    def test_factor_grid_shape_matches_upwinded_scan(self):
-        y = np.linspace(-2.0, 2.0, 5)
-        v = np.sin(2.0 * self.x)[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
-        h = _LocalBellman(self.prob, self.x, y, None).hamiltonian(v)
-        fwd, bwd, d2 = self.differences(v)
-        backward_wins = 0
-        for i in range(len(self.x) - 2):
-            for j, yj in enumerate(y):
-                want, bwd_won = self.upwinded_scan(self.x[i + 1], yj, fwd[i, j], bwd[i, j], d2[i, j])
-                backward_wins += bwd_won
-                assert h[i + 1, j] == pytest.approx(want, abs=1e-12)
-        assert 0 < backward_wins < (len(self.x) - 2) * len(y)
-
-    def test_weighted_shape_matches_upwinded_scan(self):
-        atoms, weights = np.array([-1.0, 0.5, 2.0]), np.array([0.2, 0.5, 0.3])
-        v = np.sin(2.0 * self.x)
-        h = _LocalBellman(self.prob, self.x, atoms, weights).hamiltonian(v)
-        fwd, bwd, d2 = self.differences(v)
-        for i in range(len(self.x) - 2):
-            want = sum(
-                w * self.upwinded_scan(self.x[i + 1], a, fwd[i], bwd[i], d2[i])[0]
-                for a, w in zip(atoms, weights)
-            )
-            assert h[i + 1] == pytest.approx(want, abs=1e-12)
 
 
 class TestEffectiveSolve:
@@ -504,34 +456,38 @@ class TestBellmanRoutes:
         prob = BELLMAN_ROUTES[route]
         y = np.linspace(-2.0, 2.0, 5)
         v = np.sin(2.0 * self.x)[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
-        h = _LocalBellman(prob, self.x, y, None).hamiltonian(v)
+        h = _LocalBellman(prob, self.x, y, len(y)).hamiltonian(v)
         fwd, bwd, d2 = self.slopes(v)
         controls = np.asarray(prob.control_grid)
-        interior_wins = 0
+        interior_wins = backward_wins = 0
         for i, xi in enumerate(self.x):
             for j, yj in enumerate(y):
                 want, u = self.upwinded_scan(prob, xi, yj, fwd[i, j], bwd[i, j], d2[i, j])
                 interior_wins += controls[0] < u < controls[-1]
-                assert h[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                backward_wins += prob.beta0 + prob.beta1 * u < 0.0
+                assert h[i, j] == pytest.approx(want, abs=1e-12)
         if route == "merton-one-run":
             # both curvature signs: the vertex wins inside the run at some
             # nodes, an endpoint where the parabola is not convex
             assert interior_wins > 0
             assert np.any(d2[1:-1] > 0.0) and np.any(d2[1:-1] < 0.0)
+        if route == "merton-two-runs":
+            # the backward run wins at some nodes, the forward one at others
+            assert 0 < backward_wins < h.size
 
     @each_bellman_route
     def test_weighted_shape_matches_upwinded_scan(self, route):
         prob = BELLMAN_ROUTES[route]
         atoms, weights = np.array([-1.0, 0.5, 2.0]), np.array([0.2, 0.5, 0.3])
         v = np.sin(2.0 * self.x)
-        h = _LocalBellman(prob, self.x, atoms, weights).hamiltonian(v)
+        h = _LocalBellman(prob, self.x, atoms, 1).hamiltonian(v[:, None]) @ weights
         fwd, bwd, d2 = self.slopes(v)
         for i, xi in enumerate(self.x):
             want = sum(
                 w * self.upwinded_scan(prob, xi, a, fwd[i], bwd[i], d2[i])[0]
                 for a, w in zip(atoms, weights)
             )
-            assert h[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert h[i] == pytest.approx(want, abs=1e-12)
 
     @each_bellman_route
     @pytest.mark.parametrize("weighted", [False, True], ids=["factor-grid", "weighted"])
@@ -541,10 +497,12 @@ class TestBellmanRoutes:
         y = np.linspace(-2.0, 2.0, 5)
         # dyadic values, so the second difference is exactly 0 on every straight stretch
         v = np.maximum(self.x - 1.5, 0.0) - 0.5 * np.maximum(0.75 - self.x, 0.0)
-        if not weighted:
+        weights = np.full(5, 0.2)
+        if weighted:
+            h = _LocalBellman(prob, self.x, y, 1).hamiltonian(v[:, None]) @ weights
+        else:
             v = v[:, None] * (1.0 + 0.25 * y)[None, :]
-        weights = np.full(5, 0.2) if weighted else None
-        h = _LocalBellman(prob, self.x, y, weights).hamiltonian(v)
+            h = _LocalBellman(prob, self.x, y, len(y)).hamiltonian(v)
         fwd, bwd, d2 = (np.broadcast_to(a.reshape(len(self.x), -1), (len(self.x), len(y)))
                         for a in self.slopes(v))
         # both kinds of p = 0 node occur inside the grid, not only on the end rows
@@ -562,10 +520,10 @@ class TestBellmanRoutes:
     def test_reused_arrays_leak_no_state(self, route, weighted):
         """A call on v1, then on v2 (other slope and curvature signs), then on v1 returns the first result."""
         y = np.linspace(-2.0, 2.0, 5)
-        local = _LocalBellman(BELLMAN_ROUTES[route], self.x, y, np.full(5, 0.2) if weighted else None)
-        v1 = np.sin(2.0 * self.x)
+        local = _LocalBellman(BELLMAN_ROUTES[route], self.x, y, 1 if weighted else len(y))
+        v1 = np.sin(2.0 * self.x)[:, None]
         if not weighted:
-            v1 = v1[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
+            v1 = v1 * (1.0 + 0.3 * np.tanh(y))[None, :]
         first = local.hamiltonian(v1).copy()
         assert not np.array_equal(local.hamiltonian(-2.0 * v1), first)
         assert np.array_equal(local.hamiltonian(v1), first)
@@ -575,37 +533,39 @@ class TestBellmanRoutes:
     @pytest.mark.parametrize("nx, ny", [(13, 5), (61, 9)], ids=["520B", "4392B"])
     def test_every_buffer_a_step_writes_starts_a_cache_line(self, route, weighted, nx, ny,
                                                             monkeypatch):
-        """The kernel's outputs and the march's state buffers each start a 64-byte line.
+        """The kernel's outputs, the march's state and its explicit step each start a 64-byte line.
 
         A 13 x 5 block of floats is 520 bytes, 8 mod 64, so buffers cut from
         one block cannot all start a line.  The 61 x 9 block is above 4 KiB,
         where glibc may serve it by mmap, 16 bytes past a line.
         """
         x, y = np.linspace(0.0, 3.0, nx), np.linspace(-2.0, 2.0, ny)
-        local = _LocalBellman(BELLMAN_ROUTES[route], x, y, np.full(ny, 1.0 / ny) if weighted else None)
-        states, products = [], []
+        local = _LocalBellman(BELLMAN_ROUTES[route], x, y, 1 if weighted else len(y))
+        states, steps, products = [], [], []
         hamiltonian, dgemm = local.hamiltonian, hjb_solvers.linalg.blas.dgemm
 
         def recorded_hamiltonian(v):
             states.append(v)
             return hamiltonian(v)
 
-        def recorded_dgemm(*args, c, **kwargs):
+        def recorded_dgemm(alpha, a, b, *, c, **kwargs):
+            steps.append(b)
             products.append(c)
-            return dgemm(*args, c=c, **kwargs)
+            return dgemm(alpha, a, b, c=c, **kwargs)
         monkeypatch.setattr(local, "hamiltonian", recorded_hamiltonian)
         monkeypatch.setattr(hjb_solvers.linalg.blas, "dgemm", recorded_dgemm)
-        v, prop = np.sin(2.0 * x), None
+        v = np.sin(2.0 * x)
         if not weighted:
             v = v[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
-            prop = np.asfortranarray(np.full((ny, ny), 1.0 / ny))  # any stochastic matrix
+        # any stochastic matrix: a row of weights for the one-column state, square otherwise
+        prop = np.asfortranarray(np.full((1 if weighted else ny, ny), 1.0 / ny))
         hjb_solvers._march(BELLMAN_ROUTES[route], local, v, 1e-3, 4, prop)
         written = [local.slopes[1:-1], local.curv[1:-1], local.q, local.s, local.p, local.index,
-                   local.h, local.run_h, local.not_convex, local.h_avg] + states + products
-        assert len(states) == 4 and len(products) == (0 if weighted else 4)
+                   local.h, local.run_h, local.not_convex] + states + steps + products
+        assert len(states) == len(steps) == len(products) == 4
         assert [a.ctypes.data % 64 for a in written] == [0] * len(written)
-        # the product alternates between the two state buffers
-        assert len({a.ctypes.data for a in states + products}) == (1 if weighted else 2)
+        # the product is written into the state it replaces
+        assert len({a.ctypes.data for a in states + products}) == 1
 
 
 class TestAlignedBuffers:
@@ -623,10 +583,10 @@ class TestAlignedBuffers:
     @pytest.mark.parametrize("weighted", [False, True], ids=["factor-grid", "weighted"])
     def test_hamiltonian_bits_do_not_depend_on_where_v_lies(self, route, weighted):
         x, y = np.linspace(0.0, 3.0, 13), np.linspace(-2.0, 2.0, 5)
-        local = _LocalBellman(BELLMAN_ROUTES[route], x, y, np.full(5, 0.2) if weighted else None)
-        v = np.sin(2.0 * x)
+        local = _LocalBellman(BELLMAN_ROUTES[route], x, y, 1 if weighted else len(y))
+        v = np.sin(2.0 * x)[:, None]
         if not weighted:
-            v = v[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
+            v = v * (1.0 + 0.3 * np.tanh(y))[None, :]
         block = hjb_solvers._aligned_empty((v.size + 7,))
         results = []
         for offset in range(8):  # v starting 8 * offset bytes past a line
@@ -649,7 +609,7 @@ class TestPropagator:
         """Explicit Bellman step, then one LU solve per step against I - (dt/eps) L."""
         x, y = self.grids.x, self.grids.y
         gen, _ = assemble_factor_generator(model, y)
-        local = _LocalBellman(prob, x, y, None)
+        local = _LocalBellman(prob, x, y, len(y))
         lu = linalg.lu_factor(np.eye(len(y)) - (dt / epsilon) * gen)
         v = np.repeat(prob.payoff(x)[:, None], len(y), axis=1)
         slices = {n_t: v}
@@ -706,6 +666,60 @@ class TestPropagator:
         monkeypatch.setattr(hjb_solvers.linalg.blas, "dgemm", counted)
         field = pide_solve(self.prob, SYM15, 0.05, self.grids)
         assert len(calls) == field.diagnostics["n_t"] > 1
+
+
+class TestAveragedLimit:
+    """The averaged solve is the stiff march at eps -> 0, where (I - (dt/eps) L)^-1 -> 1 pi_L^T."""
+
+    x, y = np.linspace(0.0, 3.0, 31), np.linspace(-4.0, 4.0, 17)
+    problems = {
+        "call": pricing_problem(pricing_spec(CallPayoff(1.0))),
+        "merton": merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=0.0, R=1.0)),
+    }
+
+    def grid_law(self, model):
+        """pi_L, the law of the grid chain: the left null vector of L, normalised."""
+        gen, _ = assemble_factor_generator(model, self.y)
+        pi = linalg.null_space(gen.T)[:, 0]
+        return InvariantMeasure(self.y, pi / pi.sum())
+
+    @pytest.mark.parametrize("model", [SYM15, ONE15], ids=["sym15", "one15"])
+    @pytest.mark.parametrize("problem", ["call", "merton"])
+    def test_stiff_solve_tends_to_the_averaged_solve_at_rate_eps(self, problem, model):
+        prob = self.problems[problem]
+        eff = effective_solve(prob, self.grid_law(model), Grids(x=self.x))
+        gaps = {}
+        for eps in (1e-4, 1e-6):
+            field = pide_solve(prob, model, eps, Grids(x=self.x, y=self.y))
+            assert field.diagnostics["n_t"] == eff.diagnostics["n_t"]
+            gap = np.max(np.abs(field.values - eff.values[:, :, None]))
+            gaps[eps] = gap / np.max(np.abs(eff.values))
+            assert gaps[eps] <= eps
+        assert 50.0 <= gaps[1e-4] / gaps[1e-6] <= 200.0
+
+    @pytest.mark.parametrize("problem", ["call", "merton"])
+    def test_one_column_state_is_the_full_width_state_under_1_w_transpose(self, problem,
+                                                                          invariant_measure_15):
+        prob = self.problems[problem]
+        eff = effective_solve(prob, invariant_measure_15, Grids(x=self.x))
+        atoms = invariant_measure_15.coarsen(hjb_solvers.MAX_ATOMS)
+        n = len(atoms.nodes)
+        local = _LocalBellman(prob, self.x, atoms.nodes, n)
+        v = np.repeat(prob.payoff(self.x)[:, None], n, axis=1)
+        square = np.asfortranarray(np.tile(atoms.weights, (n, 1)))
+        _, values = hjb_solvers._march(prob, local, v, eff.diagnostics["dt"], eff.diagnostics["n_t"],
+                                       square)
+        assert np.max(np.abs(values - eff.values[:, :, None])) <= 1e-12 * np.max(np.abs(eff.values))
+
+
+class TestOneMarch:
+    """One route: the kernel and the product are read by the march, which both solvers share."""
+
+    def test_both_solvers_take_the_one_step(self):
+        assert _readers("hamiltonian") == {"hjb_solvers._march"}
+        assert _readers("dgemm") == {"hjb_solvers._march"}
+        assert _readers("_march") == {"hjb_solvers.effective_solve", "hjb_solvers.pide_solve"}
+        assert _readers("_propagator") == {"hjb_solvers.pide_solve"}
 
 
 class TestStepDiagnostics:
