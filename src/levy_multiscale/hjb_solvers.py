@@ -312,9 +312,10 @@ class _LocalBellman:
 
         One difference gives the forward difference (zero on the last row) and
         the backward one (zero on the first); their difference is the raw
-        second difference, zero on both end rows (payoffs here are
-        asymptotically linear or sublinear, and x = 0 is characteristic).  The
-        result is H, not dt H, held in this object's arrays until the next call.
+        second difference, zero on both end rows (x = 0 is characteristic).  So
+        H is 0 on the last row for every control of nonnegative drift, as in both
+        applications: that edge keeps the payoff, only discounted (ROADMAP item 17).
+        The result is H, not dt H, held in this object's arrays until the next call.
         """
         diff = np.subtract(v[1:], v[:-1], out=self.slopes[1:-1])
         np.subtract(diff[1:], diff[:-1], out=self.curv[1:-1])

@@ -75,7 +75,9 @@ def default_step(epsilon: float, horizon: float) -> float:
 class FastProcessConfig:
     """Parameters of the mean-reverting factor ``dY = -lam Y dt + dZ(lam t)``.
 
-    A subordinator drives no factor: it is refused here, before any draw.
+    A run's one time grid is 0, dt, ..., n_steps dt = horizon: a step, given or
+    :func:`default_step`, that does not divide the horizon to 1e-9 relative is
+    refused.  A subordinator drives no factor: it is refused here, before any draw.
     """
 
     model: LevyMeasureModel
@@ -96,8 +98,9 @@ class FastProcessConfig:
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
         step = self.step
-        if not 0.0 < step < self.horizon:
-            raise UsageError(f"need 0 < dt < horizon, got dt={step}")
+        if not (0.0 < step < self.horizon
+                and abs(self.n_steps * step - self.horizon) <= 1e-9 * self.horizon):
+            raise UsageError(f"dt must divide the horizon with 0 < dt < horizon, got dt={step}")
 
     @property
     def step(self) -> float:
@@ -195,7 +198,7 @@ def iter_fast_values(
     ``Y^y(t_k) = y exp(-lam t_k) + Y^0(t_k)``, yielded with shape
     ``(len(starts), n_paths)``.  Every start point then sees the same jumps.
     """
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+    if isinstance(n_paths, bool) or not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise UsageError(f"n_paths must be a positive integer, got {n_paths!r}")
     rng = stream_rng(cfg.seed, JUMP_STREAM)
     tau = cfg.lam * cfg.step
@@ -255,21 +258,11 @@ def discount_weights(delta: float, dt: float, n: int) -> np.ndarray:
     return np.exp(-delta * np.arange(n) * dt) * (1.0 - math.exp(-delta * dt)) / delta
 
 
-def simulate_fast_paths(cfg: FastProcessConfig, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full batch of factor paths; returns (times, values[n_paths, n_times])."""
-    n = cfg.n_steps
-    times = np.arange(n + 1) * cfg.step
-    values = np.empty((n_paths, n + 1))
-    for k, y in enumerate(iter_fast_values(cfg, n_paths)):
-        values[:, k] = y
-    return times, values
-
-
 def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]:
     """One path of the slow state and its factor at grid times 0, dt, 2*dt, ...
 
-    This is the package's one slow-state step.  The factor is
-    ``simulate_fast_paths(cfg.fast, 1)`` and the model is ``cfg.problem``, whose
+    This is the package's one slow-state step.  The factor is the path of
+    ``iter_fast_values(cfg.fast, 1)``, and the model is ``cfg.problem``, whose
     drift b and volatility s are linear in x, so Euler-Maruyama with the factor
     read at left endpoints takes the floored factor form
 
@@ -281,15 +274,16 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
     increment per step, and u is the first grid control.
     """
     fast, problem = cfg.fast, cfg.problem
-    dt = fast.step
-    times, ys = simulate_fast_paths(fast, 1)
-    y = ys[0, :-1]
-    dw = stream_rng(fast.seed, BROWNIAN_STREAM).normal(0.0, math.sqrt(dt), size=fast.n_steps)
+    n, dt = fast.n_steps, fast.step
+    times = np.arange(n + 1) * dt
+    ys = np.concatenate(list(iter_fast_values(fast, 1)))
+    y = ys[:-1]
+    dw = stream_rng(fast.seed, BROWNIAN_STREAM).normal(0.0, math.sqrt(dt), size=n)
     u = float(np.asarray(problem.control_grid, dtype=float)[0])
     growth = np.maximum(1.0 + problem.drift(1.0, y, u) * dt + problem.vol(1.0, y, u) * dw, 0.0)
     # x0 leads the product, so each state has the bits of the step-by-step loop
     xs = np.cumprod(np.concatenate([[float(cfg.x0)], growth]))
     return (
         PathSample(times=times, values=xs),
-        PathSample(times=times, values=ys[0]),
+        PathSample(times=times, values=ys),
     )

@@ -228,9 +228,9 @@ class CorrectorQuery:
 
     ``frozen_point`` is the (x, p, X) triple the Hamiltonian is frozen at; the
     corrector is computed on ``y_grid`` by Monte Carlo over fast paths with
-    unit mean-reversion rate, horizon ``10 / delta``.  The discount weights
-    hold H at each step's left endpoint, a relative bias of about
-    ``delta dt / 2``, so the caller chooses the step ``dt`` against delta.
+    unit mean-reversion rate, horizon ``dt round(10 / (delta dt))``, 10/delta in whole
+    steps.  The discount weights hold H at each step's left endpoint, a relative bias
+    of about ``delta dt / 2``, so the caller chooses the step ``dt`` against delta.
     """
 
     model: LevyMeasureModel
@@ -265,9 +265,8 @@ def approximate_corrector(
     over each step with the Hamiltonian held at the left endpoint.
     """
     x_bar, p_bar, big_x = cq.frozen_point
-    cfg = FastProcessConfig(
-        model=cq.model, lam=1.0, y0=0.0, horizon=10.0 / cq.delta, dt=cq.dt, seed=cq.seed
-    )
+    cfg = FastProcessConfig(model=cq.model, lam=1.0, y0=0.0,
+                            horizon=cq.dt * round(10.0 / cq.delta / cq.dt), dt=cq.dt, seed=cq.seed)
     w = discount_weights(cq.delta, cfg.step, cfg.n_steps + 1)
     acc = path_integral(cfg, lambda y: H_eval(x_bar, y, p_bar, big_x), cq.mc_paths, w,
                         starts=np.asarray(cq.y_grid, dtype=float))[0]

@@ -82,6 +82,16 @@ ROWS = {
     "ergodic_time_average t off the step grid": lambda: ergodicity.ergodic_time_average(
         jump_processes.FastProcessConfig(SYM, lam=1.0, y0=0.0, horizon=1.0, dt=0.3), np.cos,
         1.0, 4),
+    # ran 2 steps to 1.2, 2 to 0.8 (round-half-even) and 3 to 0.9 for T = 1
+    "FastProcessConfig dt 0.6 for T = 1": lambda: jump_processes.FastProcessConfig(
+        SYM, lam=1.0, y0=0.0, horizon=1.0, dt=0.6),
+    "FastProcessConfig dt 0.4 for T = 1": lambda: jump_processes.FastProcessConfig(
+        SYM, lam=1.0, y0=0.0, horizon=1.0, dt=0.4),
+    "FastProcessConfig dt 0.3 for T = 1": lambda: jump_processes.FastProcessConfig(
+        SYM, lam=1.0, y0=0.0, horizon=1.0, dt=0.3),
+    # numpy's TypeError from np.full
+    "path_integral n_paths True": lambda: jump_processes.path_integral(
+        fast(SYM), np.cos, True, np.ones(3)),
     # refused only when the corrector built its fast config
     "CorrectorQuery dt nan": lambda: nonlocal_generator.CorrectorQuery(
         SYM, (1.0, 1.0, -1.0), 0.5, np.array([0.0]), dt=math.nan),

@@ -27,7 +27,6 @@ from levy_multiscale.jump_processes import (
     iter_fast_values,
     path_integral,
     sample_stable_increment,
-    simulate_fast_paths,
     simulate_slow_system,
     stable_scale_exponent,
     stream_rng,
@@ -35,6 +34,11 @@ from levy_multiscale.jump_processes import (
 
 SYM15 = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5)
 NULL = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5, 0.0)
+
+
+def fast_paths(cfg, n_paths):
+    """The stream's states on the run's grid, one row of n_steps + 1 per path."""
+    return np.stack(list(iter_fast_values(cfg, n_paths)), axis=1)
 
 
 class TestStableIncrement:
@@ -140,7 +144,7 @@ class TestOneCmsMap:
 class TestFastPath:
     def test_null_driver_decays_exactly(self):
         cfg = FastProcessConfig(NULL, lam=2.0, y0=3.0, horizon=1.0, dt=0.005, seed=0)
-        times, values = simulate_fast_paths(cfg, 1)
+        times, values = np.arange(cfg.n_steps + 1) * cfg.step, fast_paths(cfg, 1)
         k = np.argmin(np.abs(times - 1.0))
         assert times[k] == pytest.approx(1.0)
         assert values[0, k] == pytest.approx(3.0 * math.exp(-2.0), rel=1e-12)
@@ -148,14 +152,14 @@ class TestFastPath:
 
     def test_zero_start_null_driver_stays_zero(self):
         cfg = FastProcessConfig(NULL, lam=1.0, y0=0.0, horizon=2.0, dt=0.01, seed=0)
-        assert np.all(simulate_fast_paths(cfg, 1)[1] == 0.0)
+        assert np.all(fast_paths(cfg, 1) == 0.0)
 
     def test_seed_reproducibility_bit_identical(self):
         cfg = FastProcessConfig(SYM15, lam=1.0, y0=0.5, horizon=5.0, dt=0.05, seed=99)
-        _, v1 = simulate_fast_paths(cfg, 1)
-        _, v2 = simulate_fast_paths(cfg, 1)
+        v1 = fast_paths(cfg, 1)
+        v2 = fast_paths(cfg, 1)
         assert np.array_equal(v1, v2)
-        _, v3 = simulate_fast_paths(
+        v3 = fast_paths(
             FastProcessConfig(SYM15, lam=1.0, y0=0.5, horizon=5.0, dt=0.05, seed=100), 1
         )
         assert not np.array_equal(v1, v3)
@@ -164,7 +168,7 @@ class TestFastPath:
         # long-run CF approaches exp(psi(1)/alpha); coarse-batch version of the
         # acceptance criterion, with the step bias inside the 0.02 budget
         cfg = FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=15.0, dt=0.02, seed=8)
-        _, vals = simulate_fast_paths(cfg, 20_000)
+        vals = fast_paths(cfg, 20_000)
         ecf = np.mean(np.cos(vals[:, -1]))
         want = math.exp(levy_exponent(SYM15, 1.0).real / SYM15.alpha)
         assert abs(ecf - want) < 0.02
@@ -310,7 +314,7 @@ class TestPathIntegral:
     @pytest.mark.parametrize("name", FUNCTIONS)
     def test_cumulative_weighted_sums_of_the_path_columns(self, name):
         f = self.FUNCTIONS[name]
-        _, paths = simulate_fast_paths(self.CFG, 32)
+        paths = fast_paths(self.CFG, 32)
         assert paths.shape[1] == self.N + 1
         sums = np.cumsum(self.WEIGHTS * f(paths), axis=1)
         want = np.concatenate([np.zeros((32, 1)), sums], axis=1)[:, self.STOPS].T
@@ -430,9 +434,8 @@ class TestSlowSystem:
         prob = _toy_pricing(r=0.05, sigma_fn=lambda y: 0.3 + 0.1 * np.tanh(y))
         fast = FastProcessConfig(SYM15, lam=20.0, y0=0.4, horizon=1.0, seed=31)
         xs, ys = simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0))
-        times, values = simulate_fast_paths(fast, 1)
-        assert np.array_equal(ys.times, times)
-        assert np.array_equal(ys.values, values[0])
+        assert np.array_equal(ys.times, np.arange(fast.n_steps + 1) * fast.step)
+        assert np.array_equal(ys.values, fast_paths(fast, 1)[0])
 
     def test_matches_the_step_by_step_floored_euler_loop(self):
         # one step at a time, X_{k+1} = X_k max(1 + b dt + s dW_k, 0), from x0 != 1:
@@ -491,6 +494,25 @@ def _readers(name: str) -> set[str]:
     return readers
 
 
+def _relative_checks(tol: float) -> set[str]:
+    """``module.Class.function`` for every comparison against ``tol`` times a quantity."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        def visit(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = f"{scope}.{node.name}"
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                    and isinstance(n.left, ast.Constant) and n.left.value == tol
+                    for n in ast.walk(node)):
+                found.add(scope)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "levy_multiscale"
 
 
@@ -516,6 +538,12 @@ class TestOneKernel:
         # the averages, the corrector and the pricer's variance are weight choices
         assert _readers("iter_fast_values") == {
             "jump_processes.path_integral",
-            "jump_processes.simulate_fast_paths",
+            "jump_processes.simulate_slow_system",
             "ergodicity.stationary_samples",
         }
+
+    def test_whole_step_rule_has_one_statement(self):
+        # a run's step divides its horizon: checked where the run's config is built, and
+        # nowhere else; the other relative check is the PDE grids' even spacing
+        assert _relative_checks(1e-9) == {"jump_processes.FastProcessConfig.__post_init__",
+                                          "hjb_solvers._require_uniform"}

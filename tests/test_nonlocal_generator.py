@@ -212,6 +212,19 @@ class TestApproximateCorrector:
         chi = approximate_corrector(cq, lambda x, y, p, X: np.full(np.shape(y), k))
         assert np.allclose(cq.delta * chi, -k, rtol=1e-3)
 
+    def test_truncation_is_whole_steps(self):
+        # 10 / 0.3 is not on the dt = 0.02 grid: the run takes round(10 / (0.3 * 0.02)) steps
+        cq = CorrectorQuery(model=SYM15, frozen_point=(1.0, 1.0, -1.0), delta=0.3,
+                            y_grid=np.array([0.0]), mc_paths=1000, seed=3, dt=0.02)
+        states = []
+
+        def h(x, y, p, X):
+            states.append(len(y))  # one call per state on the one-point grid
+            return np.ones(len(y))
+
+        approximate_corrector(cq, h)
+        assert len(states) - 1 == round(10.0 / (0.3 * 0.02)) == 1667
+
     def test_residual_shrinks_with_delta(self):
         h = lambda x, y, p, X: 1.0 / (1.0 + y * y)
         from levy_multiscale.ergodicity import estimate_invariant_measure
