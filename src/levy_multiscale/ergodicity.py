@@ -24,7 +24,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import UsageError
-from .jump_processes import FastProcessConfig, discount_weights, iter_fast_values, path_integral
+from .jump_processes import (FastProcessConfig, discount_horizon, discount_weights,
+                             iter_fast_values, path_integral)
 from .levy_measures import (
     LevyMeasureModel,
     compensator_drift,
@@ -193,7 +194,7 @@ def abel_average(
 ) -> float:
     """Discount-weighted long-run average ``delta int_0^inf E f(Y(t)) e^{-delta t} dt``.
 
-    Truncated at 10/delta in whole steps, ``dt round(10 / (delta dt))`` at an explicit
+    Truncated at 10/delta in whole steps, ``discount_horizon(delta, dt)`` at an explicit
     dt and 10/delta at the default step, which divides it (truncation error about
     ``e^{-10} sup|f|``); the weights are the exact discount weights normalized to
     total mass one, so constants are reproduced exactly.
@@ -201,6 +202,6 @@ def abel_average(
     if not (math.isfinite(delta) and delta > 0.0):
         raise UsageError(f"delta must be finite and positive, got {delta}")
     dt = cfg.dt
-    run_cfg = replace(cfg, horizon=10.0 / delta if dt is None else dt * round(10.0 / delta / dt))
+    run_cfg = replace(cfg, horizon=10.0 / delta if dt is None else discount_horizon(delta, dt))
     w = discount_weights(delta, run_cfg.step, run_cfg.n_steps + 1)
     return float(path_integral(run_cfg, f, n_paths, w / w.sum())[0].mean())

@@ -281,6 +281,8 @@ class _LocalBellman:
             raise UsageError("x grid must be nonnegative: the drift's sign is read off its coefficient")
         dx = float(x[1] - x[0])
         sig2 = np.asarray(spec.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
+        if sig2.shape != np.shape(y_vals):
+            raise UsageError(f"sigma_of_y must return one value per factor node, got {sig2.shape}")
         self.beta0, self.beta1 = spec.beta0, spec.beta1
         nx, ny = len(x), len(y_vals)
         self.p_coef = -(x**2)[:, None] * sig2[None, :] / dx**2
@@ -344,6 +346,14 @@ class _LocalBellman:
                 run_h += np.multiply(self.beta0, q, out=q)
             h = run_h if h is None else np.minimum(h, run_h, out=h)
         return h
+
+
+def _terminal_payoff(spec: ControlProblemSpec, x: np.ndarray) -> np.ndarray:
+    """The payoff on the x grid: one value per node, as the spec states it."""
+    v = np.asarray(spec.payoff(x), dtype=float)
+    if v.shape != x.shape:
+        raise UsageError(f"payoff must return one value per x node ({len(x)}), got {v.shape}")
+    return v
 
 
 def _time_steps(spec: ControlProblemSpec, local: _LocalBellman) -> dict:
@@ -436,7 +446,7 @@ def effective_solve(
     atoms = mu.coarsen(MAX_ATOMS)
     local = _LocalBellman(spec, x, atoms.nodes, 1)
     steps = _time_steps(spec, local)
-    v = np.asarray(spec.payoff(x), dtype=float)
+    v = _terminal_payoff(spec, x)
     prop = np.asfortranarray(atoms.weights[None, :])
     t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"], prop)
     return ValueField(
@@ -474,7 +484,7 @@ def pide_solve(
     steps = _time_steps(spec, local)
     prop = _propagator(gen, steps["dt"] / epsilon)
 
-    v = np.repeat(np.asarray(spec.payoff(x), dtype=float)[:, None], len(y), axis=1)
+    v = np.repeat(_terminal_payoff(spec, x)[:, None], len(y), axis=1)
     t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"], prop)
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values, y_grid=y,

@@ -95,7 +95,8 @@ class FastProcessConfig:
             raise UsageError(f"initial factor state must be finite, got {self.y0}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, (int, np.integer))
+                                                and self.seed >= 0):
             raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
         step = self.step
         if not (0.0 < step < self.horizon
@@ -251,6 +252,17 @@ def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np
             row_acc += weights[k] * np.asarray(f(row), dtype=float)
     out[stops == last] = acc
     return out
+
+
+def discount_horizon(delta: float, dt: float) -> float:
+    """The discounted runs' truncation: 10/delta in whole steps, ``dt round(10 / (delta dt))``.
+
+    Fewer than two steps leave no run whose step lies strictly inside its horizon.
+    """
+    n = round(10.0 / delta / dt)
+    if n < 2:
+        raise UsageError(f"delta must leave 10/delta two steps of dt or more: {delta=}, {dt=}")
+    return dt * n
 
 
 def discount_weights(delta: float, dt: float, n: int) -> np.ndarray:

@@ -4,11 +4,13 @@ The operator acts on smooth functions as
 
     I[y, f] = -f'(y) y + int ( f(y+z) - f(y) - f'(y) z 1_{|z|<=1} ) nu(dz),
 
-integrated over the support of the jump measure.  Quadrature splits the
-integral at ``kappa`` (second-order Taylor bound for the singular region, with
-closed-form truncated moments), at 1 (compensated vs plain increments), and at
-``M`` (beyond it f grows like ``|z|^g`` at the declared order g, so the tail is
-``side_moment(g, M)``; M is placed where the relative tail mass drops below 1e-8).
+integrated over the support of the jump measure.  As in the grid matrix
+(``hjb_solvers``), the compensator of the jumps in [kappa, 1] is a drift:
+``-f'(y) comp``, ``comp = int_kappa^1 z nu(dz)``, 0 on the symmetric model.
+Quadrature splits the rest at ``kappa`` (second-order Taylor below it, with
+closed-form truncated moments) and at ``M = default_outer_cut`` (relative tail
+mass 1e-8; beyond it f grows like ``|z|^g`` at the declared order g, so the
+tail is ``side_moment(g, M)``), with one plain integrand ``f(y+z) - f(y)`` between.
 
 On top of the operator the module provides the Lyapunov drift certificate, the
 one-sided small-alpha counterexample to maximum-principle propagation, the
@@ -28,7 +30,7 @@ from scipy import integrate
 
 from .ergodicity import InvariantMeasure
 from .errors import UsageError
-from .jump_processes import FastProcessConfig, discount_weights, path_integral
+from .jump_processes import FastProcessConfig, discount_horizon, discount_weights, path_integral
 from .levy_measures import (
     DEFAULT_KAPPA,
     DEFAULT_QUAD_TOL,
@@ -41,14 +43,10 @@ from .levy_measures import (
 
 @dataclass(frozen=True)
 class GeneratorQuadrature:
-    """Generator quadrature for one jump measure, cut at ``DEFAULT_KAPPA``, 1 and
-    ``M = default_outer_cut(model)``, to relative tolerance ``DEFAULT_QUAD_TOL``."""
+    """Generator quadrature for one jump measure, cut at ``DEFAULT_KAPPA`` and
+    ``default_outer_cut(model)``, to relative tolerance ``DEFAULT_QUAD_TOL``."""
 
     model: LevyMeasureModel
-
-    @property
-    def M(self) -> float:
-        return default_outer_cut(self.model)
 
 
 def generator_apply(
@@ -62,12 +60,12 @@ def generator_apply(
 ):
     """Apply the generator to ``f`` at the finite point ``y`` by split quadrature.
 
-    ``df``/``d2f`` are the first and second derivatives of ``f``.  Beyond the
-    outer cut M, ``f(y + s z)`` is extrapolated as ``f(y + s M) (z / M)^g`` at
-    the declared ``growth_order`` g in [0, alpha), so each side's tail is
-    ``side_moment(g, M)`` times that amplitude.  With ``return_error`` the
-    reported value comes with the summed quadrature error estimates plus the
-    small-jump Taylor remainder bound.
+    ``df``/``d2f`` are the first and second derivatives of ``f``.  One plain
+    integrand runs over the blocks [kappa, 1], [1, 2], ..., [2^k, M]; beyond M,
+    ``f(y + s z)`` is extrapolated as ``f(y + s M) (z / M)^g`` at the declared
+    ``growth_order`` g in [0, alpha), so each side's tail is ``side_moment(g, M)``
+    times that amplitude.  With ``return_error`` the reported value comes with
+    the summed quadrature error estimates plus the small-jump Taylor remainder bound.
     """
     model = q.model
     c, alpha = model.intensity, model.alpha
@@ -78,9 +76,10 @@ def generator_apply(
 
     fy = f(y)
     dfy = df(y)
-    kappa, m_cut, tol = DEFAULT_KAPPA, q.M, DEFAULT_QUAD_TOL
+    kappa, m_cut, tol = DEFAULT_KAPPA, default_outer_cut(model), DEFAULT_QUAD_TOL
 
-    value = -dfy * y
+    comp = 0.0 if model.two_sided else side_moment(model, 1, kappa, 1.0)
+    value = -dfy * (y + comp)
     err = 0.0
 
     # |z| <= kappa: second-order Taylor, closed-form second moment; the
@@ -96,25 +95,18 @@ def generator_apply(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         for s in (1.0, -1.0) if model.two_sided else (1.0,):
-            mid, e1 = integrate.quad(
-                lambda z: (f(y + s * z) - fy - dfy * s * z) * c * z ** (-1.0 - alpha),
-                kappa, 1.0, epsabs=1e-14, epsrel=tol, limit=200,
-            )
-            value += mid
-            err += e1
-            # far region on geometric doubling blocks: adaptive quadrature can
-            # resolve oscillatory f locally, and the block count stays
-            # logarithmic in M for the heavy monotone tails
-            a = 1.0
+            # geometric doubling blocks past 1: adaptive quadrature can resolve
+            # oscillatory f locally, and the block count stays logarithmic in M
+            # for the heavy monotone tails
+            a, b = kappa, 1.0
             while a < m_cut:
-                b = min(2.0 * a, m_cut)
-                far, e2 = integrate.quad(
+                block, e = integrate.quad(
                     lambda z: (f(y + s * z) - fy) * c * z ** (-1.0 - alpha),
                     a, b, epsabs=1e-14, epsrel=tol, limit=200,
                 )
-                value += far
-                err += e2
-                a = b
+                value += block
+                err += e
+                a, b = b, min(2.0 * b, m_cut)
 
             # beyond M: extrapolate f at the declared polynomial order
             amp = f(y + s * m_cut) / m_cut**growth_order
@@ -143,8 +135,8 @@ def lyapunov_drift_check(
     if not 0.0 <= R < math.inf:
         raise UsageError(f"radius R must be finite and nonnegative, got {R}")
     y_samples = np.asarray(y_samples, dtype=float)
-    if np.any(np.abs(y_samples) < R):
-        raise UsageError("all samples must satisfy |y| >= R")
+    if y_samples.size == 0 or np.any(np.abs(y_samples) < R):
+        raise UsageError(f"need one or more samples, all with |y| >= R = {R}")
 
     half_q = q_exp / 2.0
 
@@ -228,7 +220,7 @@ class CorrectorQuery:
 
     ``frozen_point`` is the (x, p, X) triple the Hamiltonian is frozen at; the
     corrector is computed on ``y_grid`` by Monte Carlo over fast paths with
-    unit mean-reversion rate, horizon ``dt round(10 / (delta dt))``, 10/delta in whole
+    unit mean-reversion rate, horizon ``discount_horizon(delta, dt)``, 10/delta in whole
     steps.  The discount weights hold H at each step's left endpoint, a relative bias
     of about ``delta dt / 2``, so the caller chooses the step ``dt`` against delta.
     """
@@ -248,6 +240,10 @@ class CorrectorQuery:
             raise UsageError(f"need an integer >= 1000 of Monte Carlo paths, got {self.mc_paths!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise UsageError(f"the corrector needs a finite positive step dt, got {self.dt}")
+        discount_horizon(self.delta, self.dt)  # refuses a truncation under two steps
+        if not (np.shape(self.frozen_point) == (3,) and np.all(np.isfinite(self.frozen_point))):
+            raise UsageError(f"frozen_point must be a finite (x, p, X) triple, "
+                             f"got {self.frozen_point!r}")
 
 
 def approximate_corrector(
@@ -266,7 +262,7 @@ def approximate_corrector(
     """
     x_bar, p_bar, big_x = cq.frozen_point
     cfg = FastProcessConfig(model=cq.model, lam=1.0, y0=0.0,
-                            horizon=cq.dt * round(10.0 / cq.delta / cq.dt), dt=cq.dt, seed=cq.seed)
+                            horizon=discount_horizon(cq.delta, cq.dt), dt=cq.dt, seed=cq.seed)
     w = discount_weights(cq.delta, cfg.step, cfg.n_steps + 1)
     acc = path_integral(cfg, lambda y: H_eval(x_bar, y, p_bar, big_x), cq.mc_paths, w,
                         starts=np.asarray(cq.y_grid, dtype=float))[0]

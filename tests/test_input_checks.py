@@ -8,6 +8,7 @@ what the call did without the guard.  A subordinator is refused with
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ def lyapunov(radius):
     return nonlocal_generator.lyapunov_drift_check(q, 1.0, radius, np.array([3.0]))
 
 
+def corrector_query(frozen_point=(1.0, 1.0, -1.0), delta=0.5, dt=0.1):
+    return nonlocal_generator.CorrectorQuery(SYM, frozen_point, delta, np.array([0.0]), dt=dt)
+
+
+def solve(solver, **fields):
+    """``solver`` on the Merton problem with ``fields`` replaced, on 31 x nodes."""
+    problem = replace(finance.merton_problem(MERTON), **fields)
+    grids = hjb_solvers.Grids(x=np.linspace(0.0, 1.0, 31), y=np.linspace(-2.0, 2.0, 9))
+    if solver == "effective_solve":
+        return hjb_solvers.effective_solve(problem, MU, grids)
+    return hjb_solvers.pide_solve(problem, SYM, 0.5, grids)
+
+
 def generator(growth_order):
     q = nonlocal_generator.GeneratorQuadrature(SYM)
     return nonlocal_generator.generator_apply(q, math.cos, 0.0, lambda v: -math.sin(v),
@@ -65,6 +79,9 @@ ROWS = {
     # a certificate for a ball that was never stated
     "lyapunov radius nan": lambda: lyapunov(math.nan),
     "lyapunov radius -1": lambda: lyapunov(-1.0),
+    # (inf, True): the drift condition certified on no sample at all
+    "lyapunov no samples": lambda: nonlocal_generator.lyapunov_drift_check(
+        nonlocal_generator.GeneratorQuadrature(ONE_SIDED), 1.0, 2.0, np.array([])),
     # nan
     "tail_moment q nan": lambda: levy_measures.tail_moment(SYM, math.nan),
     "truncated_moment kappa nan": lambda: levy_measures.truncated_moment(SYM, 2, math.nan),
@@ -111,6 +128,24 @@ ROWS = {
     "sample_stable_increment size True": lambda: stable_draws(True),
     # a 0-d draw, not an array of draws
     "sample_stable_increment size None": lambda: stable_draws(None),
+    # numpy's TypeError
+    "effective_solve payoff 1.0": lambda: solve("effective_solve", payoff=lambda x: 1.0),
+    # IndexError
+    "pide_solve payoff 1.0": lambda: solve("pide_solve", payoff=lambda x: 1.0),
+    # numpy's broadcast ValueError
+    "effective_solve payoff of 5 values on 31 nodes": lambda: solve(
+        "effective_solve", payoff=lambda x: np.ones(5)),
+    # IndexError
+    "effective_solve sigma_of_y 0.2": lambda: solve("effective_solve", sigma_of_y=lambda y: 0.2),
+    "pide_solve sigma_of_y 0.2": lambda: solve("pide_solve", sigma_of_y=lambda y: 0.2),
+    # drew exactly seed 1's paths
+    "FastProcessConfig seed True": lambda: jump_processes.FastProcessConfig(
+        SYM, lam=1.0, y0=0.0, horizon=1.0, dt=0.1, seed=True),
+    # accepted, then failed on call: "not enough values to unpack"
+    "CorrectorQuery frozen point (1, 1)": lambda: corrector_query(frozen_point=(1.0, 1.0)),
+    # accepted, and handed on to the Hamiltonian
+    "CorrectorQuery frozen point with nan": lambda: corrector_query(
+        frozen_point=(1.0, math.nan, -1.0)),
     # a slow path of NaN
     "SlowSystemConfig x0 nan": lambda: jump_processes.SlowSystemConfig(
         finance.merton_problem(MERTON),
@@ -141,6 +176,16 @@ NAMED_ROWS = {
         fast(SYM), np.cos, math.nan, 4)),
     "abel_average delta inf": ("delta", lambda: ergodicity.abel_average(
         fast(SYM), np.cos, math.inf, 4)),
+    # 10/delta in whole steps of dt = 0.02 rounds to 0 steps (refused as horizon 0.0) and 1 step
+    # (refused as a dt not dividing the horizon): the rule is stated once, for both routes
+    "abel_average delta 1000 at dt 0.02": ("delta", lambda: ergodicity.abel_average(
+        replace(fast(SYM), dt=0.02), np.cos, 1000.0, 4)),
+    "abel_average delta 400 at dt 0.02": ("delta", lambda: ergodicity.abel_average(
+        replace(fast(SYM), dt=0.02), np.cos, 400.0, 4)),
+    "CorrectorQuery delta 1000 at dt 0.02": ("delta", lambda: corrector_query(delta=1000.0,
+                                                                               dt=0.02)),
+    "CorrectorQuery delta 400 at dt 0.02": ("delta", lambda: corrector_query(delta=400.0,
+                                                                              dt=0.02)),
 }
 
 

@@ -534,6 +534,20 @@ class TestOneKernel:
             assert _readers(name) == {"levy_measures.levy_exponent",
                                       "nonlocal_generator.generator_apply"}
 
+    def test_outer_cut_has_one_statement(self):
+        # the grid matrix and the pointwise generator read the same truncation point
+        assert _readers("default_outer_cut") == {"hjb_solvers.assemble_factor_generator",
+                                                 "nonlocal_generator.generator_apply"}
+
+    def test_generator_has_one_integrand(self):
+        # the compensator is a drift, as in the grid matrix, so one quadrature runs [kappa, M]
+        tree = ast.parse((PACKAGE / "nonlocal_generator.py").read_text())
+        fn = next(n for n in tree.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "generator_apply")
+        calls = [n for n in ast.walk(fn)
+                 if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "quad"]
+        assert len(calls) == 1
+
     def test_path_functionals_share_one_kernel(self):
         # the averages, the corrector and the pricer's variance are weight choices
         assert _readers("iter_fast_values") == {

@@ -10,6 +10,8 @@ from levy_multiscale.jump_processes import FastProcessConfig
 from levy_multiscale.levy_measures import (
     Family,
     LevyMeasureModel,
+    compensator_drift,
+    default_outer_cut,
     density_eval,
     levy_exponent,
 )
@@ -54,10 +56,10 @@ def brute_generator(model, f, df, y, inner=1e-6):
 
 class TestGeneratorQuadratureType:
     def test_default_outer_cut_tail_mass(self):
-        q = GeneratorQuadrature(SYM15)
         from levy_multiscale.levy_measures import tail_mass
 
-        assert tail_mass(SYM15, q.M) / tail_mass(SYM15, 1.0) == pytest.approx(1e-8, rel=1e-6)
+        m_cut = default_outer_cut(SYM15)
+        assert tail_mass(SYM15, m_cut) / tail_mass(SYM15, 1.0) == pytest.approx(1e-8, rel=1e-6)
 
 
 class TestGeneratorApply:
@@ -75,6 +77,16 @@ class TestGeneratorApply:
             q, lambda v: v, 2.0, lambda v: 1.0, lambda v: 0.0, growth_order=1.0
         )
         assert val == pytest.approx(-2.0, abs=1e-5)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("y", [-3.0, 0.0, 0.7, 2.0])
+    def test_identity_one_sided_closed_form(self, alpha, y):
+        # I[y, id] = -y + int_{z > 1} z nu(dz): the compensator drift.  The residual,
+        # |y| nu(z > M) / (alpha - 1) <= 1.25e-7 here, is the extrapolation beyond M
+        model = LevyMeasureModel(Family.ONE_SIDED_STABLE, alpha)
+        val = generator_apply(GeneratorQuadrature(model), lambda v: v, y, lambda v: 1.0,
+                              lambda v: 0.0, growth_order=1.0)
+        assert val == pytest.approx(-y + compensator_drift(model), abs=2e-7)
 
     def test_identity_against_raw_quadrature(self):
         q = GeneratorQuadrature(SYM15)
