@@ -24,8 +24,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import UsageError
-from .jump_processes import (FastProcessConfig, discount_horizon, discount_weights,
-                             iter_fast_values, path_integral)
+from .jump_processes import (FORGET_EFOLDS, FastProcessConfig, discount_horizon,
+                             discount_weights, iter_fast_values, path_integral)
 from .levy_measures import (
     LevyMeasureModel,
     compensator_drift,
@@ -194,14 +194,16 @@ def abel_average(
 ) -> float:
     """Discount-weighted long-run average ``delta int_0^inf E f(Y(t)) e^{-delta t} dt``.
 
-    Truncated at 10/delta in whole steps, ``discount_horizon(delta, dt)`` at an explicit
-    dt and 10/delta at the default step, which divides it (truncation error about
-    ``e^{-10} sup|f|``); the weights are the exact discount weights normalized to
-    total mass one, so constants are reproduced exactly.
+    Truncated at 10/delta (ten is :data:`~levy_multiscale.jump_processes.FORGET_EFOLDS`) in
+    whole steps, ``discount_horizon(delta, dt)`` at an explicit dt and 10/delta at the
+    default step, which divides it (truncation error about ``e^{-10} sup|f|``); the weights
+    are the exact discount weights normalized to total mass one, so constants are
+    reproduced exactly.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise UsageError(f"delta must be finite and positive, got {delta}")
     dt = cfg.dt
-    run_cfg = replace(cfg, horizon=10.0 / delta if dt is None else discount_horizon(delta, dt))
+    run_cfg = replace(cfg, horizon=FORGET_EFOLDS / delta if dt is None
+                      else discount_horizon(delta, dt))
     w = discount_weights(delta, run_cfg.step, run_cfg.n_steps + 1)
     return float(path_integral(run_cfg, f, n_paths, w / w.sum())[0].mean())

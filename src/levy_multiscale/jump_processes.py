@@ -24,6 +24,15 @@ One CMS draw per path and step therefore gives states that are exact in law
 for any step (:func:`iter_fast_values`).  Every path functional of the factor
 is :func:`path_integral`, a weighted sum along these states.
 
+A batch fanned out over start points (``starts``) shares one driven run: the
+factor map is affine in its start, ``Y^y(t) = y e^{-lam t} + Y^0(t)``, so every
+start sees the same jumps.  The start memory ``y e^{-lam t}`` is kept for the
+first :data:`FORGET_EFOLDS` e-folds only, up to step k*; from then on every
+start reads the shared state ``Y^0``, and a path functional evaluates f once
+per state, not once per start.  A start's weighted sum of f then differs from
+its single-start run by at most ``L |y| sum_{k >= k*} |w_k| e^{-lam t_k}``, for
+an f with Lipschitz constant L.
+
 Randomness derives from one 64-bit seed through numpy ``SeedSequence`` spawn
 keys: key ``(0,)`` feeds the jump stream (:func:`iter_fast_values`), ``(1,)``
 the Brownian stream of the slow-state step (:func:`simulate_slow_system`), and
@@ -49,6 +58,11 @@ from .levy_measures import (LevyMeasureModel, compensator_drift, require_assumpt
 JUMP_STREAM = 0
 BROWNIAN_STREAM = 1
 MIXING_STREAM = 2
+
+#: e-folds after which a decaying weight is dropped: the discounted runs stop at
+#: FORGET_EFOLDS / delta, and a fanned-out batch forgets its start points once
+#: ``e^{-lam t}`` has fallen below ``e^{-FORGET_EFOLDS}``, about 4.5e-5.
+FORGET_EFOLDS = 10.0
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -198,6 +212,11 @@ def iter_fast_values(
     fanned out over the start points, which the affine factor map allows:
     ``Y^y(t_k) = y exp(-lam t_k) + Y^0(t_k)``, yielded with shape
     ``(len(starts), n_paths)``.  Every start point then sees the same jumps.
+    The fan-out lasts up to step k*, the first whole step with
+    ``lam k dt >= FORGET_EFOLDS`` (to 1e-9 relative), where each start's
+    memory ``y exp(-lam t_k)`` is below ``|y| e^{-10}``.  From k* on the
+    shared state ``Y^0(t_k)``, bit-equal to the run from y0 = 0, is yielded
+    with shape ``(n_paths,)``.
     """
     if isinstance(n_paths, bool) or not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
         raise UsageError(f"n_paths must be a positive integer, got {n_paths!r}")
@@ -211,13 +230,16 @@ def iter_fast_values(
         if starts.ndim != 1 or not np.all(np.isfinite(starts)):
             raise UsageError("starts must be a 1-D array of finite start points")
         starts = starts[:, None]
+    # whole steps, not a test on decay: where lam k dt = FORGET_EFOLDS on a step, decay's
+    # rounding would pick k*
+    fan_in = 0 if starts is None else math.ceil(FORGET_EFOLDS / tau * (1.0 - 1e-9))
     y = np.full(n_paths, float(cfg.y0) if starts is None else 0.0)
     decay = 1.0
-    for _ in range(cfg.n_steps):
-        yield y if starts is None else starts * decay + y
+    for k in range(cfg.n_steps):
+        yield starts * decay + y if k < fan_in else y
         y = a * y + sample_stable_increment(cfg.model, tau_s, rng, size=n_paths) + shift
         decay *= a
-    yield y if starts is None else starts * decay + y
+    yield starts * decay + y if cfg.n_steps < fan_in else y
 
 
 def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np.ndarray,
@@ -230,10 +252,23 @@ def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np
     :func:`iter_fast_values` (at most n_steps + 1; ``starts`` fans out the batch).
     ``stops`` are step counts in [0, len(weights)], ``[len(weights)]`` by default;
     the result has shape ``(len(stops),) + batch``.  Only the states the largest
-    stop needs are drawn.  ``f`` gets one row of n_paths states at a time, not
-    the raveled batch, which no longer fits in cache: the benchmark's Merton
-    Hamiltonian on 9 x 4,000 states for 1,000 steps took 0.61-0.67 s row by
-    row and 0.71-0.92 s raveled (2-core Xeon host).
+    stop needs are drawn.
+
+    While the batch is fanned out, ``f`` gets one row of n_paths states at a
+    time, not the raveled batch, because of glibc's malloc: the raveled call's
+    temporaries (288 kB on 9 x 4,000 states) go back to the kernel when freed,
+    so the benchmark's Merton Hamiltonian took about 320 page faults and
+    0.96-1.27 ms a raveled call, against none and 0.67-0.96 ms for the 9 rows
+    (2-core Xeon host, glibc 2.36).  Raising ``MALLOC_MMAP_THRESHOLD_`` and
+    ``MALLOC_TRIM_THRESHOLD_`` removed the faults (0.58-0.65 ms raveled), but
+    the caller's malloc is not the library's to set.
+
+    From step k* on, where the batch has forgotten its starts
+    (:func:`iter_fast_values`), f is called once per state and
+    ``w_k f(Y^0_k)`` is added to every row.  So, up to rounding, row i differs
+    from its single-start run by at most
+    ``L |y_i| sum_{k* <= k < stop} |w_k| e^{-lam t_k}`` for an f with
+    Lipschitz constant L, and rows at stops up to k* are unchanged.
     """
     weights = np.asarray(weights, dtype=float)
     stops = np.asarray([len(weights)] if stops is None else stops)
@@ -248,8 +283,11 @@ def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np
     out = np.empty((len(stops),) + acc.shape)
     for k, y in enumerate(islice(chain([first], ys), last)):
         out[stops == k] = acc
-        for row_acc, row in zip(acc.reshape(-1, n_paths), y.reshape(-1, n_paths)):
-            row_acc += weights[k] * np.asarray(f(row), dtype=float)
+        if y.ndim == 1:  # one state for every row, broadcast over them
+            acc += weights[k] * np.asarray(f(y), dtype=float)
+        else:
+            for row_acc, row in zip(acc, y):
+                row_acc += weights[k] * np.asarray(f(row), dtype=float)
     out[stops == last] = acc
     return out
 
@@ -257,9 +295,10 @@ def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np
 def discount_horizon(delta: float, dt: float) -> float:
     """The discounted runs' truncation: 10/delta in whole steps, ``dt round(10 / (delta dt))``.
 
-    Fewer than two steps leave no run whose step lies strictly inside its horizon.
+    Ten is :data:`FORGET_EFOLDS`.  Fewer than two steps leave no run whose step
+    lies strictly inside its horizon.
     """
-    n = round(10.0 / delta / dt)
+    n = round(FORGET_EFOLDS / delta / dt)
     if n < 2:
         raise UsageError(f"delta must leave 10/delta two steps of dt or more: {delta=}, {dt=}")
     return dt * n

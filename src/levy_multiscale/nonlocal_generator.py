@@ -240,10 +240,20 @@ class CorrectorQuery:
             raise UsageError(f"need an integer >= 1000 of Monte Carlo paths, got {self.mc_paths!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise UsageError(f"the corrector needs a finite positive step dt, got {self.dt}")
-        discount_horizon(self.delta, self.dt)  # refuses a truncation under two steps
+        self._run_config()  # refuses a truncation under two steps and a bad seed
         if not (np.shape(self.frozen_point) == (3,) and np.all(np.isfinite(self.frozen_point))):
             raise UsageError(f"frozen_point must be a finite (x, p, X) triple, "
                              f"got {self.frozen_point!r}")
+        y_grid = np.asarray(self.y_grid, dtype=float)
+        if not (y_grid.ndim == 1 and y_grid.size >= 1 and np.all(np.isfinite(y_grid))):
+            raise UsageError(f"y_grid must be a nonempty 1-D array of finite points, "
+                             f"got {self.y_grid!r}")
+
+    def _run_config(self) -> FastProcessConfig:
+        """The driven run: unit rate from 0 over ``discount_horizon(delta, dt)``."""
+        return FastProcessConfig(model=self.model, lam=1.0, y0=0.0,
+                                 horizon=discount_horizon(self.delta, self.dt), dt=self.dt,
+                                 seed=self.seed)
 
 
 def approximate_corrector(
@@ -256,13 +266,17 @@ def approximate_corrector(
     One driven path batch serves the whole y-grid (``path_integral`` with
     ``starts``): the factor map is affine in its start point,
     ``Y^y(t) = y e^{-t} + Y^0(t)``, so the grid shares common random numbers
-    exactly and the y-profile is smooth.
+    and the y-profile is smooth.  Each start is followed for its first ten
+    e-folds, t < 10 (k* = 10 / dt steps); after that every start reads the
+    shared state and H is called once per state, not once per start.  That
+    moves chi(y) by at most ``L |y| sum_{k >= k*} w_k e^{-t_k}``, about
+    ``L |y| e^{-10 (1 + delta)} / (1 + delta)``, for an H with Lipschitz
+    constant L in y.
     The weights are the exact discount weights, integrating ``e^{-delta t}``
     over each step with the Hamiltonian held at the left endpoint.
     """
     x_bar, p_bar, big_x = cq.frozen_point
-    cfg = FastProcessConfig(model=cq.model, lam=1.0, y0=0.0,
-                            horizon=discount_horizon(cq.delta, cq.dt), dt=cq.dt, seed=cq.seed)
+    cfg = cq._run_config()
     w = discount_weights(cq.delta, cfg.step, cfg.n_steps + 1)
     acc = path_integral(cfg, lambda y: H_eval(x_bar, y, p_bar, big_x), cq.mc_paths, w,
                         starts=np.asarray(cq.y_grid, dtype=float))[0]

@@ -48,8 +48,9 @@ def lyapunov(radius):
     return nonlocal_generator.lyapunov_drift_check(q, 1.0, radius, np.array([3.0]))
 
 
-def corrector_query(frozen_point=(1.0, 1.0, -1.0), delta=0.5, dt=0.1):
-    return nonlocal_generator.CorrectorQuery(SYM, frozen_point, delta, np.array([0.0]), dt=dt)
+def corrector_query(frozen_point=(1.0, 1.0, -1.0), delta=0.5, dt=0.1, y_grid=(0.0,), **fields):
+    return nonlocal_generator.CorrectorQuery(SYM, frozen_point, delta, np.array(y_grid), dt=dt,
+                                             **fields)
 
 
 def solve(solver, **fields):
@@ -186,6 +187,14 @@ NAMED_ROWS = {
                                                                                dt=0.02)),
     "CorrectorQuery delta 400 at dt 0.02": ("delta", lambda: corrector_query(delta=400.0,
                                                                               dt=0.02)),
+    # accepted, and refused only on call, when the corrector built its fast config
+    "CorrectorQuery seed True": ("seed", lambda: corrector_query(seed=True)),
+    "CorrectorQuery seed -1": ("seed", lambda: corrector_query(seed=-1)),
+    # accepted, and refused on call as "starts must be a 1-D array of finite start points"
+    "CorrectorQuery y_grid with nan": ("y_grid", lambda: corrector_query(y_grid=(0.0, math.nan))),
+    "CorrectorQuery y_grid 2-D": ("y_grid", lambda: corrector_query(y_grid=((0.0, 1.0),))),
+    # an empty chi
+    "CorrectorQuery y_grid empty": ("y_grid", lambda: corrector_query(y_grid=())),
 }
 
 

@@ -374,6 +374,67 @@ class TestPathIntegral:
             next(iter_fast_values(self.CFG, n_paths))
 
 
+class TestFanIn:
+    """After ten e-folds a fanned-out batch forgets its starts: every row reads Y^0."""
+
+    CFG = FastProcessConfig(SYM15, lam=2.0, y0=0.0, horizon=8.0, dt=0.05, seed=29)
+    N = 160  # steps in CFG
+    K = 100  # the fan-in step: lam K dt = 10
+    STARTS = np.array([-1.5, 0.0, 0.7, 3.0])
+    WEIGHTS = np.linspace(1.0, 2.0, N + 1)
+
+    def test_each_row_drops_its_start_memory_from_the_fan_in_step(self):
+        stops = np.array([0, 37, self.K, self.K + 1, 130, self.N + 1])
+        got = path_integral(self.CFG, lambda y: y, 32, self.WEIGHTS, stops=stops,
+                            starts=self.STARTS)
+        decay = self.WEIGHTS * np.exp(-self.CFG.lam * np.arange(self.N + 1) * self.CFG.dt)
+        dropped = np.array([decay[self.K:stop].sum() for stop in stops])
+        # the smallest drop, at K + 1, is far above rtol 1e-12 of sums of order 1e3
+        assert np.all(dropped[:3] == 0.0) and dropped[3] > 4e-5
+        for i, s in enumerate(self.STARTS):
+            single = path_integral(replace(self.CFG, y0=s), lambda y: y, 32, self.WEIGHTS,
+                                   stops=stops)
+            # same jumps; up to rounding, the row is its run less s sum_{K<=k<stop} w_k e^{-lam t_k}
+            np.testing.assert_allclose(got[:, i], single - s * dropped[:, None],
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lam, horizon, dt, k_star", [
+        (2.0, 8.0, 0.05, 100),
+        (1.0, 12.0, 0.02, 500),  # the corrector's query: lam k dt = 10 on a step
+        (20.0, 1.0, 1.0 / 160.0, 80),  # the pricing surface's run
+    ])
+    def test_f_is_called_once_per_shared_state(self, lam, horizon, dt, k_star):
+        cfg = FastProcessConfig(SYM15, lam=lam, y0=0.0, horizon=horizon, dt=dt, seed=3)
+        last = cfg.n_steps + 1
+        calls = []
+
+        def f(y):
+            calls.append(y.shape)
+            return np.sin(y)
+
+        path_integral(cfg, f, 4, np.ones(last), starts=self.STARTS)
+        assert len(calls) == len(self.STARTS) * k_star + (last - k_star)
+        assert set(calls) == {(4,)}  # every call still gets a full row of paths
+
+    def test_shared_state_is_the_run_from_zero(self):
+        fanned = list(iter_fast_values(self.CFG, 16, starts=self.STARTS))
+        zero = list(iter_fast_values(self.CFG, 16))
+        assert len(fanned) == len(zero) == self.N + 1
+        assert all(y.shape == (len(self.STARTS), 16) for y in fanned[:self.K])
+        for y, y0 in zip(fanned[self.K:], zero[self.K:]):
+            assert y.shape == (16,) and np.array_equal(y, y0)
+
+    def test_rows_agree_with_their_start_up_to_the_fan_in_step(self):
+        stops = np.array([0, 37, self.K, self.K + 1])
+        got = path_integral(self.CFG, np.sin, 32, self.WEIGHTS, stops=stops, starts=self.STARTS)
+        for i, s in enumerate(self.STARTS):
+            single = path_integral(replace(self.CFG, y0=s), np.sin, 32, self.WEIGHTS, stops=stops)
+            # same jumps and the same states up to K; the two differ only by rounding
+            np.testing.assert_allclose(got[:3, i], single[:3], rtol=1e-12, atol=1e-12)
+            if s != 0.0:  # one step past K the row has dropped s e^{-10} from its state
+                assert np.max(np.abs(got[3, i] - single[3])) > 1e-7
+
+
 def _toy_pricing(r, sigma_fn):
     """Single-asset model dX = r X dt + sqrt(2) sigma(y) X dW."""
     return ControlProblemSpec(
@@ -555,6 +616,12 @@ class TestOneKernel:
             "jump_processes.simulate_slow_system",
             "ergodicity.stationary_samples",
         }
+
+    def test_ten_efolds_have_one_statement(self):
+        # the discounted runs' truncation and the fan-in of a start batch read one constant
+        assert _readers("FORGET_EFOLDS") == {"jump_processes.discount_horizon",
+                                             "jump_processes.iter_fast_values",
+                                             "ergodicity.abel_average"}
 
     def test_whole_step_rule_has_one_statement(self):
         # a run's step divides its horizon: checked where the run's config is built, and
