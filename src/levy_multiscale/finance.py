@@ -89,7 +89,7 @@ class MertonSpec:
         if self.alpha_drift <= self.r:
             raise UsageError("the risky return must exceed the riskless rate")
         if not 0.0 < self.gamma < 1.0:
-            raise UsageError("risk-premium coefficient must lie in (0, 1)")
+            raise UsageError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.a <= 0.0:
             raise UsageError("utility scale must be positive")
         if not (-self.R <= self.R1 <= 0.0 < self.R):
@@ -277,21 +277,20 @@ def bs_oracle(spec: PricingSpec, s: float) -> float:
 
 
 def merton_hbar(spec: MertonSpec, mu: InvariantMeasure) -> float:
-    """Exponential growth rate of the limit value, by the regime split.
+    """Exponential growth rate of the limit value: r plus the mu-average of the inner maximum.
 
-    On nodes where ``2 R (1 - gamma) sigma^2 >= alpha - r`` the inner maximum
-    is attained at ``u* = (alpha-r) / (2 (1-gamma) sigma^2)``; otherwise it
-    sits at the upper control bound R.
+    The maximum of ``(alpha - r) u - (1 - gamma) sigma^2 u^2`` over [R1, R] is at Merton's
+    myopic control ``u* = min((alpha - r) / (2 (1 - gamma) sigma^2), R)``: the vertex is
+    positive (alpha > r, gamma < 1), so R1 <= 0 never binds, and where sigma vanishes u* = R.
     """
     excess = spec.alpha_drift - spec.r
     one_mg = 1.0 - spec.gamma
 
-    def premium(y):  # h(y) - r: the inner maximum at the factor value y
+    def premium(y):  # h(y) - r: the objective at the myopic control
         s2 = np.asarray(spec.sigma_fn(y), dtype=float) ** 2
         with np.errstate(divide="ignore"):
-            interior_val = excess**2 / (4.0 * one_mg * s2)
-        boundary_val = excess * spec.R + (spec.gamma - 1.0) * spec.R**2 * s2
-        return np.where(2.0 * spec.R * one_mg * s2 >= excess, interior_val, boundary_val)
+            u = np.minimum(excess / (2.0 * one_mg * s2), spec.R)
+        return excess * u - one_mg * u**2 * s2
 
     return spec.r + mu.mean_of(premium)
 

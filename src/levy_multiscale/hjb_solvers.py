@@ -502,28 +502,26 @@ class CompactBox:
 
 
 def sup_norm_gap(a: ValueField, b: ValueField, box: CompactBox) -> float:
-    """Sup of |a - b| over the box, b linearly interpolated onto a's grid.
+    """Sup of |a - b| over the box, b linearly interpolated in t onto a's times.
 
-    ``a`` may carry a factor axis (the sup then also runs over the y-window);
-    ``b`` must be a plain (t, x) field.
+    The fields share their x grid, so b is interpolated in t alone, one x column at a
+    time; box times within 1e-9 of b's span are clamped to it.  ``a`` may carry a factor
+    axis (the sup then also runs over the y-window); ``b`` must be a plain (t, x) field.
     """
     if b.y_grid is not None:
         raise UsageError("the reference field must not depend on the factor")
+    if not np.array_equal(a.x_grid, b.x_grid):
+        raise UsageError("the two fields must share their x grid")
+    if not np.all(np.diff(b.t_grid) > 0.0):
+        raise UsageError("the reference field's times must strictly increase")
     t_sel = (a.t_grid >= box.t[0] - 1e-12) & (a.t_grid <= box.t[1] + 1e-12)
     x_sel = (a.x_grid >= box.x[0] - 1e-12) & (a.x_grid <= box.x[1] + 1e-12)
     if not (np.any(t_sel) and np.any(x_sel)):
         raise UsageError("box does not intersect the field grids")
-    ts, xs = a.t_grid[t_sel], a.x_grid[x_sel]
+    ts = a.t_grid[t_sel]
     if ts[0] < b.t_grid[0] - 1e-9 or ts[-1] > b.t_grid[-1] + 1e-9:
         raise UsageError("box times leave the reference field's domain")
-    if xs[0] < b.x_grid[0] - 1e-9 or xs[-1] > b.x_grid[-1] + 1e-9:
-        raise UsageError("box states leave the reference field's domain")
-
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator((b.t_grid, b.x_grid), b.values, method="linear")
-    tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    ref = interp(np.stack([tt.ravel(), xx.ravel()], axis=1)).reshape(tt.shape)
+    ref = np.stack([np.interp(ts, b.t_grid, column) for column in b.values[:, x_sel].T], axis=1)
 
     sub = a.values[np.ix_(t_sel, x_sel)]
     if a.values.ndim == 3:
@@ -532,5 +530,5 @@ def sup_norm_gap(a: ValueField, b: ValueField, box: CompactBox) -> float:
             if not np.any(y_sel):
                 raise UsageError("y window does not intersect the factor grid")
             sub = sub[:, :, y_sel]
-        return float(np.max(np.abs(sub - ref[:, :, None])))
+        ref = ref[:, :, None]
     return float(np.max(np.abs(sub - ref)))

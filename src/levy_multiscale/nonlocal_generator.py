@@ -244,10 +244,12 @@ class CorrectorQuery:
         if not (np.shape(self.frozen_point) == (3,) and np.all(np.isfinite(self.frozen_point))):
             raise UsageError(f"frozen_point must be a finite (x, p, X) triple, "
                              f"got {self.frozen_point!r}")
-        y_grid = np.asarray(self.y_grid, dtype=float)
+        y_grid = np.array(self.y_grid, dtype=float)  # a copy, so the caller's array may change
         if not (y_grid.ndim == 1 and y_grid.size >= 1 and np.all(np.isfinite(y_grid))):
             raise UsageError(f"y_grid must be a nonempty 1-D array of finite points, "
                              f"got {self.y_grid!r}")
+        y_grid.setflags(write=False)
+        object.__setattr__(self, "y_grid", y_grid)
 
     def _run_config(self) -> FastProcessConfig:
         """The driven run: unit rate from 0 over ``discount_horizon(delta, dt)``."""
@@ -261,7 +263,7 @@ def approximate_corrector(
     H_eval: Callable,
     return_se: bool = False,
 ):
-    """Monte Carlo approximate corrector ``chi(y) = -E int_0^inf H(Y^y(t)) e^{-dt t} dt``.
+    """Monte Carlo approximate corrector ``chi(y) = -E int_0^inf H(Y^y(t)) e^{-delta t} dt``.
 
     One driven path batch serves the whole y-grid (``path_integral`` with
     ``starts``): the factor map is affine in its start point,
@@ -279,7 +281,7 @@ def approximate_corrector(
     cfg = cq._run_config()
     w = discount_weights(cq.delta, cfg.step, cfg.n_steps + 1)
     acc = path_integral(cfg, lambda y: H_eval(x_bar, y, p_bar, big_x), cq.mc_paths, w,
-                        starts=np.asarray(cq.y_grid, dtype=float))[0]
+                        starts=cq.y_grid)[0]
     chi = -acc.mean(axis=1)
     if return_se:
         se = acc.std(axis=1, ddof=1) / math.sqrt(cq.mc_paths)

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 from test_jump_processes import _readers
 
-from levy_multiscale.ergodicity import two_atom_measure
+from levy_multiscale.ergodicity import InvariantMeasure, two_atom_measure
 from levy_multiscale.errors import DegenerateVolatilityError, UsageError
 from levy_multiscale.finance import (
     CallPayoff,
@@ -16,6 +16,7 @@ from levy_multiscale.finance import (
     bs_oracle,
     effective_vol_harmonic,
     effective_vol_quadratic,
+    merton_hbar,
     price_mc,
     price_mc_surface,
 )
@@ -55,6 +56,11 @@ class TestBsOracle:
         quad = bs_oracle(pricing_spec(lambda x: call(x)), s)
         assert closed == pytest.approx(quad, abs=1e-8)
 
+    def test_plain_payoff_at_zero_spot_is_the_discounted_payoff_at_zero(self):
+        # the asset stays at 0, so the expectation is the payoff there, discounted over T
+        spec = replace(pricing_spec(lambda x: np.maximum(1.0 - x, 0.0)), x0=0.0)
+        assert bs_oracle(spec, 0.2) == math.exp(-0.05 * 1.0) * 1.0
+
     @pytest.mark.parametrize("s", [-0.2, math.nan, math.inf])
     def test_bad_volatility_is_refused(self, s):
         with pytest.raises(UsageError):
@@ -93,6 +99,42 @@ class TestMertonSpec:
                           gamma=0.5, a=1.0, horizon=1.0, w0=1.0)
         with pytest.raises(UsageError):
             replace(spec, **{field: value})
+
+
+def regime_split_hbar(spec, mu):
+    """The growth rate as two regimes: the vertex where it lies below R, else R itself."""
+    excess, one_mg = spec.alpha_drift - spec.r, 1.0 - spec.gamma
+    s2 = np.asarray(spec.sigma_fn(mu.nodes), dtype=float) ** 2
+    with np.errstate(divide="ignore"):
+        interior_val = excess**2 / (4.0 * one_mg * s2)
+    boundary_val = excess * spec.R + (spec.gamma - 1.0) * spec.R**2 * s2
+    return spec.r + mu.mean_of(
+        lambda y: np.where(2.0 * spec.R * one_mg * s2 >= excess, interior_val, boundary_val))
+
+
+class TestMertonHbar:
+    # a node at y = 0, where the second volatility vanishes and the vertex is infinite
+    MU = InvariantMeasure(np.array([-1.5, 0.0, 0.5, 2.0]), np.array([0.2, 0.3, 0.4, 0.1]))
+
+    @pytest.mark.parametrize("sigma_fn", [bench_sigma, lambda y: 0.3 * np.abs(y)],
+                             ids=["tanh", "zero at a node"])
+    @pytest.mark.parametrize("alpha_drift", [0.06, 0.1, 0.3])
+    @pytest.mark.parametrize("r", [0.01, 0.05])
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("R", [0.3, 0.5, 1.0, 2.0])
+    def test_myopic_control_is_the_regime_split(self, R, gamma, r, alpha_drift, sigma_fn):
+        spec = MertonSpec(r=r, alpha_drift=alpha_drift, sigma_fn=sigma_fn, R1=-R / 2, R=R,
+                          gamma=gamma, a=1.0, horizon=1.0, w0=1.0)
+        assert merton_hbar(spec, self.MU) == pytest.approx(regime_split_hbar(spec, self.MU),
+                                                           rel=1e-15, abs=0.0)
+
+    def test_control_bound_binding_on_every_node(self):
+        # 2 R (1 - gamma) sigma^2 <= 0.027 < alpha - r = 0.25: u* = R everywhere
+        spec = MertonSpec(r=0.05, alpha_drift=0.3, sigma_fn=bench_sigma, R1=0.0, R=0.3,
+                          gamma=0.5, a=1.0, horizon=1.0, w0=1.0)
+        mean_s2 = self.MU.mean_of(lambda y: bench_sigma(y) ** 2)
+        assert merton_hbar(spec, self.MU) == pytest.approx(
+            0.05 + 0.25 * 0.3 - 0.5 * 0.3**2 * mean_s2, rel=1e-15, abs=0.0)
 
 
 class TestEffectiveVolatility:

@@ -349,6 +349,49 @@ class TestSupNormGap:
         with pytest.raises(UsageError):
             sup_norm_gap(a, b, CompactBox(t=(0, 1), x=(5.0, 6.0)))
 
+    def test_reference_ending_one_ulp_short_of_the_horizon(self):
+        # the averaged solve's 237 steps end its checkpoints at 0.9999999999999999: the box
+        # passed the 1e-9 slack, then scipy's interpolator raised a raw ValueError
+        spec = MertonSpec(r=0.05, alpha_drift=0.1, R1=0.0, R=1.0, gamma=0.5, a=1.0,
+                          horizon=1.0, w0=1.0,
+                          sigma_fn=lambda y: 0.2 + 0.1 * np.tanh(np.asarray(y, dtype=float)))
+        grids = Grids(x=np.linspace(0.0, 1.0, 38), y=np.linspace(-4.0, 4.0, 17))
+        a = pide_solve(merton_problem(spec), SYM15, 0.5, grids)
+        b = effective_solve(merton_problem(spec), two_atom_measure(-1.0, 1.0), Grids(x=grids.x))
+        assert (a.diagnostics["n_t"], b.diagnostics["n_t"]) == (278, 237)
+        assert a.t_grid[-1] == 1.0 and b.t_grid[-1] == 1.0 - 2.0**-53
+        box = CompactBox(t=(0.0, 1.0), x=(0.0, 1.0), y=(-4.0, 4.0))
+        assert sup_norm_gap(a, b, box) == pytest.approx(0.007022959153866415, rel=1e-12)
+
+    def test_box_times_past_the_reference_read_its_last_checkpoint(self):
+        from scipy.interpolate import RegularGridInterpolator
+
+        ts_b, ts_a = np.arange(50) * (1.0 / 49.0), np.linspace(0.0, 1.0, 50)
+        xs = np.linspace(0, 2, 9)
+        assert ts_b[-1] < 1.0 == ts_a[-1]
+        rng = np.random.default_rng(2)
+        a = self._field(rng.random((50, 9)), ts_a, xs)
+        b = self._field(rng.random((50, 9)), ts_b, xs)
+        tt, xx = np.meshgrid(np.minimum(ts_a, ts_b[-1]), xs, indexing="ij")
+        ref = RegularGridInterpolator((ts_b, xs), b.values)(np.stack([tt, xx], axis=-1))
+        want = float(np.max(np.abs(a.values - ref)))
+        assert sup_norm_gap(a, b, CompactBox(t=(0.0, 1.0), x=(0.0, 2.0))) == want
+
+    def test_fields_on_different_x_grids_refused(self):
+        ts = np.linspace(0, 1, 5)
+        a = self._field(np.zeros((5, 9)), ts, np.linspace(0, 2, 9))
+        b = self._field(np.zeros((5, 17)), ts, np.linspace(0, 2, 17))
+        with pytest.raises(UsageError, match="x grid"):
+            sup_norm_gap(a, b, CompactBox(t=(0, 1), x=(0.0, 2.0)))
+
+    @pytest.mark.parametrize("ts_b", [[0.0, 0.5, 0.5, 1.0], [0.0, 0.75, 0.5, 1.0]])
+    def test_reference_times_must_strictly_increase(self, ts_b):
+        xs = np.linspace(0, 2, 9)
+        a = self._field(np.zeros((5, 9)), np.linspace(0, 1, 5), xs)
+        b = self._field(np.zeros((4, 9)), np.array(ts_b), xs)
+        with pytest.raises(UsageError, match="strictly increase"):
+            sup_norm_gap(a, b, CompactBox(t=(0, 1), x=(0.0, 2.0)))
+
 
 class TestGridsValidation:
     def test_x_grid_must_be_uniform(self):

@@ -14,6 +14,8 @@ Likewise every defaulted parameter of a public function and every defaulted
 field of a public class is set, by keyword or by position, in some call of a
 package module or the benchmark, or ``TEST_ONLY_SETTINGS`` says why only the
 tests set it: a setting nothing else sets is a second value of one constant.
+No package module imports ``scipy.interpolate``: the one interpolation, the
+averaged limit's gap in t, is ``np.interp``.
 """
 
 import ast
@@ -199,3 +201,34 @@ def test_the_check_sees_an_unset_setting():
         "from .a import f, K\nf(0, 1, d=2)\nK(1, 2)\n",
     ]
     assert unset_settings(package, ["import a\na.K(1, z=2)\n"]) == ["f.c"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Dotted names of the modules ``source`` imports; ``from m import n`` counts ``m`` and ``m.n``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return names
+
+
+def imports_module(source: str, module: str) -> bool:
+    return any(n == module or n.startswith(f"{module}.") for n in imported_modules(source))
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_scipy_interpolate(module):
+    assert not imports_module((PACKAGE / f"{module}.py").read_text(), "scipy.interpolate")
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import scipy.interpolate\n", True),
+    ("from scipy import integrate, interpolate\n", True),
+    ("def f():\n    from scipy.interpolate import RegularGridInterpolator\n", True),
+    ("from scipy.interpolate._rgi import RegularGridInterpolator\n", True),
+    ("from scipy import integrate\nimport scipy\n", False),
+])
+def test_the_check_sees_an_interpolate_import(source, found):
+    assert imports_module(source, "scipy.interpolate") == found

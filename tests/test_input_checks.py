@@ -3,8 +3,10 @@
 Each row is an input the package accepted before its guard existed: NaN slips
 through a check written as ``if x <= 0`` (every comparison with NaN is False),
 so each guard is written as ``if not (<accepted>)``.  The row's comment says
-what the call did without the guard.  A subordinator is refused with
-``AssumptionError`` by every route of the factor, before any draw.
+what the call did without the guard.  The rows after "guards that no other
+test reaches" hold refusals that always existed but that no test called.  A
+subordinator is refused with ``AssumptionError`` by every route of the factor,
+before any draw.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 
 from levy_multiscale import (ergodicity, finance, hjb_solvers, jump_processes, levy_measures,
                              nonlocal_generator)
-from levy_multiscale.errors import AssumptionError, UsageError
+from levy_multiscale.errors import AssumptionError, NumericalError, UsageError
 from levy_multiscale.levy_measures import Family, LevyMeasureModel
 
 SYM = LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5)
@@ -60,6 +62,14 @@ def solve(solver, **fields):
     if solver == "effective_solve":
         return hjb_solvers.effective_solve(problem, MU, grids)
     return hjb_solvers.pide_solve(problem, SYM, 0.5, grids)
+
+
+def field(ts, ys=None):
+    """Zero field on the times ``ts`` and three x nodes, with a factor axis if ``ys`` is given."""
+    shape = (len(ts), 3) if ys is None else (len(ts), 3, len(ys))
+    return hjb_solvers.ValueField(t_grid=np.array(ts), x_grid=np.linspace(0.0, 1.0, 3),
+                                  values=np.zeros(shape),
+                                  y_grid=None if ys is None else np.array(ys))
 
 
 def generator(growth_order):
@@ -151,6 +161,36 @@ ROWS = {
     "SlowSystemConfig x0 nan": lambda: jump_processes.SlowSystemConfig(
         finance.merton_problem(MERTON),
         jump_processes.FastProcessConfig(SYM, lam=1.0, y0=0.0, horizon=1.0, dt=0.1), math.nan),
+    # guards that no other test reaches
+    "MertonSpec alpha_drift = r": lambda: replace(MERTON, alpha_drift=MERTON.r),
+    "MertonSpec gamma 1": lambda: replace(MERTON, gamma=1.0),
+    "MertonSpec a 0": lambda: replace(MERTON, a=0.0),
+    "MertonSpec R1 0.5": lambda: replace(MERTON, R1=0.5),
+    "MertonSpec w0 0": lambda: replace(MERTON, w0=0.0),
+    "PricingSpec discount -0.1": lambda: finance.PricingSpec(
+        r=0.05, sigma_fn=MERTON.sigma_fn, payoff=finance.CallPayoff(1.0), discount=-0.1,
+        horizon=1.0, x0=1.0),
+    "merton_hara_closed_form t 1.5 for T = 1": lambda: finance.merton_hara_closed_form(
+        MERTON, MU, 1.5, 1.0),
+    "InvariantMeasure unequal lengths": lambda: ergodicity.InvariantMeasure(
+        np.array([0.0, 1.0]), np.array([1.0])),
+    "InvariantMeasure negative weight": lambda: ergodicity.InvariantMeasure(
+        np.array([0.0, 1.0]), np.array([1.5, -0.5])),
+    "measure_from_samples one sample": lambda: ergodicity.measure_from_samples(np.array([0.5])),
+    # dy = 2 is past the compensator cut 1
+    "assemble_factor_generator dy 2": lambda: hjb_solvers.assemble_factor_generator(
+        SYM, np.linspace(-4.0, 4.0, 5)),
+    "pide_solve without a factor grid": lambda: hjb_solvers.pide_solve(
+        finance.merton_problem(MERTON), SYM, 0.5, hjb_solvers.Grids(x=np.linspace(0.0, 1.0, 5))),
+    "sup_norm_gap reference with a factor axis": lambda: hjb_solvers.sup_norm_gap(
+        field((0.0, 1.0), (-1.0, 1.0)), field((0.0, 1.0), (-1.0, 1.0)),
+        hjb_solvers.CompactBox(t=(0.0, 1.0), x=(0.0, 1.0))),
+    "sup_norm_gap box times past the reference": lambda: hjb_solvers.sup_norm_gap(
+        field((0.0, 1.0, 2.0)), field((0.0, 1.0)),
+        hjb_solvers.CompactBox(t=(0.0, 2.0), x=(0.0, 1.0))),
+    "sup_norm_gap y window off the factor grid": lambda: hjb_solvers.sup_norm_gap(
+        field((0.0, 1.0), (-1.0, 1.0)), field((0.0, 1.0)),
+        hjb_solvers.CompactBox(t=(0.0, 1.0), x=(0.0, 1.0), y=(5.0, 6.0))),
 }
 
 
@@ -158,6 +198,13 @@ ROWS = {
 def test_refused(call):
     with pytest.raises(UsageError):
         call()
+
+
+def test_value_field_with_nan_refused():
+    # a scheme failure, not a usage error: the field's own guard raises NumericalError
+    with pytest.raises(NumericalError):
+        hjb_solvers.ValueField(t_grid=np.array([0.0, 1.0]), x_grid=np.array([0.0]),
+                               values=np.array([[0.0], [math.nan]]))
 
 
 def test_corrector_query_needs_dt():
@@ -195,6 +242,8 @@ NAMED_ROWS = {
     "CorrectorQuery y_grid 2-D": ("y_grid", lambda: corrector_query(y_grid=((0.0, 1.0),))),
     # an empty chi
     "CorrectorQuery y_grid empty": ("y_grid", lambda: corrector_query(y_grid=())),
+    # refused as a "risk-premium coefficient", which gamma, the utility exponent, is not
+    "MertonSpec gamma nan": ("gamma", lambda: replace(MERTON, gamma=math.nan)),
 }
 
 

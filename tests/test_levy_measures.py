@@ -135,6 +135,10 @@ class TestTailMoment:
     def test_boundary_order_diverges(self):
         assert tail_moment(sym(1.5), 1.5) == INFINITE
 
+    def test_null_driver_has_no_tail(self):
+        # the closed form would give 0 * inf at q = alpha
+        assert tail_moment(sym(1.5, 0.0), 1.5) == tail_moment(sym(1.5, 0.0), 1.0) == 0.0
+
     def test_one_sided_nearly_critical(self):
         assert tail_moment(one_sided(1.9), 0.9) == pytest.approx(1.0, rel=1e-14)
 

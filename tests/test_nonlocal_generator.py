@@ -260,6 +260,17 @@ class TestApproximateCorrector:
         assert residuals[0] > residuals[1] > residuals[2]
         assert spreads[0] > spreads[2]  # delta*chi flattens in y as delta -> 0
 
+    def test_query_keeps_its_own_y_grid(self):
+        # the query held the caller's array, so g[0] = nan undid the construction check
+        g = np.array([-1.0, 0.0, 2.0])
+        args = dict(model=SYM15, frozen_point=(1.0, 1.0, -1.0), delta=0.5, mc_paths=1000,
+                    seed=3, dt=0.1)
+        cq, untouched = CorrectorQuery(y_grid=g, **args), CorrectorQuery(y_grid=g.copy(), **args)
+        g[0] = math.nan
+        h = lambda x, y, p, X: 1.0 / (1.0 + y * y)
+        assert np.array_equal(approximate_corrector(cq, h), approximate_corrector(untouched, h))
+        assert not cq.y_grid.flags.writeable
+
     @pytest.mark.parametrize("field, value", [
         ("delta", -0.1), ("delta", math.nan), ("delta", math.inf),
         ("mc_paths", 10), ("mc_paths", 1000.5),
