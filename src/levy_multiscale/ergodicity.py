@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .errors import UsageError
+from .errors import UsageError, require_count, require_finite, require_positive
 from .jump_processes import (FORGET_EFOLDS, FastProcessConfig, discount_horizon,
                              discount_weights, iter_fast_values, path_integral)
 from .levy_measures import (
@@ -75,8 +75,7 @@ class InvariantMeasure:
         merge.  The first moment is kept; barring merges, coarsening to n then to
         m | n is coarsening to m.  At most n nodes are returned unchanged.
         """
-        if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
-            raise UsageError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
+        require_count("n_nodes", n_nodes, 1)
         if len(self.nodes) <= n_nodes:
             return self
         mass = np.concatenate([[0.0], np.cumsum(self.weights)])
@@ -118,13 +117,10 @@ def stationary_samples(
     path and step until ``n_samples`` values are collected in total.
     ``cfg.dt`` and ``cfg.horizon`` play no part.
     """
-    if not (math.isfinite(burn_in) and burn_in >= 5.0 / cfg.lam):
-        raise UsageError(
-            f"burn_in must be finite and cover at least five relaxation times "
-            f"(>= {5.0 / cfg.lam:g}), got {burn_in}"
-        )
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1000):
-        raise UsageError(f"need an integer of at least 1000 samples, got {n_samples!r}")
+    require_finite("burn_in", burn_in)
+    if not burn_in >= 5.0 / cfg.lam:
+        raise UsageError(f"burn_in must be at least 5 / lam = {5.0 / cfg.lam:g}, got {burn_in}")
+    require_count("n_samples", n_samples, 1000, "samples")
 
     stride = 2.0 / cfg.lam
     burn_steps = math.ceil(burn_in * cfg.lam / 2.0)
@@ -149,8 +145,7 @@ def stationary_cf_oracle(model: LevyMeasureModel, u: float) -> complex:
     ``exp(psi_stable(u)/alpha + i u drift)``; for symmetric models the drift
     vanishes and this is exactly ``exp(psi(u)/alpha)``.
     """
-    if not math.isfinite(u):
-        raise UsageError(f"frequency must be finite, got {u}")
+    require_finite("u", u)
     drift = compensator_drift(model)
     psi_stable = stable_exponent_closed(model, u) - 1j * u * drift
     return complex(np.exp(psi_stable / model.alpha + 1j * u * drift))
@@ -179,8 +174,7 @@ def ergodic_time_average(
     Unit weights on the n = t / dt states before t, divided by n: constants are exact.
     ``replace(cfg, horizon=t)`` refuses a t that is not a whole number of steps.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise UsageError(f"t must be finite and positive, got {t}")
+    require_positive("t", t)
     run_cfg = replace(cfg, horizon=t)
     n = run_cfg.n_steps
     return float(path_integral(run_cfg, f, n_paths, np.ones(n))[0].mean()) / n
@@ -200,10 +194,8 @@ def abel_average(
     are the exact discount weights normalized to total mass one, so constants are
     reproduced exactly.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise UsageError(f"delta must be finite and positive, got {delta}")
-    dt = cfg.dt
-    run_cfg = replace(cfg, horizon=FORGET_EFOLDS / delta if dt is None
-                      else discount_horizon(delta, dt))
+    require_positive("delta", delta)
+    run_cfg = replace(cfg, horizon=FORGET_EFOLDS / delta if cfg.dt is None
+                      else discount_horizon(delta, cfg.dt))
     w = discount_weights(delta, run_cfg.step, run_cfg.n_steps + 1)
     return float(path_integral(run_cfg, f, n_paths, w / w.sum())[0].mean())

@@ -28,7 +28,8 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from .ergodicity import InvariantMeasure
-from .errors import DegenerateVolatilityError, UsageError
+from .errors import (DegenerateVolatilityError, UsageError, require_count, require_finite,
+                     require_nonnegative, require_positive)
 from .hjb_solvers import ControlProblemSpec
 from .jump_processes import MIXING_STREAM, FastProcessConfig, path_integral, stream_rng
 
@@ -40,8 +41,7 @@ class CallPayoff:
     """European call payoff; the tag lets the oracle use the closed formula."""
 
     def __init__(self, strike: float):
-        if not (math.isfinite(strike) and strike > 0.0):
-            raise UsageError(f"strike must be finite and positive, got {strike}")
+        require_positive("strike", strike)
         self.strike = strike
 
     def __call__(self, x):
@@ -60,12 +60,10 @@ class PricingSpec:
     x0: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.r, self.discount, self.horizon, self.x0))):
-            raise UsageError("rate, discount, horizon and spot must be finite")
-        if self.discount < 0.0:
-            raise UsageError("discount must be nonnegative")
-        if self.horizon <= 0.0 or self.x0 < 0.0:
-            raise UsageError("need positive horizon and nonnegative spot")
+        require_finite("r", self.r)
+        require_nonnegative("discount", self.discount)
+        require_positive("horizon", self.horizon)
+        require_nonnegative("x0", self.x0)
 
 
 @dataclass(frozen=True)
@@ -83,19 +81,16 @@ class MertonSpec:
     w0: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.r, self.alpha_drift, self.R1, self.R, self.a,
-                                       self.horizon, self.w0))):
-            raise UsageError("rates, control bounds, utility, horizon and wealth must be finite")
-        if self.alpha_drift <= self.r:
+        for name in ("r", "alpha_drift", "R1", "R"):
+            require_finite(name, getattr(self, name))
+        for name in ("a", "horizon", "w0"):
+            require_positive(name, getattr(self, name))
+        if not self.alpha_drift > self.r:
             raise UsageError("the risky return must exceed the riskless rate")
         if not 0.0 < self.gamma < 1.0:
             raise UsageError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.a <= 0.0:
-            raise UsageError("utility scale must be positive")
         if not (-self.R <= self.R1 <= 0.0 < self.R):
             raise UsageError("control interval must satisfy -R <= R1 <= 0 < R")
-        if self.horizon <= 0.0 or self.w0 <= 0.0:
-            raise UsageError("need positive horizon and initial wealth")
 
     def utility(self, w):
         w = np.asarray(w, dtype=float)
@@ -208,9 +203,8 @@ def price_mc_surface(
         raise UsageError(f"taus must lie in [0, {spec.horizon:g}]")
     if not np.all((np.asarray(x_values, dtype=float) >= 0.0) & np.isfinite(x_values)):
         raise UsageError("spots must be finite and nonnegative")
-    if n_paths < 1000:
-        raise UsageError("need at least 1000 paths")
-    if abs(fast.lam * epsilon - 1.0) > 1e-9:
+    require_count("n_paths", n_paths, 1000, "paths")
+    if not abs(fast.lam * epsilon - 1.0) <= 1e-9:  # NaN fails this too
         raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
     run = replace(fast, horizon=spec.horizon)
     dt = run.step
@@ -253,8 +247,7 @@ def bs_oracle(spec: PricingSpec, s: float) -> float:
     adaptively against the lognormal in log space.
     """
     tau, x0 = spec.horizon, spec.x0
-    if not (math.isfinite(s) and s >= 0.0):
-        raise UsageError(f"volatility must be finite and nonnegative, got {s}")
+    require_nonnegative("s", s)
     disc = math.exp(-spec.discount * tau)
     v = s * s * tau
     if isinstance(spec.payoff, CallPayoff):

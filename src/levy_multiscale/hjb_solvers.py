@@ -49,7 +49,8 @@ import numpy as np
 from scipy import linalg
 
 from .ergodicity import InvariantMeasure
-from .errors import NumericalError, UsageError
+from .errors import (NumericalError, UsageError, require_finite, require_nonnegative,
+                     require_positive)
 from .levy_measures import (
     LevyMeasureModel,
     default_outer_cut,
@@ -112,12 +113,10 @@ class ControlProblemSpec:
     horizon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta0) and math.isfinite(self.beta1)):
-            raise UsageError(f"drift coefficients must be finite, got {self.beta0}, {self.beta1}")
-        if not (math.isfinite(self.discount) and self.discount >= 0.0):
-            raise UsageError(f"discount must be finite and nonnegative, got {self.discount}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
+        require_finite("beta0", self.beta0)
+        require_finite("beta1", self.beta1)
+        require_nonnegative("discount", self.discount)
+        require_positive("horizon", self.horizon)
         _require_uniform("control grid", self.control_grid, 1)
 
     def drift(self, x, y, u):
@@ -471,8 +470,7 @@ def pide_solve(
     products both on scipy's BLAS (see the module notes).  P is stochastic;
     its smallest entry is the diagnostics key ``propagator_min_entry``.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise UsageError(f"epsilon must be finite and positive, got {epsilon}")
+    require_positive("epsilon", epsilon)
     if grids.y is None:
         raise UsageError("the stiff solve needs a factor grid")
     require_assumptions(model)
@@ -508,14 +506,16 @@ def sup_norm_gap(a: ValueField, b: ValueField, box: CompactBox) -> float:
     time; box times within 1e-9 of b's span are clamped to it.  ``a`` may carry a factor
     axis (the sup then also runs over the y-window); ``b`` must be a plain (t, x) field.
     """
+    def window(nodes, bounds):  # the box's one window rule: its bounds, widened by 1e-12
+        return (nodes >= bounds[0] - 1e-12) & (nodes <= bounds[1] + 1e-12)
+
     if b.y_grid is not None:
         raise UsageError("the reference field must not depend on the factor")
     if not np.array_equal(a.x_grid, b.x_grid):
         raise UsageError("the two fields must share their x grid")
     if not np.all(np.diff(b.t_grid) > 0.0):
         raise UsageError("the reference field's times must strictly increase")
-    t_sel = (a.t_grid >= box.t[0] - 1e-12) & (a.t_grid <= box.t[1] + 1e-12)
-    x_sel = (a.x_grid >= box.x[0] - 1e-12) & (a.x_grid <= box.x[1] + 1e-12)
+    t_sel, x_sel = window(a.t_grid, box.t), window(a.x_grid, box.x)
     if not (np.any(t_sel) and np.any(x_sel)):
         raise UsageError("box does not intersect the field grids")
     ts = a.t_grid[t_sel]
@@ -526,7 +526,7 @@ def sup_norm_gap(a: ValueField, b: ValueField, box: CompactBox) -> float:
     sub = a.values[np.ix_(t_sel, x_sel)]
     if a.values.ndim == 3:
         if box.y is not None and a.y_grid is not None:
-            y_sel = (a.y_grid >= box.y[0] - 1e-12) & (a.y_grid <= box.y[1] + 1e-12)
+            y_sel = window(a.y_grid, box.y)
             if not np.any(y_sel):
                 raise UsageError("y window does not intersect the factor grid")
             sub = sub[:, :, y_sel]

@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_count, require_finite, require_nonnegative, require_positive
 from .levy_measures import (LevyMeasureModel, compensator_drift, require_assumptions,
                              stable_scale_exponent)
 
@@ -82,6 +82,8 @@ def default_step(epsilon: float, horizon: float) -> float:
     whole number, as 8 / eps can be when eps is read back as 1 / lam, takes
     that number of steps and not one more.
     """
+    require_positive("epsilon", epsilon)
+    require_positive("horizon", horizon)
     return horizon / max(2, math.ceil(8.0 * horizon / epsilon * (1.0 - 1e-12)))
 
 
@@ -103,15 +105,10 @@ class FastProcessConfig:
 
     def __post_init__(self):
         require_assumptions(self.model)
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise UsageError(f"mean-reversion rate must be finite and positive, got {self.lam}")
-        if not math.isfinite(self.y0):
-            raise UsageError(f"initial factor state must be finite, got {self.y0}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise UsageError(f"horizon must be finite and positive, got {self.horizon}")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, (int, np.integer))
-                                                and self.seed >= 0):
-            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        require_positive("lam", self.lam)
+        require_finite("y0", self.y0)
+        require_positive("horizon", self.horizon)
+        require_count("seed", self.seed, 0)
         step = self.step
         if not (0.0 < step < self.horizon
                 and abs(self.n_steps * step - self.horizon) <= 1e-9 * self.horizon):
@@ -147,8 +144,7 @@ class SlowSystemConfig:
     x0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x0) and self.x0 >= 0.0):
-            raise UsageError(f"slow initial state must be finite and nonnegative, got {self.x0}")
+        require_nonnegative("x0", self.x0)
 
 
 def sample_stable_increment(
@@ -163,18 +159,15 @@ def sample_stable_increment(
     ``(sigma^alpha * dt_scaled)^(1/alpha)`` plus ``dt_scaled`` times the
     compensator drift.  A subordinator drives no factor and is refused.
     """
-    if not (math.isfinite(dt_scaled) and dt_scaled > 0.0):
-        raise UsageError(f"dt_scaled must be finite and positive, got {dt_scaled}")
+    require_positive("dt_scaled", dt_scaled)
     require_assumptions(model)
     if not isinstance(rng, np.random.Generator):
         raise UsageError("rng must be a numpy Generator")
-    if isinstance(size, bool) or not (isinstance(size, (int, np.integer)) and size >= 1):
-        raise UsageError(f"size must be a positive integer, got {size!r}")
+    require_count("size", size, 1)
 
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
     e = rng.standard_exponential(size=size)
-    a, inv_a = model.alpha, 1.0 / model.alpha
-    skew = 0.0 if model.two_sided else math.tan(math.pi * a / 2.0)  # beta tan(pi a / 2)
+    a, inv_a, skew = model.alpha, 1.0 / model.alpha, model.skew
     ab, s = math.atan(skew), (1.0 + skew * skew) ** (0.5 * inv_a)
     scale = (stable_scale_exponent(model) * dt_scaled) ** inv_a
     # at skew = 0, ab = 0 and s = 1 keep the bits of the symmetric map
@@ -218,8 +211,7 @@ def iter_fast_values(
     shared state ``Y^0(t_k)``, bit-equal to the run from y0 = 0, is yielded
     with shape ``(n_paths,)``.
     """
-    if isinstance(n_paths, bool) or not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise UsageError(f"n_paths must be a positive integer, got {n_paths!r}")
+    require_count("n_paths", n_paths, 1)
     rng = stream_rng(cfg.seed, JUMP_STREAM)
     tau = cfg.lam * cfg.step
     a = math.exp(-tau)
@@ -298,6 +290,8 @@ def discount_horizon(delta: float, dt: float) -> float:
     Ten is :data:`FORGET_EFOLDS`.  Fewer than two steps leave no run whose step
     lies strictly inside its horizon.
     """
+    require_positive("delta", delta)
+    require_positive("dt", dt)
     n = round(FORGET_EFOLDS / delta / dt)
     if n < 2:
         raise UsageError(f"delta must leave 10/delta two steps of dt or more: {delta=}, {dt=}")

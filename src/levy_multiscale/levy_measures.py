@@ -23,7 +23,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from .errors import AssumptionError, NumericalError, UsageError
+from .errors import (AssumptionError, NumericalError, UsageError, require_count, require_finite,
+                     require_nonnegative, require_positive)
 
 INFINITE = math.inf
 
@@ -62,8 +63,7 @@ class LevyMeasureModel:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise UsageError(f"alpha must be in (0, 2), got {self.alpha}")
-        if not (math.isfinite(self.intensity) and self.intensity >= 0.0):
-            raise UsageError(f"intensity must be finite and nonnegative, got {self.intensity}")
+        require_nonnegative("intensity", self.intensity)
         if not self.two_sided and self.alpha == 1.0:
             raise UsageError("a one-sided model needs alpha != 1, where its drift diverges")
 
@@ -74,6 +74,11 @@ class LevyMeasureModel:
     @property
     def sides(self) -> float:
         return 2.0 if self.two_sided else 1.0
+
+    @property
+    def skew(self) -> float:
+        """``beta tan(pi alpha / 2)`` of the stable exponent, with beta = 0 or 1 (one-sided)."""
+        return 0.0 if self.two_sided else math.tan(math.pi * self.alpha / 2.0)
 
     @property
     def subordinator(self) -> bool:
@@ -114,8 +119,7 @@ def small_jump_variance(model: LevyMeasureModel, delta: float) -> float:
 
 def tail_moment(model: LevyMeasureModel, q: float) -> float:
     """``int_{|z| > 1} |z|^q nu(dz)``; INFINITE when q >= alpha."""
-    if not 0.0 < q < INFINITE:
-        raise UsageError(f"q must be finite and positive, got {q}")
+    require_positive("q", q)
     if model.intensity == 0.0:
         return 0.0  # the formula would give 0 * inf
     return model.sides * side_moment(model, q, 1.0)
@@ -123,8 +127,7 @@ def tail_moment(model: LevyMeasureModel, q: float) -> float:
 
 def tail_mass(model: LevyMeasureModel, m: float) -> float:
     """``nu(|z| > m)`` for m > 0."""
-    if not m > 0.0:
-        raise UsageError(f"m must be positive, got {m}")
+    require_positive("m", m)
     return model.sides * side_moment(model, 0, m)
 
 
@@ -135,8 +138,8 @@ def default_outer_cut(model: LevyMeasureModel) -> float:
 
 def truncated_moment(model: LevyMeasureModel, k: int, kappa: float) -> float:
     """``int_{|z| <= kappa} z^k nu(dz)`` for k >= 2 (signed: 0 for odd k on the symmetric model)."""
-    if not (k >= 2 and 0.0 < kappa < INFINITE):
-        raise UsageError(f"need k >= 2 and a finite positive kappa, got k={k}, kappa={kappa}")
+    require_count("k", k, 2)
+    require_positive("kappa", kappa)
     if model.two_sided and k % 2 == 1:
         return 0.0
     return model.sides * side_moment(model, k, 0.0, kappa)
@@ -192,9 +195,8 @@ def stable_exponent_closed(model: LevyMeasureModel, u: float) -> complex:
     This is the closed-form counterpart of :func:`levy_exponent`; the two are
     checked against each other in the test suite.
     """
-    a = model.alpha
-    skew = 0.0 if model.two_sided else math.tan(math.pi * a / 2.0)  # beta tan(pi a / 2)
-    core = -stable_scale_exponent(model) * abs(u) ** a * complex(1.0, -math.copysign(1, u) * skew)
+    core = -stable_scale_exponent(model) * abs(u) ** model.alpha * complex(
+        1.0, -math.copysign(1, u) * model.skew)
     return core + 1j * u * compensator_drift(model)
 
 
@@ -224,8 +226,7 @@ def levy_exponent(model: LevyMeasureModel, u: float) -> complex:
     NumericalError
         If the quadrature error estimate exceeds the tolerance relative to the result.
     """
-    if not math.isfinite(u):
-        raise UsageError(f"frequency must be finite, got {u}")
+    require_finite("u", u)
     if u < 0.0:
         return levy_exponent(model, -u).conjugate()
     if u < _U_SCALING_FLOOR:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from .ergodicity import InvariantMeasure
-from .errors import UsageError
+from .errors import UsageError, require_count, require_finite, require_nonnegative
 from .jump_processes import FastProcessConfig, discount_horizon, discount_weights, path_integral
 from .levy_measures import (
     DEFAULT_KAPPA,
@@ -71,11 +71,9 @@ def generator_apply(
     c, alpha = model.intensity, model.alpha
     if not 0.0 <= growth_order < alpha:
         raise UsageError(f"tail growth order {growth_order} must lie in [0, alpha={alpha})")
-    if not math.isfinite(y):
-        raise UsageError(f"evaluation point must be finite, got {y}")
+    require_finite("y", y)
 
-    fy = f(y)
-    dfy = df(y)
+    fy, dfy = f(y), df(y)
     kappa, m_cut, tol = DEFAULT_KAPPA, default_outer_cut(model), DEFAULT_QUAD_TOL
 
     comp = 0.0 if model.two_sided else side_moment(model, 1, kappa, 1.0)
@@ -132,8 +130,7 @@ def lyapunov_drift_check(
     alpha = q.model.alpha
     if not 0.0 < q_exp < alpha:
         raise UsageError(f"need 0 < q_exp < alpha={alpha}, got {q_exp}")
-    if not 0.0 <= R < math.inf:
-        raise UsageError(f"radius R must be finite and nonnegative, got {R}")
+    require_nonnegative("R", R)
     y_samples = np.asarray(y_samples, dtype=float)
     if y_samples.size == 0 or np.any(np.abs(y_samples) < R):
         raise UsageError(f"need one or more samples, all with |y| >= R = {R}")
@@ -234,13 +231,8 @@ class CorrectorQuery:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise UsageError(f"delta must be finite and positive, got {self.delta}")
-        if not (isinstance(self.mc_paths, (int, np.integer)) and self.mc_paths >= 1000):
-            raise UsageError(f"need an integer >= 1000 of Monte Carlo paths, got {self.mc_paths!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise UsageError(f"the corrector needs a finite positive step dt, got {self.dt}")
-        self._run_config()  # refuses a truncation under two steps and a bad seed
+        require_count("mc_paths", self.mc_paths, 1000, "paths")
+        self._run_config()  # refuses a bad delta or dt, a truncation under two steps, a bad seed
         if not (np.shape(self.frozen_point) == (3,) and np.all(np.isfinite(self.frozen_point))):
             raise UsageError(f"frozen_point must be a finite (x, p, X) triple, "
                              f"got {self.frozen_point!r}")

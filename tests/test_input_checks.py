@@ -1,10 +1,13 @@
 """Inputs that used to pass unchecked now raise ``UsageError``.
 
 Each row is an input the package accepted before its guard existed: NaN slips
-through a check written as ``if x <= 0`` (every comparison with NaN is False),
-so each guard is written as ``if not (<accepted>)``.  The row's comment says
-what the call did without the guard.  The rows after "guards that no other
-test reaches" hold refusals that always existed but that no test called.  A
+through a check written as ``if x <= 0`` (every comparison with NaN is False).
+So each scalar argument rule goes through one guard of ``errors.py``
+(``require_finite``, ``require_positive``, ``require_nonnegative`` or
+``require_count``), all of which NaN fails, and a check that relates two
+arguments is written as ``if not (<accepted>)``.  The row's comment says what
+the call did without the guard.  The rows after "guards that no other test
+reaches" hold refusals that always existed but that no test called.  A
 subordinator is refused with ``AssumptionError`` by every route of the factor,
 before any draw.
 """
@@ -29,6 +32,10 @@ MERTON = finance.MertonSpec(
 MU = ergodicity.two_atom_measure(-1.0, 1.0)
 SAMPLES = np.linspace(-1.0, 1.0, 101)
 SUB = LevyMeasureModel(Family.ONE_SIDED_STABLE, 0.5)
+PRICING = finance.PricingSpec(r=0.05, sigma_fn=MERTON.sigma_fn, payoff=finance.CallPayoff(1.0),
+                              discount=0.05, horizon=1.0, x0=1.0)
+#: The pricers' factor at epsilon = 0.1, on the default step.
+FAST_PRICING = jump_processes.FastProcessConfig(SYM, lam=10.0, y0=0.0, horizon=1.0)
 
 
 def fast(model):
@@ -101,6 +108,8 @@ ROWS = {
     "generator_apply growth order nan": lambda: generator(math.nan),
     "merton_hara_closed_form wealth nan": lambda: finance.merton_hara_closed_form(
         MERTON, MU, 0.0, math.nan),
+    # returned (0.1358..., 0.0): the rate check |lam eps - 1| > 1e-9 is False for NaN
+    "price_mc epsilon nan": lambda: finance.price_mc(PRICING, math.nan, FAST_PRICING, 1000),
     # priced maturity 0.9 for T = 1: the step count rounds T / dt = 3.33 to 3
     "price_mc step not dividing the horizon": lambda: finance.price_mc(
         finance.PricingSpec(r=0.05, sigma_fn=MERTON.sigma_fn, payoff=finance.CallPayoff(1.0),
@@ -244,6 +253,93 @@ NAMED_ROWS = {
     "CorrectorQuery y_grid empty": ("y_grid", lambda: corrector_query(y_grid=())),
     # refused as a "risk-premium coefficient", which gamma, the utility exponent, is not
     "MertonSpec gamma nan": ("gamma", lambda: replace(MERTON, gamma=math.nan)),
+    # ZeroDivisionError, ValueError, a step of 0.5 at a negative epsilon, and a step of 0.0
+    "default_step epsilon 0": ("epsilon", lambda: jump_processes.default_step(0.0, 1.0)),
+    "default_step epsilon nan": ("epsilon", lambda: jump_processes.default_step(math.nan, 1.0)),
+    "default_step epsilon -0.1": ("epsilon", lambda: jump_processes.default_step(-0.1, 1.0)),
+    "default_step horizon 0": ("horizon", lambda: jump_processes.default_step(0.1, 0.0)),
+    # ValueError, ValueError and ZeroDivisionError
+    "discount_horizon delta nan": ("delta", lambda: jump_processes.discount_horizon(
+        math.nan, 0.1)),
+    "discount_horizon dt nan": ("dt", lambda: jump_processes.discount_horizon(0.5, math.nan)),
+    "discount_horizon dt 0": ("dt", lambda: jump_processes.discount_horizon(0.5, 0.0)),
+}
+
+#: One row per scalar guard of ``errors.py``: NaN for a finite, positive or
+#: nonnegative argument, True and 2.5 for a count.  All but one were refused
+#: before, many under a group's name ("rate, discount, horizon and spot").
+NAMED_ROWS |= {
+    "FastProcessConfig lam nan": ("lam", lambda: replace(fast(SYM), lam=math.nan)),
+    "FastProcessConfig y0 nan": ("y0", lambda: replace(fast(SYM), y0=math.nan)),
+    "FastProcessConfig horizon nan": ("horizon", lambda: replace(fast(SYM), horizon=math.nan)),
+    "FastProcessConfig seed True": ("seed", lambda: replace(fast(SYM), seed=True)),
+    "FastProcessConfig seed 2.5": ("seed", lambda: replace(fast(SYM), seed=2.5)),
+    "SlowSystemConfig x0 nan": ("x0", lambda: jump_processes.SlowSystemConfig(
+        finance.merton_problem(MERTON), fast(SYM), math.nan)),
+    "sample_stable_increment dt_scaled nan": ("dt_scaled", lambda: (
+        jump_processes.sample_stable_increment(
+            ONE_SIDED, math.nan, jump_processes.stream_rng(0, jump_processes.JUMP_STREAM), 3))),
+    "sample_stable_increment size True": ("size", lambda: stable_draws(True)),
+    "sample_stable_increment size 2.5": ("size", lambda: stable_draws(2.5)),
+    "iter_fast_values n_paths True": ("n_paths", lambda: next(
+        jump_processes.iter_fast_values(fast(SYM), True))),
+    "iter_fast_values n_paths 2.5": ("n_paths", lambda: next(
+        jump_processes.iter_fast_values(fast(SYM), 2.5))),
+    "ControlProblemSpec beta0 nan": ("beta0", lambda: replace(
+        finance.merton_problem(MERTON), beta0=math.nan)),
+    "ControlProblemSpec beta1 nan": ("beta1", lambda: replace(
+        finance.merton_problem(MERTON), beta1=math.nan)),
+    "ControlProblemSpec discount nan": ("discount", lambda: replace(
+        finance.merton_problem(MERTON), discount=math.nan)),
+    "ControlProblemSpec horizon nan": ("horizon", lambda: replace(
+        finance.merton_problem(MERTON), horizon=math.nan)),
+    "pide_solve epsilon nan": ("epsilon", lambda: pide(math.nan)),
+    "LevyMeasureModel intensity nan": ("intensity", lambda: LevyMeasureModel(
+        Family.SYMMETRIC_STABLE, 1.5, math.nan)),
+    "levy_exponent u nan": ("u", lambda: levy_measures.levy_exponent(SYM, math.nan)),
+    "tail_moment q nan": ("q", lambda: levy_measures.tail_moment(SYM, math.nan)),
+    "truncated_moment kappa nan": ("kappa", lambda: levy_measures.truncated_moment(
+        SYM, 2, math.nan)),
+    "truncated_moment k True": ("k", lambda: levy_measures.truncated_moment(SYM, True, 0.5)),
+    # returned 1.0, a signed moment of an order with no value on the negative half-line
+    "truncated_moment k 2.5": ("k", lambda: levy_measures.truncated_moment(SYM, 2.5, 0.5)),
+    "tail_mass m nan": ("m", lambda: levy_measures.tail_mass(SYM, math.nan)),
+    "CallPayoff strike nan": ("strike", lambda: finance.CallPayoff(math.nan)),
+    "PricingSpec r nan": ("r", lambda: replace(PRICING, r=math.nan)),
+    "PricingSpec discount nan": ("discount", lambda: replace(PRICING, discount=math.nan)),
+    "PricingSpec horizon nan": ("horizon", lambda: replace(PRICING, horizon=math.nan)),
+    "PricingSpec x0 nan": ("x0", lambda: replace(PRICING, x0=math.nan)),
+    "MertonSpec r nan": ("r", lambda: replace(MERTON, r=math.nan)),
+    "MertonSpec alpha_drift nan": ("alpha_drift", lambda: replace(MERTON, alpha_drift=math.nan)),
+    "MertonSpec R1 nan": ("R1", lambda: replace(MERTON, R1=math.nan)),
+    "MertonSpec R nan": ("R", lambda: replace(MERTON, R=math.nan)),
+    "MertonSpec a nan": ("a", lambda: replace(MERTON, a=math.nan)),
+    "MertonSpec horizon nan": ("horizon", lambda: replace(MERTON, horizon=math.nan)),
+    "MertonSpec w0 nan": ("w0", lambda: replace(MERTON, w0=math.nan)),
+    "bs_oracle s nan": ("s", lambda: finance.bs_oracle(PRICING, math.nan)),
+    "price_mc n_paths True": ("n_paths", lambda: finance.price_mc(
+        PRICING, 0.1, FAST_PRICING, True)),
+    "price_mc n_paths 2.5": ("n_paths", lambda: finance.price_mc(
+        PRICING, 0.1, FAST_PRICING, 2.5)),
+    "coarsen n_nodes True": ("n_nodes", lambda: ergodicity.measure_from_samples(
+        SAMPLES).coarsen(True)),
+    "coarsen n_nodes 2.5": ("n_nodes", lambda: ergodicity.measure_from_samples(
+        SAMPLES).coarsen(2.5)),
+    "stationary_samples burn_in nan": ("burn_in", lambda: ergodicity.stationary_samples(
+        fast(SYM), math.nan, 1000)),
+    "stationary_samples n_samples True": ("n_samples", lambda: ergodicity.stationary_samples(
+        fast(SYM), 10.0, True)),
+    "stationary_samples n_samples 2.5": ("n_samples", lambda: ergodicity.stationary_samples(
+        fast(SYM), 10.0, 2.5)),
+    "stationary_cf_oracle u nan": ("u", lambda: ergodicity.stationary_cf_oracle(SYM, math.nan)),
+    "generator_apply y nan": ("y", lambda: nonlocal_generator.generator_apply(
+        nonlocal_generator.GeneratorQuadrature(SYM), math.cos, math.nan, lambda v: -math.sin(v),
+        lambda v: -math.cos(v))),
+    "lyapunov_drift_check R nan": ("R", lambda: lyapunov(math.nan)),
+    "CorrectorQuery delta nan": ("delta", lambda: corrector_query(delta=math.nan)),
+    "CorrectorQuery dt nan": ("dt", lambda: corrector_query(dt=math.nan)),
+    "CorrectorQuery mc_paths True": ("mc_paths", lambda: corrector_query(mc_paths=True)),
+    "CorrectorQuery mc_paths 2.5": ("mc_paths", lambda: corrector_query(mc_paths=2.5)),
 }
 
 
@@ -251,6 +347,12 @@ NAMED_ROWS = {
 def test_refusal_names_the_argument(arg, call):
     with pytest.raises(UsageError, match=f"^{arg} must"):
         call()
+
+
+def test_numpy_integer_is_a_count():
+    # numbers.Integral admits np.int64, as the isinstance(_, (int, np.integer)) checks did,
+    # and the draws keep the bits of the same count given as an int
+    assert np.array_equal(stable_draws(np.int64(3)), stable_draws(3))
 
 
 SUBORDINATOR_ROWS = {

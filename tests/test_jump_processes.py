@@ -589,6 +589,25 @@ class TestOneKernel:
         assert _readers("subordinator") == {"levy_measures.require_assumptions",
                                             "nonlocal_generator.counterexample_profile"}
 
+    def test_scalar_rules_have_one_gate(self):
+        # finite, positive and nonnegative read math.isfinite, and a count reads
+        # numbers.Integral, only in the guards of errors.py
+        finite_readers = {
+            path.stem for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                and isinstance(node.value, ast.Name) and node.value.id == "math")
+            or (isinstance(node, ast.Name) and node.id == "isfinite")
+        }
+        assert finite_readers == {"errors"}
+        assert _readers("Integral") == {"errors.require_count"}
+
+    def test_stable_skew_has_one_statement(self):
+        # beta tan(pi alpha / 2) is LevyMeasureModel.skew, read by the CMS map and the closed form
+        assert _readers("tan") == {"levy_measures.skew"}
+        assert _readers("skew") == {"jump_processes.sample_stable_increment",
+                                    "levy_measures.stable_exponent_closed"}
+
     def test_quadrature_constants_are_read_where_quadrature_runs(self):
         # the Taylor cut and the tolerance are constants, not options passed along
         for name in ("DEFAULT_KAPPA", "DEFAULT_QUAD_TOL"):
