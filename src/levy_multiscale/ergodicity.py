@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .errors import UsageError, require_count, require_finite, require_positive
+from .errors import (UsageError, require_count, require_finite, require_finite_array,
+                     require_positive)
 from .jump_processes import (FORGET_EFOLDS, FastProcessConfig, discount_horizon,
                              discount_weights, iter_fast_values, path_integral)
 from .levy_measures import (
@@ -46,20 +47,20 @@ class InvariantMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        if len(self.nodes) != len(self.weights):
+        nodes = require_finite_array("nodes", self.nodes)
+        weights = require_finite_array("weights", self.weights)
+        if len(nodes) != len(weights):
             raise UsageError("nodes and weights must have equal length")
-        if not (np.all(np.isfinite(self.nodes)) and np.all(np.isfinite(self.weights))):
-            raise UsageError("nodes and weights must be finite")
-        if np.any(np.diff(self.nodes) < 0.0):
+        if np.any(np.diff(nodes) < 0.0):
             raise UsageError("nodes must be sorted ascending")
-        if np.any(self.weights < 0.0):
+        if np.any(weights < 0.0):
             raise UsageError("weights must be nonnegative")
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
+        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise UsageError("weights must sum to 1 within 1e-12")
 
     def mean_of(self, f: Callable) -> float:
-        """mu-average of a function evaluated on the nodes."""
-        return float(np.sum(self.weights * np.asarray(f(self.nodes), dtype=float)))
+        """mu-average of a function evaluated on the nodes, where it must be finite."""
+        return float(np.sum(self.weights * require_finite_array("f", f(self.nodes), ndim=None)))
 
     def cf(self, u: float) -> complex:
         """Characteristic function of the quadrature measure."""
@@ -96,9 +97,7 @@ def two_atom_measure(y1: float, y2: float) -> InvariantMeasure:
 
 def measure_from_samples(samples: np.ndarray) -> InvariantMeasure:
     """The samples' empirical law, tied samples as one atom, coarsened to ``DEFAULT_NODES``."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < 2:
-        raise UsageError("need at least two samples")
+    samples = require_finite_array("samples", samples, 2, ndim=None).ravel()
     values, counts = np.unique(samples, return_counts=True)
     return InvariantMeasure(values, counts / samples.size).coarsen(DEFAULT_NODES)
 

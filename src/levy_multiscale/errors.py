@@ -1,13 +1,17 @@
-"""Exception hierarchy shared across the package, and its one guard per scalar argument rule.
+"""Exception hierarchy shared across the package, and its one guard per argument rule.
 
 Each ``require_*`` guard raises :class:`UsageError` with a message starting "<name> must".
 NaN fails every guard; a count is an integer, numpy's included, and never a bool.
+:func:`require_finite_array` is the one array rule: finite numbers, of a given ndim and
+at least a given size, returned as the float array the caller reads.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 class LevyMultiscaleError(Exception):
@@ -57,3 +61,18 @@ def require_count(name: str, value, minimum: int, unit: str = "") -> None:
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
         least = f"{minimum} {unit}".rstrip()  # the unit names what is counted: "1000 paths"
         raise UsageError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def require_finite_array(name: str, values, min_size: int = 0, ndim: int | None = 1) -> np.ndarray:
+    """``values`` as a float array, refused if ragged, of another ndim (None: any),
+    shorter than ``min_size`` or holding NaN or +-inf."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        array = None
+    if (array is None or (ndim is not None and array.ndim != ndim) or array.size < min_size
+            or not np.isfinite(array).all()):
+        shape = "an array" if ndim is None else f"a {ndim}-D array"
+        least = f"at least {min_size} " if min_size else ""
+        raise UsageError(f"{name} must be {shape} of {least}finite numbers, got {values!r}")
+    return array

@@ -29,7 +29,7 @@ from scipy.special import ndtr
 
 from .ergodicity import InvariantMeasure
 from .errors import (DegenerateVolatilityError, UsageError, require_count, require_finite,
-                     require_nonnegative, require_positive)
+                     require_finite_array, require_nonnegative, require_positive)
 from .hjb_solvers import ControlProblemSpec
 from .jump_processes import MIXING_STREAM, FastProcessConfig, path_integral, stream_rng
 
@@ -121,12 +121,13 @@ def merton_problem(spec: MertonSpec) -> ControlProblemSpec:
 
 def effective_vol_quadratic(sigma_fn: Callable, mu: InvariantMeasure) -> float:
     """Quadratic-mean long-run volatility ``(sum w sigma^2(node))^(1/2)``."""
-    return math.sqrt(mu.mean_of(lambda y: np.asarray(sigma_fn(y), dtype=float) ** 2))
+    return math.sqrt(mu.mean_of(
+        lambda y: require_finite_array("sigma_fn", sigma_fn(y), ndim=None) ** 2))
 
 
 def effective_vol_harmonic(sigma_fn: Callable, mu: InvariantMeasure) -> float:
     """Harmonic-mean long-run volatility ``(sum w / sigma^2(node))^(-1/2)``."""
-    s2 = np.asarray(sigma_fn(mu.nodes), dtype=float) ** 2
+    s2 = require_finite_array("sigma_fn", sigma_fn(mu.nodes), ndim=None) ** 2
     if np.any(s2 <= 0.0):
         raise DegenerateVolatilityError("sigma vanishes on a measure node; "
                                         "the harmonic average is undefined")
@@ -198,11 +199,13 @@ def price_mc_surface(
     from ``stream_rng(fast.seed, MIXING_STREAM)``, shared by every row,
     spot and start point.
     """
-    taus = np.asarray(taus, dtype=float)
+    taus = require_finite_array("taus", taus)
     if not np.all((taus >= 0.0) & (taus <= spec.horizon)):
         raise UsageError(f"taus must lie in [0, {spec.horizon:g}]")
-    if not np.all((np.asarray(x_values, dtype=float) >= 0.0) & np.isfinite(x_values)):
-        raise UsageError("spots must be finite and nonnegative")
+    x_values = require_finite_array("x_values", x_values)
+    if np.any(x_values < 0.0):
+        raise UsageError("x_values must be nonnegative")
+    y_values = require_finite_array("y_values", y_values)
     require_count("n_paths", n_paths, 1000, "paths")
     if not abs(fast.lam * epsilon - 1.0) <= 1e-9:  # NaN fails this too
         raise UsageError("fast config rate and epsilon disagree (lam must be 1/epsilon)")
@@ -213,8 +216,8 @@ def price_mc_surface(
     # S_k, S_{k+1} at each tau, and S_1 = sigma^2(y0) as f gave it, so V(0) is exactly 0
     sums = path_integral(run, lambda y: np.asarray(spec.sigma_fn(y), dtype=float) ** 2,
                          n_paths, np.ones(run.n_steps + 1),
-                         stops=np.concatenate([steps, steps + 1, [1]]),
-                         starts=np.asarray(y_values, dtype=float))
+                         stops=np.concatenate([steps, steps + 1, [1]]), starts=y_values)
+    require_finite_array("sigma_fn along the paths", sums, ndim=None)
     variance = dt * ((sums[:n] + sums[n:2 * n]) / 2.0 - sums[2 * n] / 2.0)
     if isinstance(spec.payoff, CallPayoff):
         def given_variance(x, r_tau, v):
@@ -229,7 +232,7 @@ def price_mc_surface(
     se = np.empty_like(est)
     for j_t, k in enumerate(steps):
         disc = math.exp(-spec.discount * k * dt)
-        for j_x, x in enumerate(np.asarray(x_values, dtype=float)):
+        for j_x, x in enumerate(x_values):
             vals = disc * given_variance(x, spec.r * k * dt, variance[j_t])
             est[j_t, j_x, :] = vals.mean(axis=1)
             # deviations from the first path, so equal values give an SE of exactly 0
@@ -280,7 +283,7 @@ def merton_hbar(spec: MertonSpec, mu: InvariantMeasure) -> float:
     one_mg = 1.0 - spec.gamma
 
     def premium(y):  # h(y) - r: the objective at the myopic control
-        s2 = np.asarray(spec.sigma_fn(y), dtype=float) ** 2
+        s2 = require_finite_array("sigma_fn", spec.sigma_fn(y), ndim=None) ** 2
         with np.errstate(divide="ignore"):
             u = np.minimum(excess / (2.0 * one_mg * s2), spec.R)
         return excess * u - one_mg * u**2 * s2
@@ -292,9 +295,9 @@ def merton_hara_closed_form(
     spec: MertonSpec, mu: InvariantMeasure, t: float, w
 ) -> float:
     """Explicit limit value ``a exp(gamma hbar (T - t)) w^gamma / gamma``."""
-    w_arr = np.asarray(w, dtype=float)
-    if not np.all((w_arr > 0.0) & (w_arr < math.inf)):
-        raise UsageError("wealth must be finite and positive")
+    w_arr = require_finite_array("w", w, ndim=None)
+    if not np.all(w_arr > 0.0):
+        raise UsageError("w must be positive")
     if not 0.0 <= t <= spec.horizon:
         raise UsageError("time must lie in [0, T]")
     hbar = merton_hbar(spec, mu)

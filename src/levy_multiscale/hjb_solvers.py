@@ -49,8 +49,8 @@ import numpy as np
 from scipy import linalg
 
 from .ergodicity import InvariantMeasure
-from .errors import (NumericalError, UsageError, require_finite, require_nonnegative,
-                     require_positive)
+from .errors import (NumericalError, UsageError, require_finite, require_finite_array,
+                     require_nonnegative, require_positive)
 from .levy_measures import (
     LevyMeasureModel,
     default_outer_cut,
@@ -77,14 +77,13 @@ def _aligned_empty(shape: tuple, dtype=float, lead: int = 0) -> np.ndarray:
     return raw[start:start + size * itemsize].view(dtype).reshape(shape)
 
 
-def _require_uniform(name: str, nodes, min_nodes: int) -> None:
-    """Refuse a grid with fewer than ``min_nodes`` finite nodes or uneven increasing steps."""
-    nodes = np.asarray(nodes, dtype=float)
-    if len(nodes) < min_nodes or not np.all(np.isfinite(nodes)):
-        raise UsageError(f"{name} needs {min_nodes} or more nodes, all finite")
+def _require_uniform(name: str, nodes, min_nodes: int) -> np.ndarray:
+    """``nodes`` as a float array: ``min_nodes`` or more finite nodes, increasing and uniform."""
+    nodes = require_finite_array(name, nodes, min_nodes)
     step = np.diff(nodes)
     if len(step) and (np.any(step <= 0.0) or np.max(np.abs(step - step[0])) > 1e-9 * step[0]):
         raise UsageError(f"{name} must be increasing and uniform")
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -203,8 +202,7 @@ def assemble_factor_generator(
     ``extrapolated_tail_mass`` is that mass beyond the outer cut,
     nu(|z| > M), which every row drops alike.
     """
-    _require_uniform("y grid", y_grid, 5)
-    y = np.asarray(y_grid, dtype=float)
+    y = _require_uniform("y grid", y_grid, 5)
     ny = len(y)
     dy = float(y[1] - y[0])
     if dy >= 1.0:
@@ -279,7 +277,8 @@ class _LocalBellman:
         if x[0] < 0.0:
             raise UsageError("x grid must be nonnegative: the drift's sign is read off its coefficient")
         dx = float(x[1] - x[0])
-        sig2 = np.asarray(spec.sigma_of_y(np.asarray(y_vals)), dtype=float) ** 2
+        sigma = spec.sigma_of_y(np.asarray(y_vals))
+        sig2 = require_finite_array("sigma_of_y", sigma, ndim=None) ** 2
         if sig2.shape != np.shape(y_vals):
             raise UsageError(f"sigma_of_y must return one value per factor node, got {sig2.shape}")
         self.beta0, self.beta1 = spec.beta0, spec.beta1

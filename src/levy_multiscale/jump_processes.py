@@ -51,7 +51,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import UsageError, require_count, require_finite, require_nonnegative, require_positive
+from .errors import (UsageError, require_count, require_finite, require_finite_array,
+                     require_nonnegative, require_positive)
 from .levy_measures import (LevyMeasureModel, compensator_drift, require_assumptions,
                              stable_scale_exponent)
 
@@ -84,6 +85,7 @@ def default_step(epsilon: float, horizon: float) -> float:
     """
     require_positive("epsilon", epsilon)
     require_positive("horizon", horizon)
+    require_finite("8 horizon / epsilon", 8.0 * horizon / epsilon)
     return horizon / max(2, math.ceil(8.0 * horizon / epsilon * (1.0 - 1e-12)))
 
 
@@ -217,14 +219,13 @@ def iter_fast_values(
     a = math.exp(-tau)
     tau_s = -math.expm1(-cfg.model.alpha * tau) / cfg.model.alpha
     shift = compensator_drift(cfg.model) * (-math.expm1(-tau) - tau_s)
+    fan_in = 0
     if starts is not None:
-        starts = np.asarray(starts, dtype=float)
-        if starts.ndim != 1 or not np.all(np.isfinite(starts)):
-            raise UsageError("starts must be a 1-D array of finite start points")
-        starts = starts[:, None]
-    # whole steps, not a test on decay: where lam k dt = FORGET_EFOLDS on a step, decay's
-    # rounding would pick k*
-    fan_in = 0 if starts is None else math.ceil(FORGET_EFOLDS / tau * (1.0 - 1e-9))
+        starts = require_finite_array("starts", starts)[:, None]
+        # whole steps, not a test on decay: where lam k dt = FORGET_EFOLDS on a step, decay's
+        # rounding would pick k*
+        require_finite("10 / lam / dt", FORGET_EFOLDS / tau)
+        fan_in = math.ceil(FORGET_EFOLDS / tau * (1.0 - 1e-9))
     y = np.full(n_paths, float(cfg.y0) if starts is None else 0.0)
     decay = 1.0
     for k in range(cfg.n_steps):
@@ -262,11 +263,11 @@ def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np
     ``L |y_i| sum_{k* <= k < stop} |w_k| e^{-lam t_k}`` for an f with
     Lipschitz constant L, and rows at stops up to k* are unchanged.
     """
-    weights = np.asarray(weights, dtype=float)
+    weights = require_finite_array("weights", weights)
     stops = np.asarray([len(weights)] if stops is None else stops)
-    if (weights.ndim != 1 or len(weights) > cfg.n_steps + 1 or stops.ndim != 1
-            or stops.dtype.kind not in "iu" or np.any((stops < 0) | (stops > len(weights)))):
-        raise UsageError(f"need 1-D weights, at most one per state ({cfg.n_steps + 1}), "
+    if (len(weights) > cfg.n_steps + 1 or stops.ndim != 1 or stops.dtype.kind not in "iu"
+            or np.any((stops < 0) | (stops > len(weights)))):
+        raise UsageError(f"need at most one weight per state ({cfg.n_steps + 1}), "
                          "and 1-D integer stops in [0, len(weights)]")
     last = int(stops.max(initial=0))
     ys = iter_fast_values(cfg, n_paths, starts=starts)
@@ -292,6 +293,7 @@ def discount_horizon(delta: float, dt: float) -> float:
     """
     require_positive("delta", delta)
     require_positive("dt", dt)
+    require_finite("10 / delta / dt", FORGET_EFOLDS / delta / dt)
     n = round(FORGET_EFOLDS / delta / dt)
     if n < 2:
         raise UsageError(f"delta must leave 10/delta two steps of dt or more: {delta=}, {dt=}")

@@ -29,7 +29,8 @@ import numpy as np
 from scipy import integrate
 
 from .ergodicity import InvariantMeasure
-from .errors import UsageError, require_count, require_finite, require_nonnegative
+from .errors import (UsageError, require_count, require_finite, require_finite_array,
+                     require_nonnegative)
 from .jump_processes import FastProcessConfig, discount_horizon, discount_weights, path_integral
 from .levy_measures import (
     DEFAULT_KAPPA,
@@ -131,9 +132,9 @@ def lyapunov_drift_check(
     if not 0.0 < q_exp < alpha:
         raise UsageError(f"need 0 < q_exp < alpha={alpha}, got {q_exp}")
     require_nonnegative("R", R)
-    y_samples = np.asarray(y_samples, dtype=float)
-    if y_samples.size == 0 or np.any(np.abs(y_samples) < R):
-        raise UsageError(f"need one or more samples, all with |y| >= R = {R}")
+    y_samples = require_finite_array("y_samples", y_samples, 1)
+    if np.any(np.abs(y_samples) < R):
+        raise UsageError(f"y_samples must all have |y| >= R = {R}")
 
     half_q = q_exp / 2.0
 
@@ -233,13 +234,9 @@ class CorrectorQuery:
     def __post_init__(self):
         require_count("mc_paths", self.mc_paths, 1000, "paths")
         self._run_config()  # refuses a bad delta or dt, a truncation under two steps, a bad seed
-        if not (np.shape(self.frozen_point) == (3,) and np.all(np.isfinite(self.frozen_point))):
-            raise UsageError(f"frozen_point must be a finite (x, p, X) triple, "
-                             f"got {self.frozen_point!r}")
-        y_grid = np.array(self.y_grid, dtype=float)  # a copy, so the caller's array may change
-        if not (y_grid.ndim == 1 and y_grid.size >= 1 and np.all(np.isfinite(y_grid))):
-            raise UsageError(f"y_grid must be a nonempty 1-D array of finite points, "
-                             f"got {self.y_grid!r}")
+        if len(require_finite_array("frozen_point", self.frozen_point, 3)) != 3:
+            raise UsageError(f"frozen_point must be an (x, p, X) triple, got {self.frozen_point!r}")
+        y_grid = require_finite_array("y_grid", self.y_grid, 1).copy()  # the caller's may change
         y_grid.setflags(write=False)
         object.__setattr__(self, "y_grid", y_grid)
 

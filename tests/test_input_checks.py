@@ -4,9 +4,11 @@ Each row is an input the package accepted before its guard existed: NaN slips
 through a check written as ``if x <= 0`` (every comparison with NaN is False).
 So each scalar argument rule goes through one guard of ``errors.py``
 (``require_finite``, ``require_positive``, ``require_nonnegative`` or
-``require_count``), all of which NaN fails, and a check that relates two
-arguments is written as ``if not (<accepted>)``.  The row's comment says what
-the call did without the guard.  The rows after "guards that no other test
+``require_count``), all of which NaN fails, every array argument through
+``require_finite_array`` (ragged, wrong ndim, too short, NaN or +-inf), and
+a check that relates two arguments or values is written as
+``if not (<accepted>)``.  The row's comment says what the call did without
+the guard.  The rows after "guards that no other test
 reaches" hold refusals that always existed but that no test called.  A
 subordinator is refused with ``AssumptionError`` by every route of the factor,
 before any draw.
@@ -77,6 +79,11 @@ def field(ts, ys=None):
     return hjb_solvers.ValueField(t_grid=np.array(ts), x_grid=np.linspace(0.0, 1.0, 3),
                                   values=np.zeros(shape),
                                   y_grid=None if ys is None else np.array(ys))
+
+
+def sigma_above_half(value):
+    """A volatility of 0.2 that is ``value`` for y > 0.5."""
+    return lambda y: np.where(np.asarray(y) > 0.5, value, 0.2)
 
 
 def generator(growth_order):
@@ -340,6 +347,96 @@ NAMED_ROWS |= {
     "CorrectorQuery dt nan": ("dt", lambda: corrector_query(dt=math.nan)),
     "CorrectorQuery mc_paths True": ("mc_paths", lambda: corrector_query(mc_paths=True)),
     "CorrectorQuery mc_paths 2.5": ("mc_paths", lambda: corrector_query(mc_paths=2.5)),
+}
+
+
+#: One row per array argument that goes through ``require_finite_array``:
+#: without the guard each was let through, refused under another name, or met
+#: as a numpy error.  Then sigma, checked where the solvers and estimators read
+#: it, and the ratios whose overflow raised ``OverflowError``.
+RAGGED = [[0.0, 1.0], 2.0]
+NAMED_ROWS |= {
+    # "truth value of an array ... is ambiguous"
+    "Grids x 2-D": ("x grid", lambda: hjb_solvers.Grids(x=np.tile(np.linspace(0.0, 1.0, 5),
+                                                                   (4, 1)))),
+    # numpy's ValueError
+    "ControlProblemSpec control grid ragged": ("control grid", lambda: replace(
+        finance.merton_problem(MERTON), control_grid=RAGGED)),
+    # accepted
+    "InvariantMeasure nodes 2-D": ("nodes", lambda: ergodicity.InvariantMeasure(
+        np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))),
+    "InvariantMeasure weights 2-D": ("weights", lambda: ergodicity.InvariantMeasure(
+        np.array([0.0, 1.0]), np.array([[0.5], [0.5]]))),
+    # refused as "nodes and weights must be finite"
+    "measure_from_samples inf": ("samples", lambda: ergodicity.measure_from_samples(
+        np.array([0.0, 1.0, math.inf]))),
+    # numpy's ValueError
+    "iter_fast_values starts ragged": ("starts", lambda: next(
+        jump_processes.iter_fast_values(fast(SYM), 2, starts=RAGGED))),
+    # rows of NaN and of inf
+    "path_integral weights nan": ("weights", lambda: jump_processes.path_integral(
+        fast(SYM), np.cos, 3, [math.nan, 1.0])),
+    "path_integral weights inf": ("weights", lambda: jump_processes.path_integral(
+        fast(SYM), np.cos, 3, [math.inf, 1.0])),
+    # numpy's ValueError from concatenate
+    "price_mc_surface taus 2-D": ("taus", lambda: finance.price_mc_surface(
+        PRICING, 0.1, FAST_PRICING, 1000, np.array([[0.5, 1.0]]), np.array([1.0]),
+        np.array([0.0]))),
+    # priced
+    "price_mc_surface x_values 2-D": ("x_values", lambda: finance.price_mc_surface(
+        PRICING, 0.1, FAST_PRICING, 1000, np.array([1.0]), np.array([[1.0]]), np.array([0.0]))),
+    # refused as "starts must be a 1-D array of finite start points"
+    "price_mc_surface y_values nan": ("y_values", lambda: finance.price_mc_surface(
+        PRICING, 0.1, FAST_PRICING, 1000, np.array([1.0]), np.array([1.0]),
+        np.array([math.nan]))),
+    # refused as "wealth must be finite and positive", and numpy's ValueError
+    "merton_hara_closed_form w nan": ("w", lambda: finance.merton_hara_closed_form(
+        MERTON, MU, 0.0, math.nan)),
+    "merton_hara_closed_form w ragged": ("w", lambda: finance.merton_hara_closed_form(
+        MERTON, MU, 0.0, RAGGED)),
+    # a TypeError, and refused as "y must be finite" after the first sample's quadrature
+    "lyapunov_drift_check y_samples 2-D": ("y_samples", lambda: (
+        nonlocal_generator.lyapunov_drift_check(nonlocal_generator.GeneratorQuadrature(
+            ONE_SIDED), 1.0, 2.0, np.array([[3.0, 4.0]])))),
+    "lyapunov_drift_check y_samples nan": ("y_samples", lambda: (
+        nonlocal_generator.lyapunov_drift_check(nonlocal_generator.GeneratorQuadrature(
+            ONE_SIDED), 1.0, 2.0, np.array([3.0, math.nan])))),
+    # numpy's ValueError, twice
+    "CorrectorQuery frozen_point ragged": ("frozen_point", lambda: corrector_query(
+        frozen_point=((1.0, 2.0), 3.0, 4.0))),
+    "CorrectorQuery y_grid ragged": ("y_grid", lambda: nonlocal_generator.CorrectorQuery(
+        SYM, (1.0, 1.0, -1.0), 0.5, RAGGED, dt=0.1)),
+    # ValueError from math.ceil (NaN step bound), twice, and ZeroDivisionError or an
+    # invalid-value warning
+    "pide_solve sigma_of_y nan": ("sigma_of_y", lambda: solve(
+        "pide_solve", sigma_of_y=sigma_above_half(math.nan))),
+    "effective_solve sigma_of_y nan": ("sigma_of_y", lambda: solve(
+        "effective_solve", sigma_of_y=sigma_above_half(math.nan))),
+    "pide_solve sigma_of_y inf": ("sigma_of_y", lambda: solve(
+        "pide_solve", sigma_of_y=sigma_above_half(math.inf))),
+    # priced at 0.0490 with an SE of 1.5e-4: bs_call takes a NaN variance for zero
+    "price_mc sigma_fn nan": ("sigma_fn along the paths", lambda: finance.price_mc(
+        replace(PRICING, sigma_fn=sigma_above_half(math.nan)), 0.1, FAST_PRICING, 1000)),
+    # nan, inf, nan and nan
+    "effective_vol_quadratic sigma_fn nan": ("sigma_fn", lambda: (
+        finance.effective_vol_quadratic(sigma_above_half(math.nan), MU))),
+    "effective_vol_quadratic sigma_fn inf": ("sigma_fn", lambda: (
+        finance.effective_vol_quadratic(sigma_above_half(math.inf), MU))),
+    "effective_vol_harmonic sigma_fn nan": ("sigma_fn", lambda: (
+        finance.effective_vol_harmonic(sigma_above_half(math.nan), MU))),
+    "merton_hbar sigma_fn nan": ("sigma_fn", lambda: finance.merton_hbar(
+        replace(MERTON, sigma_fn=sigma_above_half(math.nan)), MU)),
+    # inf
+    "InvariantMeasure.mean_of f inf": ("f", lambda: MU.mean_of(
+        lambda y: np.full(np.shape(y), math.inf))),
+    # OverflowError from math.ceil (8 / 1e-308 is inf), from round and from math.ceil
+    "FastProcessConfig lam 1e308": ("8 horizon / epsilon", lambda: (
+        jump_processes.FastProcessConfig(SYM, lam=1e308, y0=0.0, horizon=1.0))),
+    "discount_horizon delta 1e-300": ("10 / delta / dt", lambda: (
+        jump_processes.discount_horizon(1e-300, 1e-10))),
+    "iter_fast_values fan-in at lam 1e-310": ("10 / lam / dt", lambda: next(
+        jump_processes.iter_fast_values(jump_processes.FastProcessConfig(
+            SYM, lam=1e-310, y0=0.0, horizon=1.0, dt=0.5), 2, starts=np.array([0.0])))),
 }
 
 

@@ -602,6 +602,24 @@ class TestOneKernel:
         assert finite_readers == {"errors"}
         assert _readers("Integral") == {"errors.require_count"}
 
+    def test_array_rule_has_one_gate(self):
+        # isfinite, numpy's or math's, is read by the guards of errors.py and, on computed
+        # values, by the two NumericalError checks: the march and the value field's
+        readers = set()
+        for path in PACKAGE.glob("*.py"):
+            def visit(node, scope):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    scope = f"{scope}.{node.name}"
+                elif getattr(node, "attr", getattr(node, "id", None)) == "isfinite":
+                    readers.add(scope)
+                for child in ast.iter_child_nodes(node):
+                    visit(child, scope)
+
+            visit(ast.parse(path.read_text()), path.stem)
+        assert readers == {"errors.require_finite", "errors.require_positive",
+                           "errors.require_nonnegative", "errors.require_finite_array",
+                           "hjb_solvers._march", "hjb_solvers.ValueField.__post_init__"}
+
     def test_stable_skew_has_one_statement(self):
         # beta tan(pi alpha / 2) is LevyMeasureModel.skew, read by the CMS map and the closed form
         assert _readers("tan") == {"levy_measures.skew"}
