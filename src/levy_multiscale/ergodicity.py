@@ -41,21 +41,21 @@ STATIONARY_PATHS = 256
 
 @dataclass(frozen=True)
 class InvariantMeasure:
-    """Quadrature representation (nodes + weights) of the stationary law."""
+    """Quadrature nodes and weights of the stationary law, held as read-only float copies."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = require_finite_array("nodes", self.nodes)
-        weights = require_finite_array("weights", self.weights)
-        if len(nodes) != len(weights):
+        object.__setattr__(self, "nodes", require_finite_array("nodes", self.nodes))
+        object.__setattr__(self, "weights", require_finite_array("weights", self.weights))
+        if len(self.nodes) != len(self.weights):
             raise UsageError("nodes and weights must have equal length")
-        if np.any(np.diff(nodes) < 0.0):
+        if np.any(np.diff(self.nodes) < 0.0):
             raise UsageError("nodes must be sorted ascending")
-        if np.any(weights < 0.0):
+        if np.any(self.weights < 0.0):
             raise UsageError("weights must be nonnegative")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
+        if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise UsageError("weights must sum to 1 within 1e-12")
 
     def mean_of(self, f: Callable) -> float:

@@ -3,7 +3,7 @@
 Each ``require_*`` guard raises :class:`UsageError` with a message starting "<name> must".
 NaN fails every guard; a count is an integer, numpy's included, and never a bool.
 :func:`require_finite_array` is the one array rule: finite numbers, of a given ndim and
-at least a given size, returned as the float array the caller reads.
+at least a given size, returned as a read-only float copy that the frozen records keep.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ def require_count(name: str, value, minimum: int, unit: str = "") -> None:
 
 
 def require_finite_array(name: str, values, min_size: int = 0, ndim: int | None = 1) -> np.ndarray:
-    """``values`` as a float array, refused if ragged, of another ndim (None: any),
+    """``values`` as a read-only float copy, refused if ragged, of another ndim (None: any),
     shorter than ``min_size`` or holding NaN or +-inf."""
     try:
-        array = np.asarray(values, dtype=float)
+        array = np.array(values, dtype=float)
     except (TypeError, ValueError):  # ragged, or not numbers
         array = None
     if (array is None or (ndim is not None and array.ndim != ndim) or array.size < min_size
@@ -75,4 +75,5 @@ def require_finite_array(name: str, values, min_size: int = 0, ndim: int | None 
         shape = "an array" if ndim is None else f"a {ndim}-D array"
         least = f"at least {min_size} " if min_size else ""
         raise UsageError(f"{name} must be {shape} of {least}finite numbers, got {values!r}")
+    array.setflags(write=False)
     return array

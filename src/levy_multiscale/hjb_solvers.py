@@ -78,7 +78,7 @@ def _aligned_empty(shape: tuple, dtype=float, lead: int = 0) -> np.ndarray:
 
 
 def _require_uniform(name: str, nodes, min_nodes: int) -> np.ndarray:
-    """``nodes`` as a float array: ``min_nodes`` or more finite nodes, increasing and uniform."""
+    """``nodes`` as a read-only float copy: ``min_nodes`` or more finite, increasing, uniform."""
     nodes = require_finite_array(name, nodes, min_nodes)
     step = np.diff(nodes)
     if len(step) and (np.any(step <= 0.0) or np.max(np.abs(step - step[0])) > 1e-9 * step[0]):
@@ -100,7 +100,8 @@ class ControlProblemSpec:
     :func:`hamiltonian_eval` and the path simulator
     (``jump_processes.simulate_slow_system``) all read it.  The Bellman
     objective is a parabola in u, and the solvers minimize it over the points
-    ``u_lo + k du``, so the control grid must be increasing and uniform.
+    ``u_lo + k du``, so the control grid must be increasing and uniform; the spec
+    holds it as a read-only float copy.
     """
 
     beta0: float
@@ -116,7 +117,8 @@ class ControlProblemSpec:
         require_finite("beta1", self.beta1)
         require_nonnegative("discount", self.discount)
         require_positive("horizon", self.horizon)
-        _require_uniform("control grid", self.control_grid, 1)
+        grid = _require_uniform("control grid", self.control_grid, 1)
+        object.__setattr__(self, "control_grid", grid)
 
     def drift(self, x, y, u):
         return np.asarray(x, dtype=float) * (self.beta0 + self.beta1 * u)
@@ -129,30 +131,30 @@ class ControlProblemSpec:
 
 def hamiltonian_eval(spec: ControlProblemSpec, x, y, p, X) -> tuple[float, float]:
     """Bellman minimization over the finite control grid; first index wins ties."""
-    controls = np.asarray(spec.control_grid, dtype=float)
-    vals = np.empty(len(controls))
-    for k, u in enumerate(controls):
+    vals = np.empty(len(spec.control_grid))
+    for k, u in enumerate(spec.control_grid):
         vol = float(spec.vol(x, y, float(u)))
         dri = float(spec.drift(x, y, float(u)))
         vals[k] = -0.5 * vol * vol * X - dri * p
     k = int(np.argmin(vals))
-    return float(vals[k]), float(controls[k])
+    return float(vals[k]), float(spec.control_grid[k])
 
 
 @dataclass(frozen=True)
 class Grids:
     """Uniform slow grid ``x`` and, for the stiff solve, uniform factor grid ``y``.
 
-    There is no time-step request: the solvers step at the positivity bound.
+    Each is held as a read-only float copy.  There is no time-step request: the
+    solvers step at the positivity bound.
     """
 
     x: np.ndarray
     y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _require_uniform("x grid", self.x, 3)
+        object.__setattr__(self, "x", _require_uniform("x grid", self.x, 3))
         if self.y is not None:
-            _require_uniform("y grid", self.y, 5)
+            object.__setattr__(self, "y", _require_uniform("y grid", self.y, 5))
 
 
 @dataclass(frozen=True)
@@ -277,15 +279,14 @@ class _LocalBellman:
         if x[0] < 0.0:
             raise UsageError("x grid must be nonnegative: the drift's sign is read off its coefficient")
         dx = float(x[1] - x[0])
-        sigma = spec.sigma_of_y(np.asarray(y_vals))
-        sig2 = require_finite_array("sigma_of_y", sigma, ndim=None) ** 2
+        sig2 = require_finite_array("sigma_of_y", spec.sigma_of_y(y_vals), ndim=None) ** 2
         if sig2.shape != np.shape(y_vals):
             raise UsageError(f"sigma_of_y must return one value per factor node, got {sig2.shape}")
         self.beta0, self.beta1 = spec.beta0, spec.beta1
         nx, ny = len(x), len(y_vals)
         self.p_coef = -(x**2)[:, None] * sig2[None, :] / dx**2
         self.q_coef = np.repeat(-x[:, None] / dx, cols, axis=1)
-        controls = np.asarray(spec.control_grid, dtype=float)
+        controls = spec.control_grid
         u_lo, u_hi = float(controls[0]), float(controls[-1])
         self.du = float(controls[1] - controls[0]) if len(controls) > 1 else 0.0
         forward = self.beta0 + self.beta1 * controls >= 0.0
@@ -440,7 +441,7 @@ def effective_solve(
     lateral boundary condition is imposed; the x = 0 column evolves by pure
     discounting because the coefficients vanish there.
     """
-    x = np.asarray(grids.x, dtype=float)
+    x = grids.x
     atoms = mu.coarsen(MAX_ATOMS)
     local = _LocalBellman(spec, x, atoms.nodes, 1)
     steps = _time_steps(spec, local)
@@ -474,8 +475,7 @@ def pide_solve(
         raise UsageError("the stiff solve needs a factor grid")
     require_assumptions(model)
 
-    x = np.asarray(grids.x, dtype=float)
-    y = np.asarray(grids.y, dtype=float)
+    x, y = grids.x, grids.y
     gen, gen_diag = assemble_factor_generator(model, y)
     local = _LocalBellman(spec, x, y, len(y))
     steps = _time_steps(spec, local)

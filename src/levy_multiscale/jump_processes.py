@@ -326,8 +326,9 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
     ys = np.concatenate(list(iter_fast_values(fast, 1)))
     y = ys[:-1]
     dw = stream_rng(fast.seed, BROWNIAN_STREAM).normal(0.0, math.sqrt(dt), size=n)
-    u = float(np.asarray(problem.control_grid, dtype=float)[0])
-    growth = np.maximum(1.0 + problem.drift(1.0, y, u) * dt + problem.vol(1.0, y, u) * dw, 0.0)
+    u = float(problem.control_grid[0])
+    vol = require_finite_array("sigma_of_y along the path", problem.vol(1.0, y, u), ndim=None)
+    growth = np.maximum(1.0 + problem.drift(1.0, y, u) * dt + vol * dw, 0.0)
     # x0 leads the product, so each state has the bits of the step-by-step loop
     xs = np.cumprod(np.concatenate([[float(cfg.x0)], growth]))
     return (

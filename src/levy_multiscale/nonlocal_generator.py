@@ -236,9 +236,7 @@ class CorrectorQuery:
         self._run_config()  # refuses a bad delta or dt, a truncation under two steps, a bad seed
         if len(require_finite_array("frozen_point", self.frozen_point, 3)) != 3:
             raise UsageError(f"frozen_point must be an (x, p, X) triple, got {self.frozen_point!r}")
-        y_grid = require_finite_array("y_grid", self.y_grid, 1).copy()  # the caller's may change
-        y_grid.setflags(write=False)
-        object.__setattr__(self, "y_grid", y_grid)
+        object.__setattr__(self, "y_grid", require_finite_array("y_grid", self.y_grid, 1))
 
     def _run_config(self) -> FastProcessConfig:
         """The driven run: unit rate from 0 over ``discount_horizon(delta, dt)``."""

@@ -414,6 +414,11 @@ NAMED_ROWS |= {
         "effective_solve", sigma_of_y=sigma_above_half(math.nan))),
     "pide_solve sigma_of_y inf": ("sigma_of_y", lambda: solve(
         "pide_solve", sigma_of_y=sigma_above_half(math.inf))),
+    # a slow path that is NaN from its first step
+    "simulate_slow_system sigma_of_y nan": ("sigma_of_y along the path", lambda: (
+        jump_processes.simulate_slow_system(jump_processes.SlowSystemConfig(
+            replace(finance.merton_problem(MERTON), sigma_of_y=sigma_above_half(math.nan)),
+            replace(fast(SYM), y0=1.0), 1.0)))),
     # priced at 0.0490 with an SE of 1.5e-4: bs_call takes a NaN variance for zero
     "price_mc sigma_fn nan": ("sigma_fn along the paths", lambda: finance.price_mc(
         replace(PRICING, sigma_fn=sigma_above_half(math.nan)), 0.1, FAST_PRICING, 1000)),

@@ -620,6 +620,10 @@ class TestOneKernel:
                            "errors.require_nonnegative", "errors.require_finite_array",
                            "hjb_solvers._march", "hjb_solvers.ValueField.__post_init__"}
 
+    def test_array_snapshot_has_one_statement(self):
+        # the guard returns a read-only copy and the records keep it, so no record freezes its own
+        assert _readers("setflags") == {"errors.require_finite_array"}
+
     def test_stable_skew_has_one_statement(self):
         # beta tan(pi alpha / 2) is LevyMeasureModel.skew, read by the CMS map and the closed form
         assert _readers("tan") == {"levy_measures.skew"}

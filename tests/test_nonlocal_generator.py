@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from levy_multiscale.errors import UsageError
-from levy_multiscale.ergodicity import two_atom_measure
+from levy_multiscale.ergodicity import InvariantMeasure, two_atom_measure
+from levy_multiscale.finance import MertonSpec, merton_problem
+from levy_multiscale.hjb_solvers import Grids, effective_solve, hamiltonian_eval, pide_solve
 from levy_multiscale.jump_processes import FastProcessConfig
 from levy_multiscale.levy_measures import (
     Family,
@@ -281,6 +284,67 @@ class TestApproximateCorrector:
                     dt=0.02)
         with pytest.raises(UsageError):
             CorrectorQuery(**{**args, field: value})
+
+
+SNAPSHOT_MERTON = MertonSpec(r=0.05, alpha_drift=0.1, R1=0.0, R=1.0, gamma=0.5, a=1.0,
+                             horizon=1.0, w0=1.0, sigma_fn=lambda y: 0.2 + 0.1 * np.tanh(y))
+
+
+def snapshot_arrays():
+    """Fresh caller arrays for every array field of ``Grids``, the spec and the measure."""
+    return dict(x=np.linspace(0.0, 1.0, 31), y=np.linspace(-2.0, 2.0, 9),
+                control_grid=np.linspace(0.0, 1.0, 11), nodes=np.linspace(-1.0, 1.0, 5),
+                weights=np.array([0.1, 0.2, 0.4, 0.2, 0.1]))
+
+
+def snapshot_records(x, y, control_grid, nodes, weights):
+    """``{field: the record that holds it}`` built from the given arrays."""
+    problem = replace(merton_problem(SNAPSHOT_MERTON), control_grid=control_grid)
+    grids, mu = Grids(x=x, y=y), InvariantMeasure(nodes, weights)
+    return dict(x=grids, y=grids, control_grid=problem, nodes=mu, weights=mu)
+
+
+def snapshot_solves(records):
+    """t grid, x grid and values of both solvers on ``records``."""
+    problem, grids, mu = records["control_grid"], records["x"], records["nodes"]
+    fields = (effective_solve(problem, mu, grids), pide_solve(problem, SYM15, 0.5, grids))
+    return [a for f in fields for a in (f.t_grid, f.x_grid, f.values)]
+
+
+class TestArraySnapshots:
+    """The records keep the guard's read-only float copy, not the caller's array."""
+
+    @pytest.mark.parametrize("field", ["x", "y", "control_grid", "nodes", "weights"])
+    def test_caller_edit_changes_no_record_or_solve(self, field):
+        # the records held the caller's arrays, so an edit after construction reached the solvers
+        caller = snapshot_arrays()
+        kept = snapshot_records(**caller)
+        untouched = snapshot_records(**{k: v.copy() for k, v in caller.items()})
+        caller[field][-1] = 5.0
+        assert np.array_equal(getattr(kept[field], field), getattr(untouched[field], field))
+        for a, b in zip(snapshot_solves(kept), snapshot_solves(untouched)):
+            assert np.array_equal(a, b)
+        with pytest.raises(ValueError):
+            getattr(kept[field], field)[0] = 0.0
+
+    def test_measure_from_lists(self):
+        # cf and coarsen raised TypeError on the stored lists
+        listed = InvariantMeasure([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
+        arrays = InvariantMeasure(np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.5, 0.25]))
+        assert listed.cf(1.0) == arrays.cf(1.0)
+        assert listed.mean_of(np.cos) == arrays.mean_of(np.cos)
+        a, b = listed.coarsen(2), arrays.coarsen(2)
+        assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+
+    def test_list_grids_solve_as_arrays(self):
+        arrays = snapshot_arrays()
+        listed = snapshot_records(**{**arrays, "x": arrays["x"].tolist(),
+                                     "control_grid": arrays["control_grid"].tolist()})
+        kept = snapshot_records(**arrays)
+        for a, b in zip(snapshot_solves(listed), snapshot_solves(kept)):
+            assert np.array_equal(a, b)
+        assert hamiltonian_eval(listed["control_grid"], 0.5, 0.3, 1.0, -2.0) == hamiltonian_eval(
+            kept["control_grid"], 0.5, 0.3, 1.0, -2.0)
 
 
 def _bellman_min(x, y, p, X, controls, r=0.05, excess=0.05, sigma_fn=None):
