@@ -15,6 +15,7 @@ stationary laws have no elementary density anyway.  One rule places nodes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -63,7 +64,8 @@ class InvariantMeasure:
         return float(np.sum(self.weights * require_finite_array("f", f(self.nodes), ndim=None)))
 
     def cf(self, u: float) -> complex:
-        """Characteristic function of the quadrature measure."""
+        """Characteristic function of the quadrature measure at the finite frequency u."""
+        require_finite("u", u)
         return complex(np.sum(self.weights * np.exp(1j * u * self.nodes)))
 
     def coarsen(self, n_nodes: int) -> "InvariantMeasure":
@@ -153,12 +155,14 @@ def stationary_cf_oracle(model: LevyMeasureModel, u: float) -> complex:
 def stationary_cf_bruteforce(model: LevyMeasureModel, u: float) -> complex:
     """Independent route: numerical s-integration of the quadrature exponent.
 
+    The real and imaginary passes of the complex quadrature visit the same
+    s-nodes, so psi is evaluated once per node and kept for the second pass.
     One call costs one :func:`levy_exponent` quadrature per s-node where
     ``|u| e^{-s}`` is at or above the exponent's floor 1e-2, and a closed-form
     continuation from the model's floor value (one quadrature per model) below it.
     """
-    log_cf, _ = integrate.quad(lambda s: levy_exponent(model, u * math.exp(-s)), 0.0, 40.0,
-                               epsabs=1e-9, limit=200, complex_func=True)
+    psi = functools.cache(lambda s: levy_exponent(model, u * math.exp(-s)))
+    log_cf, _ = integrate.quad(psi, 0.0, 40.0, epsabs=1e-9, limit=200, complex_func=True)
     return complex(np.exp(log_cf))
 
 

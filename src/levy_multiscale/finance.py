@@ -141,10 +141,13 @@ def bs_call(x, strike: float, r_tau, v):
     ``2 v``: the root-two convention at ``v = int sigma^2 ds`` (``s^2 tau``
     for a constant volatility s), so the Black-Scholes total volatility is
     ``sqrt(2 v)``.  Vectorised over x, r_tau and v.  Where v = 0 or x = 0
-    the value is the payoff at the forward ``x exp(r_tau)``.
+    the value is the payoff at the forward ``x exp(r_tau)``; a non-finite x, r_tau
+    or v is refused, since NaN would fail ``v > 0`` and price as zero variance.
     """
-    fwd = np.asarray(x, dtype=float) * np.exp(r_tau)
-    v = np.asarray(v, dtype=float)
+    x = require_finite_array("x", x, ndim=None)
+    r_tau = require_finite_array("r_tau", r_tau, ndim=None)
+    v = require_finite_array("v", v, ndim=None)
+    fwd = x * np.exp(r_tau)
     live = (v > 0.0) & (fwd > 0.0)
     v_live = np.where(live, v, 1.0)
     w = np.sqrt(2.0 * v_live)

@@ -302,6 +302,9 @@ def discount_horizon(delta: float, dt: float) -> float:
 
 def discount_weights(delta: float, dt: float, n: int) -> np.ndarray:
     """Exact discount weights ``int e^{-delta t} dt`` over the steps ``[k dt, (k+1) dt)``, k < n."""
+    require_positive("delta", delta)
+    require_positive("dt", dt)
+    require_count("n", n, 1)
     return np.exp(-delta * np.arange(n) * dt) * (1.0 - math.exp(-delta * dt)) / delta
 
 

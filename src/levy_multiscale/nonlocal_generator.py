@@ -10,7 +10,9 @@ integrated over the support of the jump measure.  As in the grid matrix
 Quadrature splits the rest at ``kappa`` (second-order Taylor below it, with
 closed-form truncated moments) and at ``M = default_outer_cut`` (relative tail
 mass 1e-8; beyond it f grows like ``|z|^g`` at the declared order g, so the
-tail is ``side_moment(g, M)``), with one plain integrand ``f(y+z) - f(y)`` between.
+tail is ``side_moment(g, M)``), with one plain integrand between: ``f(y+z) - f(y)``
+on the one-sided model, and on the symmetric one, whose two sides share their
+density, the second difference ``f(y+z) + f(y-z) - 2 f(y)`` over z > 0.
 
 On top of the operator the module provides the Lyapunov drift certificate, the
 one-sided small-alpha counterexample to maximum-principle propagation, the
@@ -62,7 +64,9 @@ def generator_apply(
     """Apply the generator to ``f`` at the finite point ``y`` by split quadrature.
 
     ``df``/``d2f`` are the first and second derivatives of ``f``.  One plain
-    integrand runs over the blocks [kappa, 1], [1, 2], ..., [2^k, M]; beyond M,
+    integrand runs over the blocks [kappa, 1], [1, 2], ..., [2^k, M], one
+    quadrature per block: ``f(y + z) - f(y)`` one-sided, and the second difference
+    ``f(y + z) + f(y - z) - 2 f(y)`` on the symmetric model.  Beyond M,
     ``f(y + s z)`` is extrapolated as ``f(y + s M) (z / M)^g`` at the declared
     ``growth_order`` g in [0, alpha), so each side's tail is ``side_moment(g, M)``
     times that amplitude.  With ``return_error`` the reported value comes with
@@ -89,27 +93,29 @@ def generator_apply(
     d3_est = abs(d2f(y + kappa) - d2f(y - kappa)) / (2.0 * kappa)
     err += m3_abs * d3_est / 6.0
 
-    side_mass, far_moment = side_moment(model, 0, m_cut), side_moment(model, growth_order, m_cut)
+    # the symmetric model's two sides meet in one second difference at each |z|
+    if model.two_sided:
+        integrand = lambda z: (f(y + z) + f(y - z) - 2.0 * fy) * c * z ** (-1.0 - alpha)
+    else:
+        integrand = lambda z: (f(y + z) - fy) * c * z ** (-1.0 - alpha)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for s in (1.0, -1.0) if model.two_sided else (1.0,):
-            # geometric doubling blocks past 1: adaptive quadrature can resolve
-            # oscillatory f locally, and the block count stays logarithmic in M
-            # for the heavy monotone tails
-            a, b = kappa, 1.0
-            while a < m_cut:
-                block, e = integrate.quad(
-                    lambda z: (f(y + s * z) - fy) * c * z ** (-1.0 - alpha),
-                    a, b, epsabs=1e-14, epsrel=tol, limit=200,
-                )
-                value += block
-                err += e
-                a, b = b, min(2.0 * b, m_cut)
+        # geometric doubling blocks past 1: adaptive quadrature can resolve
+        # oscillatory f locally, and the block count stays logarithmic in M
+        # for the heavy monotone tails
+        a, b = kappa, 1.0
+        while a < m_cut:
+            block, e = integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=tol, limit=200)
+            value += block
+            err += e
+            a, b = b, min(2.0 * b, m_cut)
 
-            # beyond M: extrapolate f at the declared polynomial order
-            amp = f(y + s * m_cut) / m_cut**growth_order
-            value += amp * far_moment - fy * side_mass
+    # beyond M: extrapolate f at the declared polynomial order, side by side
+    side_mass, far_moment = side_moment(model, 0, m_cut), side_moment(model, growth_order, m_cut)
+    for s in (1.0, -1.0) if model.two_sided else (1.0,):
+        amp = f(y + s * m_cut) / m_cut**growth_order
+        value += amp * far_moment - fy * side_mass
 
     if return_error:
         return value, err

@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from levy_multiscale.errors import UsageError
 from levy_multiscale.ergodicity import (
@@ -16,7 +17,7 @@ from levy_multiscale.ergodicity import (
     stationary_samples,
     two_atom_measure,
 )
-from levy_multiscale import jump_processes, levy_measures
+from levy_multiscale import ergodicity, jump_processes, levy_measures
 from levy_multiscale.jump_processes import FastProcessConfig
 from levy_multiscale.levy_measures import Family, LevyMeasureModel
 
@@ -144,6 +145,22 @@ class TestStationaryCfOracle:
         levy_measures._floor_exponent.cache_clear()
         cold = stationary_cf_bruteforce(model, u)
         assert stationary_cf_bruteforce(model, u) == cold
+
+
+class TestBruteforceOnePsiPerNode:
+    """The complex quadrature's real and imaginary passes visit the same s-nodes."""
+
+    @pytest.mark.parametrize("u", [0.5, 1.0])
+    def test_psi_once_per_node_with_the_two_pass_bits(self, u):
+        model = LevyMeasureModel(Family.ONE_SIDED_STABLE, 1.5)
+        with mock.patch.object(ergodicity, "levy_exponent",
+                               wraps=levy_measures.levy_exponent) as psi:
+            got = stationary_cf_bruteforce(model, u)
+        assert psi.call_count == 105  # 210 when each pass evaluated psi afresh
+        # the same quadrature with psi evaluated at every node of both passes
+        log_cf, _ = integrate.quad(lambda s: levy_measures.levy_exponent(model, u * math.exp(-s)),
+                                   0.0, 40.0, epsabs=1e-9, limit=200, complex_func=True)
+        assert got == complex(np.exp(log_cf))
 
 
 class TestErgodicTimeAverage:

@@ -444,6 +444,27 @@ NAMED_ROWS |= {
             SYM, lam=1e-310, y0=0.0, horizon=1.0, dt=0.5), 2, starts=np.array([0.0])))),
 }
 
+#: Public functions whose scalar or array arguments reached their formulas unguarded.
+NAMED_ROWS |= {
+    # 0.0513, the payoff at the forward, alone and beside a live 0.1099: NaN fails v > 0,
+    # so it priced as zero variance
+    "bs_call v nan": ("v", lambda: finance.bs_call(1.0, 1.0, 0.05, math.nan)),
+    "bs_call v nan in an array": ("v", lambda: finance.bs_call(
+        1.0, 1.0, 0.05, np.array([[0.02, math.nan]]))),
+    # nan and inf
+    "bs_call x nan": ("x", lambda: finance.bs_call(math.nan, 1.0, 0.05, 0.02)),
+    "bs_call r_tau inf": ("r_tau", lambda: finance.bs_call(1.0, 1.0, math.inf, 0.02)),
+    # nan+nanj, and numpy's invalid-value RuntimeWarning from the product
+    "InvariantMeasure.cf u nan": ("u", lambda: MU.cf(math.nan)),
+    "InvariantMeasure.cf u inf": ("u", lambda: MU.cf(math.inf)),
+    # NaN weights, NaN weights, [] and three weights (np.arange(2.5) has three entries)
+    "discount_weights delta nan": ("delta", lambda: jump_processes.discount_weights(
+        math.nan, 0.1, 3)),
+    "discount_weights dt nan": ("dt", lambda: jump_processes.discount_weights(0.5, math.nan, 3)),
+    "discount_weights n -1": ("n", lambda: jump_processes.discount_weights(0.5, 0.1, -1)),
+    "discount_weights n 2.5": ("n", lambda: jump_processes.discount_weights(0.5, 0.1, 2.5)),
+}
+
 
 @pytest.mark.parametrize("arg, call", NAMED_ROWS.values(), ids=NAMED_ROWS.keys())
 def test_refusal_names_the_argument(arg, call):

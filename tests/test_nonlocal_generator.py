@@ -1,5 +1,7 @@
+import cmath
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from levy_multiscale.levy_measures import (
     default_outer_cut,
     density_eval,
     levy_exponent,
+    stable_exponent_closed,
 )
 from levy_multiscale.nonlocal_generator import (
     CorrectorQuery,
@@ -154,6 +157,34 @@ class TestGeneratorApply:
     def test_null_driver_reduces_to_drift(self):
         q = GeneratorQuadrature(LevyMeasureModel(Family.SYMMETRIC_STABLE, 1.5, 0.0))
         assert generator_apply(q, lambda v: v, 2.0, lambda v: 1.0, lambda v: 0.0) == -2.0
+
+
+class TestSecondDifference:
+    """The symmetric model's two sides are one integrand, f(y + z) + f(y - z) - 2 f(y)."""
+
+    @pytest.mark.parametrize("model", [SYM15, LevyMeasureModel(Family.ONE_SIDED_STABLE, 1.5)],
+                             ids=["symmetric", "one-sided"])
+    def test_one_quadrature_per_block(self, model):
+        # the blocks [kappa, 1], [1, 2], ..., [2^k, M]: 19 at alpha = 1.5, on either model
+        n_blocks = 1 + math.ceil(math.log2(default_outer_cut(model)))
+        with mock.patch.object(integrate, "quad", wraps=integrate.quad) as quad:
+            generator_apply(GeneratorQuadrature(model), math.cos, 0.7, lambda v: -math.sin(v),
+                            lambda v: -math.cos(v))
+        assert quad.call_count == n_blocks
+
+    # each bound is the largest error over the four points with one quadrature per side,
+    # rounded up in its third digit
+    @pytest.mark.parametrize("alpha, bound", [(0.6, 9.35e-5), (1.0, 2.13e-6), (1.5, 3.37e-8),
+                                              (1.9, 2.48e-8)])
+    def test_cosine_against_closed_form(self, alpha, bound):
+        # I[y, cos] = y sin y + Re(e^{iy} psi(1)): the drift -y f'(y), and the jump part
+        # is the real part of e^{iy} times the exponent at u = 1
+        model = LevyMeasureModel(Family.SYMMETRIC_STABLE, alpha)
+        psi1 = stable_exponent_closed(model, 1.0)
+        for y in (0.0, 0.7, 2.0, 12.0):
+            got = generator_apply(GeneratorQuadrature(model), math.cos, y,
+                                  lambda v: -math.sin(v), lambda v: -math.cos(v))
+            assert abs(got - (y * math.sin(y) + (cmath.exp(1j * y) * psi1).real)) <= bound
 
 
 class TestLyapunovDrift:
