@@ -60,8 +60,11 @@ class InvariantMeasure:
             raise UsageError("weights must sum to 1 within 1e-12")
 
     def mean_of(self, f: Callable) -> float:
-        """mu-average of a function evaluated on the nodes, where it must be finite."""
-        return float(np.sum(self.weights * require_finite_array("f", f(self.nodes), ndim=None)))
+        """mu-average of f on the nodes: finite, one value per node or one constant."""
+        values = require_finite_array("f", f(self.nodes), ndim=None)
+        if values.shape not in ((), self.nodes.shape):  # (n, 1) would broadcast to (n, n)
+            raise UsageError(f"f must return one value per node or a scalar, got {values.shape}")
+        return float(np.sum(self.weights * values))
 
     def cf(self, u: float) -> complex:
         """Characteristic function of the quadrature measure at the finite frequency u."""

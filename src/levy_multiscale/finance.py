@@ -142,8 +142,10 @@ def bs_call(x, strike: float, r_tau, v):
     for a constant volatility s), so the Black-Scholes total volatility is
     ``sqrt(2 v)``.  Vectorised over x, r_tau and v.  Where v = 0 or x = 0
     the value is the payoff at the forward ``x exp(r_tau)``; a non-finite x, r_tau
-    or v is refused, since NaN would fail ``v > 0`` and price as zero variance.
+    or v is refused, since NaN would fail ``v > 0`` and price as zero variance, and
+    so is a strike that is not finite and positive, which would price as NaN.
     """
+    require_positive("strike", strike)
     x = require_finite_array("x", x, ndim=None)
     r_tau = require_finite_array("r_tau", r_tau, ndim=None)
     v = require_finite_array("v", v, ndim=None)

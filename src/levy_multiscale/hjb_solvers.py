@@ -2,8 +2,8 @@
 
 Both solvers march the terminal payoff backwards with a monotone explicit
 treatment of the local Bellman part (central second differences, first-order
-upwind first differences, step size from the scheme's positivity bound).  The
-model is the multiplicative one that :class:`ControlProblemSpec` states, on
+upwind first differences, a step at the positivity bound :class:`_LocalBellman` owns).
+The model is the multiplicative one that :class:`ControlProblemSpec` states, on
 x >= 0, so the objective is a parabola in the control whose coefficients are
 raw differences of v times per-node coefficients built once.  Its minimum over
 the uniform control grid is the control nearest the vertex where it is convex
@@ -51,6 +51,7 @@ from scipy import linalg
 from .ergodicity import InvariantMeasure
 from .errors import (NumericalError, UsageError, require_finite, require_finite_array,
                      require_nonnegative, require_positive)
+from .jump_processes import SQRT2
 from .levy_measures import (
     LevyMeasureModel,
     default_outer_cut,
@@ -66,7 +67,6 @@ CFL_SAFETY = 0.9
 MAX_ATOMS = 64
 #: Time slices kept by the solvers, evenly spread over the step grid.
 N_CHECKPOINTS = 51
-SQRT2 = math.sqrt(2.0)
 
 
 def _aligned_empty(shape: tuple, dtype=float, lead: int = 0) -> np.ndarray:
@@ -90,15 +90,15 @@ def _require_uniform(name: str, nodes, min_nodes: int) -> np.ndarray:
 class ControlProblemSpec:
     """Multiplicative single-asset model, control grid, and payoff of the control problem.
 
-    The one statement of the model: the slow state moves as
-    ``dX = drift(X, Y, u) dt + vol(X, Y, u) dW``, drift ``x (beta0 + beta1 u)``
-    and volatility ``sqrt(2) x sigma_of_y(y) u``, root-two convention included.
-    The control is the proportional exposure to the noise; a model whose noise
-    is not controlled is the one-control grid ``[1.0]``.  The coefficients
-    vanish at x = 0, which makes the x = 0 boundary characteristic: the schemes
-    never impose a lateral boundary condition there.  The grid solvers,
-    :func:`hamiltonian_eval` and the path simulator
-    (``jump_processes.simulate_slow_system``) all read it.  The Bellman
+    The one statement of the model is its fields: the slow state moves as
+    ``dX = X (beta0 + beta1 u) dt + SQRT2 X u sigma_of_y(Y) dW``, root-two
+    convention included (``jump_processes.SQRT2``).  The control is the
+    proportional exposure to the noise; a model whose noise is not controlled
+    is the one-control grid ``[1.0]``.  The coefficients vanish at x = 0, which
+    makes the x = 0 boundary characteristic: the schemes never impose a lateral
+    boundary condition there.  The spec has no methods: the grid solvers
+    (:class:`_LocalBellman`), :func:`hamiltonian_eval` and the path simulator
+    (``jump_processes.simulate_slow_system``) each read the fields.  The Bellman
     objective is a parabola in u, and the solvers minimize it over the points
     ``u_lo + k du``, so the control grid must be increasing and uniform; the spec
     holds it as a read-only float copy.
@@ -120,24 +120,14 @@ class ControlProblemSpec:
         grid = _require_uniform("control grid", self.control_grid, 1)
         object.__setattr__(self, "control_grid", grid)
 
-    def drift(self, x, y, u):
-        return np.asarray(x, dtype=float) * (self.beta0 + self.beta1 * u)
-
-    def vol(self, x, y, u):
-        return SQRT2 * np.asarray(x, dtype=float) * u * np.asarray(
-            self.sigma_of_y(np.asarray(y, dtype=float))
-        )
-
 
 def hamiltonian_eval(spec: ControlProblemSpec, x, y, p, X) -> tuple[float, float]:
-    """Bellman minimization over the finite control grid; first index wins ties."""
-    vals = np.empty(len(spec.control_grid))
-    for k, u in enumerate(spec.control_grid):
-        vol = float(spec.vol(x, y, float(u)))
-        dri = float(spec.drift(x, y, float(u)))
-        vals[k] = -0.5 * vol * vol * X - dri * p
+    """Bellman minimization over the finite control grid at one point; first index wins ties."""
+    x, u = float(x), spec.control_grid
+    vol = SQRT2 * x * u * float(spec.sigma_of_y(np.asarray(y, dtype=float)))
+    vals = -0.5 * vol * vol * X - x * (spec.beta0 + spec.beta1 * u) * p
     k = int(np.argmin(vals))
-    return float(vals[k]), float(spec.control_grid[k])
+    return float(vals[k]), float(u[k])
 
 
 @dataclass(frozen=True)
@@ -162,7 +152,8 @@ class ValueField:
     """Discrete value function on checkpointed time slices.
 
     ``values`` has shape (n_t, n_x) or (n_t, n_x, n_y); the slice at the final
-    checkpoint (t = horizon) is the exact terminal payoff.
+    checkpoint (t = horizon) is the exact terminal payoff.  The grids are held as
+    read-only float copies and ``values`` as a float array, not copied if it is one.
     """
 
     t_grid: np.ndarray
@@ -172,6 +163,10 @@ class ValueField:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("t_grid", "x_grid", "y_grid"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, require_finite_array(name, getattr(self, name)))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if not np.all(np.isfinite(self.values)):
             raise NumericalError("value field contains non-finite entries")
 
@@ -273,6 +268,11 @@ class _LocalBellman:
     ``rint(-beta1 q / (2 du p) - lo / du)`` clamped to the run; elsewhere it
     is the better endpoint, hi iff ``p (lo + hi) + beta1 q < 0``.  Each array a
     call writes starts a cache line, as a misaligned AVX-512 store spans two.
+
+    It also owns the march's step: ``steps`` holds dt, n_t and the explicit step's
+    positivity bound dt_bound = 1 / (2 a_max / dx^2 + b_max / dx + c), a_max and b_max
+    the largest diffusion and drift coefficients on the grid.  dt is ``CFL_SAFETY`` times
+    it (at most 0.9), shrunk so that n_t steps span the horizon: dt / dt_bound is the margin.
     """
 
     def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray, cols: int):
@@ -297,8 +297,10 @@ class _LocalBellman:
         ]
         a_max = float(np.max(sig2)) * float(x[-1]) ** 2 * max(u_lo**2, u_hi**2)
         b_max = float(x[-1]) * max(abs(self.beta0 + self.beta1 * u) for u in (u_lo, u_hi))
-        self.a_over_dx2 = a_max / dx**2
-        self.b_over_dx = b_max / dx
+        denom = 2.0 * (a_max / dx**2) + b_max / dx + spec.discount
+        dt_bound = math.inf if denom == 0.0 else 1.0 / denom
+        n_t = max(1, int(math.ceil(spec.horizon / (CFL_SAFETY * min(dt_bound, 1.0)))))
+        self.steps = {"dt": spec.horizon / n_t, "n_t": n_t, "dt_bound": dt_bound}
         # per-step arrays: differences fill the aligned rows 1..nx-1 of a block whose zero
         # edge rows close the forward difference on the last row and the backward on the first
         self.slopes, self.curv = (_aligned_empty((n, cols), lead=cols) for n in (nx + 1, nx))
@@ -353,19 +355,6 @@ def _terminal_payoff(spec: ControlProblemSpec, x: np.ndarray) -> np.ndarray:
     if v.shape != x.shape:
         raise UsageError(f"payoff must return one value per x node ({len(x)}), got {v.shape}")
     return v
-
-
-def _time_steps(spec: ControlProblemSpec, local: _LocalBellman) -> dict:
-    """dt, n_t and dt_bound of the march.
-
-    dt_bound = 1 / (2 a_max / dx^2 + b_max / dx + c) is the positivity bound of
-    the explicit step.  The step is ``CFL_SAFETY`` times it (and at most 0.9),
-    shrunk so that n_t steps span the horizon; dt / dt_bound is the CFL margin.
-    """
-    denom = 2.0 * local.a_over_dx2 + local.b_over_dx + spec.discount
-    dt_bound = math.inf if denom == 0.0 else 1.0 / denom
-    n_t = max(1, int(math.ceil(spec.horizon / (CFL_SAFETY * min(dt_bound, 1.0)))))
-    return {"dt": spec.horizon / n_t, "n_t": n_t, "dt_bound": dt_bound}
 
 
 def _propagator(gen: np.ndarray, dt_over_eps: float) -> np.ndarray:
@@ -444,13 +433,12 @@ def effective_solve(
     x = grids.x
     atoms = mu.coarsen(MAX_ATOMS)
     local = _LocalBellman(spec, x, atoms.nodes, 1)
-    steps = _time_steps(spec, local)
     v = _terminal_payoff(spec, x)
     prop = np.asfortranarray(atoms.weights[None, :])
-    t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"], prop)
+    t_grid, values = _march(spec, local, v, local.steps["dt"], local.steps["n_t"], prop)
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values,
-        diagnostics={**steps, "atoms": len(atoms.nodes)},
+        diagnostics={**local.steps, "atoms": len(atoms.nodes)},
     )
 
 
@@ -478,14 +466,13 @@ def pide_solve(
     x, y = grids.x, grids.y
     gen, gen_diag = assemble_factor_generator(model, y)
     local = _LocalBellman(spec, x, y, len(y))
-    steps = _time_steps(spec, local)
-    prop = _propagator(gen, steps["dt"] / epsilon)
+    prop = _propagator(gen, local.steps["dt"] / epsilon)
 
     v = np.repeat(_terminal_payoff(spec, x)[:, None], len(y), axis=1)
-    t_grid, values = _march(spec, local, v, steps["dt"], steps["n_t"], prop)
+    t_grid, values = _march(spec, local, v, local.steps["dt"], local.steps["n_t"], prop)
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values, y_grid=y,
-        diagnostics={**steps, **gen_diag, "propagator_min_entry": float(np.min(prop))},
+        diagnostics={**local.steps, **gen_diag, "propagator_min_entry": float(np.min(prop))},
     )
 
 

@@ -59,6 +59,8 @@ from .levy_measures import (LevyMeasureModel, compensator_drift, require_assumpt
 JUMP_STREAM = 0
 BROWNIAN_STREAM = 1
 MIXING_STREAM = 2
+#: The noise coefficient's root two: the slow state's volatility is ``SQRT2 x u sigma(y)``.
+SQRT2 = math.sqrt(2.0)
 
 #: e-folds after which a decaying weight is dropped: the discounted runs stop at
 #: FORGET_EFOLDS / delta, and a fanned-out batch forgets its start points once
@@ -313,10 +315,10 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
 
     This is the package's one slow-state step.  The factor is the path of
     ``iter_fast_values(cfg.fast, 1)``, and the model is ``cfg.problem``, whose
-    drift b and volatility s are linear in x, so Euler-Maruyama with the factor
-    read at left endpoints takes the floored factor form
+    coefficients are linear in x, so Euler-Maruyama with the factor read at
+    left endpoints takes the floored factor form
 
-        X_{k+1} = X_k * max(1 + b(1, Y_k, u) dt + s(1, Y_k, u) dW_k, 0),
+        X_{k+1} = X_k * max(1 + (beta0 + beta1 u) dt + SQRT2 u sigma_of_y(Y_k) dW_k, 0),
 
     started at ``cfg.x0``: an Euler step that would overshoot zero is absorbed
     there, and x = 0 stays absorbing, so nonnegativity holds by construction.
@@ -330,8 +332,9 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
     y = ys[:-1]
     dw = stream_rng(fast.seed, BROWNIAN_STREAM).normal(0.0, math.sqrt(dt), size=n)
     u = float(problem.control_grid[0])
-    vol = require_finite_array("sigma_of_y along the path", problem.vol(1.0, y, u), ndim=None)
-    growth = np.maximum(1.0 + problem.drift(1.0, y, u) * dt + vol * dw, 0.0)
+    vol = require_finite_array("sigma_of_y along the path",
+                               SQRT2 * u * np.asarray(problem.sigma_of_y(y)), ndim=None)
+    growth = np.maximum(1.0 + (problem.beta0 + problem.beta1 * u) * dt + vol * dw, 0.0)
     # x0 leads the product, so each state has the bits of the step-by-step loop
     xs = np.cumprod(np.concatenate([[float(cfg.x0)], growth]))
     return (

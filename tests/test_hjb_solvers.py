@@ -377,6 +377,13 @@ class TestSupNormGap:
         want = float(np.max(np.abs(a.values - ref)))
         assert sup_norm_gap(a, b, CompactBox(t=(0.0, 1.0), x=(0.0, 2.0))) == want
 
+    def test_fields_built_from_lists(self):
+        # a TypeError from the box window: '>=' between a list and a float
+        a = self._field([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.0, 1.0], [0.0, 1.0, 2.0])
+        b = self._field(np.zeros((2, 3)), np.array([0.0, 1.0]), np.linspace(0, 2, 3))
+        assert sup_norm_gap(a, b, CompactBox(t=(0, 1), x=(0.0, 2.0))) == 1.0
+        assert a.values.dtype == float and not a.t_grid.flags.writeable
+
     def test_fields_on_different_x_grids_refused(self):
         ts = np.linspace(0, 1, 5)
         a = self._field(np.zeros((5, 9)), ts, np.linspace(0, 2, 9))

@@ -465,6 +465,38 @@ NAMED_ROWS |= {
     "discount_weights n 2.5": ("n", lambda: jump_processes.discount_weights(0.5, 0.1, 2.5)),
 }
 
+#: Weights (1/4, 1/2, 1/4) on (-1, 0, 1).  Against the weights (n,), values shaped as a
+#: column (n, 1) broadcast to (n, n), and the mean summed every pair.
+MU3 = ergodicity.InvariantMeasure(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
+
+
+def sigma_column(y):
+    return (0.2 + 0.1 * np.tanh(np.asarray(y, dtype=float)))[:, None]
+
+
+#: Values that reached a formula in a shape it did not expect, or grids left unchecked.
+NAMED_ROWS |= {
+    # 2.0 where the mean is 0.5, for mean_of and for the effective Hamiltonian
+    "InvariantMeasure.mean_of f a column": ("f", lambda: MU3.mean_of(
+        lambda y: (y**2)[:, None])),
+    "effective_hamiltonian H_eval a column": ("f", lambda: (
+        nonlocal_generator.effective_hamiltonian(
+            MU3, lambda x, y, p, X: (y**2)[:, None], 1.0, 1.0, -1.0))),
+    # 0.363, 0.098 and 0.139, where sigma as one value per node gives 0.207, 0.177 and 0.0797
+    "effective_vol_quadratic sigma_fn a column": ("f", lambda: (
+        finance.effective_vol_quadratic(sigma_column, MU3))),
+    "effective_vol_harmonic sigma_fn a column": ("f", lambda: (
+        finance.effective_vol_harmonic(sigma_column, MU3))),
+    "merton_hbar sigma_fn a column": ("f", lambda: finance.merton_hbar(
+        replace(MERTON, sigma_fn=sigma_column), MU3)),
+    # NaN both, with numpy's invalid-value RuntimeWarning from the log
+    "bs_call strike -1": ("strike", lambda: finance.bs_call(1.0, -1.0, 0.05, 0.02)),
+    "bs_call strike nan": ("strike", lambda: finance.bs_call(1.0, math.nan, 0.05, 0.02)),
+    # accepted: the field's own check read the values alone
+    "ValueField t_grid nan": ("t_grid", lambda: hjb_solvers.ValueField(
+        t_grid=[0.0, math.nan], x_grid=[0.0, 1.0], values=np.zeros((2, 2)))),
+}
+
 
 @pytest.mark.parametrize("arg, call", NAMED_ROWS.values(), ids=NAMED_ROWS.keys())
 def test_refusal_names_the_argument(arg, call):

@@ -583,6 +583,15 @@ class TestOneKernel:
         assert _readers("sample_stable_increment") == {"jump_processes.iter_fast_values"}
         assert _readers("BROWNIAN_STREAM") == {"jump_processes.simulate_slow_system"}
 
+    def test_slow_model_has_one_statement(self):
+        # the spec's fields are the one statement of the model, read where it is used
+        assert _readers("sigma_of_y") == {"hjb_solvers.__init__", "hjb_solvers.hamiltonian_eval",
+                                          "jump_processes.simulate_slow_system"}
+
+    def test_step_bound_has_one_statement(self):
+        # the positivity bound is stated beside the coefficients it bounds, in _LocalBellman
+        assert _readers("dt_bound") == {"hjb_solvers.__init__"}
+
     def test_standing_conditions_have_one_gate(self):
         # the subordinator is refused in one place, and otherwise read only to build its profile
         assert _readers("AssumptionError") == {"levy_measures.require_assumptions"}
