@@ -158,6 +158,12 @@ def bs_call(x, strike: float, r_tau, v):
                     np.maximum(fwd - strike, 0.0))
 
 
+def _terminal_state(x, r_tau, v, z):
+    """``x exp(r_tau - v + sqrt(2 v) z)``: the state at integrated variance v given a standard
+    normal z, lognormal with the log-mean and log-variance of :func:`bs_call`."""
+    return x * np.exp(r_tau - v + np.sqrt(2.0 * v) * z)
+
+
 def price_mc(
     spec: PricingSpec,
     epsilon: float,
@@ -231,8 +237,7 @@ def price_mc_surface(
         z = stream_rng(fast.seed, MIXING_STREAM).standard_normal(n_paths)
 
         def given_variance(x, r_tau, v):
-            return np.asarray(spec.payoff(x * np.exp(r_tau - v + np.sqrt(2.0 * v) * z)),
-                              dtype=float)
+            return np.asarray(spec.payoff(_terminal_state(x, r_tau, v, z)), dtype=float)
     est = np.empty((len(taus), len(x_values), len(y_values)))
     se = np.empty_like(est)
     for j_t, k in enumerate(steps):
@@ -251,8 +256,9 @@ def bs_oracle(spec: PricingSpec, s: float) -> float:
     With tau the horizon, the terminal state is lognormal with log-mean ``log x0 + (r - s^2) tau``
     and log-variance ``2 s^2 tau`` (the root-two convention doubles the
     instantaneous variance).  Calls use the closed formula :func:`bs_call`
-    at integrated variance ``s^2 tau``; other payoffs are integrated
-    adaptively against the lognormal in log space.
+    at integrated variance ``s^2 tau``; other payoffs, at the terminal state of a
+    standard normal z (the pricer's law given V = s^2 tau), are integrated adaptively
+    against the density of z over [-14, 14].
     """
     tau, x0 = spec.horizon, spec.x0
     require_nonnegative("s", s)
@@ -262,19 +268,12 @@ def bs_oracle(spec: PricingSpec, s: float) -> float:
         return disc * float(bs_call(x0, spec.payoff.strike, spec.r * tau, v))
     if v == 0.0 or x0 == 0.0:
         return float(disc * np.asarray(spec.payoff(x0 * math.exp(spec.r * tau)), dtype=float))
-    mean_log = math.log(x0) + spec.r * tau - v
-    sd_log = math.sqrt(2.0 * v)
 
-    def integrand(u):
-        dens = math.exp(-0.5 * ((u - mean_log) / sd_log) ** 2) / (
-            sd_log * math.sqrt(2.0 * math.pi)
-        )
-        return float(spec.payoff(math.exp(u))) * dens
+    def integrand(z):
+        x_tau = _terminal_state(x0, spec.r * tau, v, z)
+        return float(spec.payoff(x_tau)) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
-    val, _ = integrate.quad(
-        integrand, mean_log - 14.0 * sd_log, mean_log + 14.0 * sd_log, limit=400
-    )
-    return disc * val
+    return disc * integrate.quad(integrand, -14.0, 14.0, limit=400)[0]
 
 
 def merton_hbar(spec: MertonSpec, mu: InvariantMeasure) -> float:

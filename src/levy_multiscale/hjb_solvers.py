@@ -124,7 +124,8 @@ class ControlProblemSpec:
 def hamiltonian_eval(spec: ControlProblemSpec, x, y, p, X) -> tuple[float, float]:
     """Bellman minimization over the finite control grid at one point; first index wins ties."""
     x, u = float(x), spec.control_grid
-    vol = SQRT2 * x * u * float(spec.sigma_of_y(np.asarray(y, dtype=float)))
+    sigma = spec.sigma_of_y(np.asarray(y, dtype=float))
+    vol = SQRT2 * x * u * float(require_finite_array("sigma_of_y", sigma, ndim=None))
     vals = -0.5 * vol * vol * X - x * (spec.beta0 + spec.beta1 * u) * p
     k = int(np.argmin(vals))
     return float(vals[k]), float(u[k])
@@ -151,9 +152,9 @@ class Grids:
 class ValueField:
     """Discrete value function on checkpointed time slices.
 
-    ``values`` has shape (n_t, n_x) or (n_t, n_x, n_y); the slice at the final
-    checkpoint (t = horizon) is the exact terminal payoff.  The grids are held as
-    read-only float copies and ``values`` as a float array, not copied if it is one.
+    ``values`` has the grids' shape, (n_t, n_x) or, with a ``y_grid``, (n_t, n_x, n_y);
+    the slice at the final checkpoint (t = horizon) is the exact terminal payoff.  The grids
+    are held as read-only float copies and ``values`` as a float array, not copied if it is one.
     """
 
     t_grid: np.ndarray
@@ -166,7 +167,10 @@ class ValueField:
         for name in ("t_grid", "x_grid", "y_grid"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, require_finite_array(name, getattr(self, name)))
+        shape = tuple(len(g) for g in (self.t_grid, self.x_grid, self.y_grid) if g is not None)
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.shape != shape:
+            raise UsageError(f"values must have shape {shape}, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise NumericalError("value field contains non-finite entries")
 
@@ -271,8 +275,9 @@ class _LocalBellman:
 
     It also owns the march's step: ``steps`` holds dt, n_t and the explicit step's
     positivity bound dt_bound = 1 / (2 a_max / dx^2 + b_max / dx + c), a_max and b_max
-    the largest diffusion and drift coefficients on the grid.  dt is ``CFL_SAFETY`` times
-    it (at most 0.9), shrunk so that n_t steps span the horizon: dt / dt_bound is the margin.
+    the largest diffusion and drift coefficients on the grid and c the ``discount`` it keeps.
+    dt is ``CFL_SAFETY`` times it (at most 0.9), shrunk so that n_t steps span the horizon:
+    dt / dt_bound is the margin.
     """
 
     def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray, cols: int):
@@ -297,7 +302,8 @@ class _LocalBellman:
         ]
         a_max = float(np.max(sig2)) * float(x[-1]) ** 2 * max(u_lo**2, u_hi**2)
         b_max = float(x[-1]) * max(abs(self.beta0 + self.beta1 * u) for u in (u_lo, u_hi))
-        denom = 2.0 * (a_max / dx**2) + b_max / dx + spec.discount
+        self.discount = spec.discount
+        denom = 2.0 * (a_max / dx**2) + b_max / dx + self.discount
         dt_bound = math.inf if denom == 0.0 else 1.0 / denom
         n_t = max(1, int(math.ceil(spec.horizon / (CFL_SAFETY * min(dt_bound, 1.0)))))
         self.steps = {"dt": spec.horizon / n_t, "n_t": n_t, "dt_bound": dt_bound}
@@ -369,39 +375,27 @@ def _propagator(gen: np.ndarray, dt_over_eps: float) -> np.ndarray:
     return np.asfortranarray(linalg.lu_solve(linalg.lu_factor(eye - dt_over_eps * gen), eye))
 
 
-def _march(
-    spec: ControlProblemSpec,
-    local: _LocalBellman,
-    v: np.ndarray,
-    dt: float,
-    n_t: int,
-    propagator: np.ndarray,
-):
+def _march(local: _LocalBellman, v: np.ndarray, propagator: np.ndarray):
     """March ``v`` from t = T back to 0 in n_t steps ``state <- P (state (1 - c dt) - dt H)^T``.
 
-    P, the ``propagator``, is a Fortran-ordered stochastic (cols, ny) matrix:
-    (I - (dt/eps) L)^-1 in the stiff solve, and its eps -> 0 limit, the row of
-    atom weights, on the one-column state of the averaged solve.  Returns the
-    checkpoint times and the slices kept there, shaped as ``v``.  A non-finite
-    slice raises :class:`NumericalError` whose ``partial`` is the pair
-    (times, slices) of the checkpoints already filled, all of them finite.
+    dt, n_t and c are the kernel's own (``local.steps``, ``local.discount``).  P, the
+    ``propagator``, is a Fortran-ordered stochastic (cols, ny) matrix: (I - (dt/eps) L)^-1
+    in the stiff solve, and its eps -> 0 limit, the row of atom weights, on the one-column
+    state of the averaged solve.  Returns the checkpoint times and the slices kept there,
+    shaped as ``v``.  A non-finite slice raises :class:`NumericalError` whose ``partial``
+    is the pair (times, slices) of the checkpoints already filled, all of them finite.
     The buffers start a cache line, as a misaligned AVX-512 store spans two.
     """
-    c = spec.discount
+    dt, n_t, c = local.steps["dt"], local.steps["n_t"], local.discount
     keep = np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))
-    slot = {int(k): j for j, k in enumerate(keep)}
-    values = np.empty((len(keep),) + v.shape)
-    values[-1] = v
-
-    def filled_after(k: int):
-        j = int(np.searchsorted(keep, k, side="right"))
-        return keep[j:] * dt, values[j:]
-
+    times, values, marks = keep * dt, np.empty((len(keep),) + v.shape), keep.tolist()
     if not np.all(np.isfinite(v)):
-        raise NumericalError("terminal payoff is not finite", partial=filled_after(n_t))
+        raise NumericalError("terminal payoff is not finite", partial=(times[:0], values[:0]))
+    j = len(keep) - 1  # values[j:] are filled, and step marks[j - 1] is the next one kept
+    values[j] = v
     state, finite = (_aligned_empty((len(v), len(propagator)), dtype) for dtype in (float, bool))
     work = _aligned_empty((len(v), propagator.shape[1]))
-    state[...] = values[-1].reshape(state.shape)
+    state[...] = v.reshape(state.shape)
     dgemm = linalg.blas.dgemm
     for k in range(n_t - 1, -1, -1):
         h = local.hamiltonian(state)
@@ -410,10 +404,12 @@ def _march(
         np.subtract(state, np.multiply(dt, h, out=work), out=work)
         state = dgemm(1.0, propagator, work.T, c=state.T, overwrite_c=True).T
         if not np.isfinite(state, out=finite).all():
-            raise NumericalError(f"backward march diverged at step {k}", partial=filled_after(k))
-        if k in slot:
-            values[slot[k]] = state.reshape(v.shape)
-    return keep * dt, values
+            raise NumericalError(f"backward march diverged at step {k}",
+                                 partial=(times[j:], values[j:]))
+        if k == marks[j - 1]:
+            j -= 1
+            values[j] = state.reshape(v.shape)
+    return times, values
 
 
 def effective_solve(
@@ -435,7 +431,7 @@ def effective_solve(
     local = _LocalBellman(spec, x, atoms.nodes, 1)
     v = _terminal_payoff(spec, x)
     prop = np.asfortranarray(atoms.weights[None, :])
-    t_grid, values = _march(spec, local, v, local.steps["dt"], local.steps["n_t"], prop)
+    t_grid, values = _march(local, v, prop)
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values,
         diagnostics={**local.steps, "atoms": len(atoms.nodes)},
@@ -469,7 +465,7 @@ def pide_solve(
     prop = _propagator(gen, local.steps["dt"] / epsilon)
 
     v = np.repeat(_terminal_payoff(spec, x)[:, None], len(y), axis=1)
-    t_grid, values = _march(spec, local, v, local.steps["dt"], local.steps["n_t"], prop)
+    t_grid, values = _march(local, v, prop)
     return ValueField(
         t_grid=t_grid, x_grid=x, values=values, y_grid=y,
         diagnostics={**local.steps, **gen_diag, "propagator_min_entry": float(np.min(prop))},
@@ -511,7 +507,7 @@ def sup_norm_gap(a: ValueField, b: ValueField, box: CompactBox) -> float:
 
     sub = a.values[np.ix_(t_sel, x_sel)]
     if a.values.ndim == 3:
-        if box.y is not None and a.y_grid is not None:
+        if box.y is not None:
             y_sel = window(a.y_grid, box.y)
             if not np.any(y_sel):
                 raise UsageError("y window does not intersect the factor grid")

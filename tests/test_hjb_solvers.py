@@ -609,7 +609,8 @@ class TestBellmanRoutes:
             v = v[:, None] * (1.0 + 0.3 * np.tanh(y))[None, :]
         # any stochastic matrix: a row of weights for the one-column state, square otherwise
         prop = np.asfortranarray(np.full((1 if weighted else ny, ny), 1.0 / ny))
-        hjb_solvers._march(BELLMAN_ROUTES[route], local, v, 1e-3, 4, prop)
+        local.steps.update(dt=1e-3, n_t=4)
+        hjb_solvers._march(local, v, prop)
         written = [local.slopes[1:-1], local.curv[1:-1], local.q, local.s, local.p, local.index,
                    local.h, local.run_h, local.not_convex] + states + steps + products
         assert len(states) == len(steps) == len(products) == 4
@@ -757,8 +758,7 @@ class TestAveragedLimit:
         local = _LocalBellman(prob, self.x, atoms.nodes, n)
         v = np.repeat(prob.payoff(self.x)[:, None], n, axis=1)
         square = np.asfortranarray(np.tile(atoms.weights, (n, 1)))
-        _, values = hjb_solvers._march(prob, local, v, eff.diagnostics["dt"], eff.diagnostics["n_t"],
-                                       square)
+        _, values = hjb_solvers._march(local, v, square)
         assert np.max(np.abs(values - eff.values[:, :, None])) <= 1e-12 * np.max(np.abs(eff.values))
 
 

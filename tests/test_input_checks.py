@@ -495,6 +495,20 @@ NAMED_ROWS |= {
     # accepted: the field's own check read the values alone
     "ValueField t_grid nan": ("t_grid", lambda: hjb_solvers.ValueField(
         t_grid=[0.0, math.nan], x_grid=[0.0, 1.0], values=np.zeros((2, 2)))),
+    # (nan, 0.0): np.argmin takes the first NaN, where both grid solvers refuse this sigma
+    "hamiltonian_eval sigma_of_y nan": ("sigma_of_y", lambda: hjb_solvers.hamiltonian_eval(
+        replace(finance.merton_problem(MERTON), sigma_of_y=sigma_above_half(math.nan)),
+        1.0, 1.0, 1.0, -1.0)),
+    # accepted: sup_norm_gap then read 3 of the 5 columns (0.0), or raised a raw
+    # IndexError with the field as the reference
+    "ValueField values (2, 5) on 2 x 3": ("values", lambda: hjb_solvers.ValueField(
+        t_grid=[0.0, 1.0], x_grid=[0.0, 0.5, 1.0], values=np.zeros((2, 5)))),
+    "ValueField values (2, 3, 4) on 2 x 3 x 5": ("values", lambda: hjb_solvers.ValueField(
+        t_grid=[0.0, 1.0], x_grid=[0.0, 0.5, 1.0], values=np.zeros((2, 3, 4)),
+        y_grid=np.linspace(-1.0, 1.0, 5))),
+    # accepted: a factor axis with no factor grid, which sup_norm_gap's y-window then read
+    "ValueField values (2, 3, 4) on 2 x 3": ("values", lambda: hjb_solvers.ValueField(
+        t_grid=[0.0, 1.0], x_grid=[0.0, 0.5, 1.0], values=np.zeros((2, 3, 4)))),
 }
 
 
