@@ -9,8 +9,10 @@ is zero for symmetric models, so the oracle is ``exp(psi(u)/alpha)`` there).
 
 The law is represented by quadrature nodes and weights rather than a density:
 that is the only form the effective-Hamiltonian averaging needs, and stable
-stationary laws have no elementary density anyway.  One rule places nodes:
-:meth:`InvariantMeasure.coarsen`, equal-mass blocks at their conditional means.
+stationary laws have no elementary density anyway.  The estimate from samples
+is their empirical law, one atom per distinct value; where fewer nodes are
+wanted, one rule places them: :meth:`InvariantMeasure.coarsen`, equal-mass
+blocks at their conditional means.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .levy_measures import (
     stable_exponent_closed,
 )
 
-DEFAULT_NODES = 256
 #: Factor paths run side by side by the long-run sampler.
 STATIONARY_PATHS = 256
 
@@ -101,10 +102,10 @@ def two_atom_measure(y1: float, y2: float) -> InvariantMeasure:
 
 
 def measure_from_samples(samples: np.ndarray) -> InvariantMeasure:
-    """The samples' empirical law, tied samples as one atom, coarsened to ``DEFAULT_NODES``."""
+    """The samples' empirical law: one atom per distinct sample, of weight count / size."""
     samples = require_finite_array("samples", samples, 2, ndim=None).ravel()
     values, counts = np.unique(samples, return_counts=True)
-    return InvariantMeasure(values, counts / samples.size).coarsen(DEFAULT_NODES)
+    return InvariantMeasure(values, counts / samples.size)
 
 
 def stationary_samples(
@@ -139,7 +140,7 @@ def estimate_invariant_measure(
     burn_in: float,
     n_samples: int,
 ) -> InvariantMeasure:
-    """Empirical stationary measure coarsened to ``DEFAULT_NODES`` equal-mass blocks."""
+    """Empirical law of :func:`stationary_samples`, one atom per distinct draw."""
     return measure_from_samples(stationary_samples(cfg, burn_in, n_samples))
 
 

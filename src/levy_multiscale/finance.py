@@ -33,9 +33,6 @@ from .errors import (DegenerateVolatilityError, UsageError, require_count, requi
 from .hjb_solvers import ControlProblemSpec
 from .jump_processes import MIXING_STREAM, FastProcessConfig, path_integral, stream_rng
 
-#: Points of the equispaced Merton control grid on [R1, R].
-MERTON_CONTROLS = 41
-
 
 class CallPayoff:
     """European call payoff; the tag lets the oracle use the closed formula."""
@@ -100,8 +97,7 @@ class MertonSpec:
 def pricing_problem(spec: PricingSpec) -> ControlProblemSpec:
     """Uncontrolled lognormal pricing model: the one control u = 1, unit exposure."""
     return ControlProblemSpec(
-        beta0=spec.r, beta1=0.0, sigma_of_y=spec.sigma_fn,
-        control_grid=np.array([1.0]),
+        beta0=spec.r, beta1=0.0, sigma_of_y=spec.sigma_fn, u_lo=1.0, u_hi=1.0,
         payoff=spec.payoff,
         discount=spec.discount,
         horizon=spec.horizon,
@@ -109,10 +105,10 @@ def pricing_problem(spec: PricingSpec) -> ControlProblemSpec:
 
 
 def merton_problem(spec: MertonSpec) -> ControlProblemSpec:
-    """Wealth-process control problem on ``MERTON_CONTROLS`` equispaced controls."""
+    """Wealth-process control problem over the paper's control interval [R1, R]."""
     return ControlProblemSpec(
         beta0=spec.r, beta1=spec.alpha_drift - spec.r, sigma_of_y=spec.sigma_fn,
-        control_grid=np.linspace(spec.R1, spec.R, MERTON_CONTROLS),
+        u_lo=spec.R1, u_hi=spec.R,
         payoff=spec.utility,
         discount=0.0,
         horizon=spec.horizon,

@@ -6,10 +6,10 @@ upwind first differences, a step at the positivity bound :class:`_LocalBellman` 
 The model is the multiplicative one that :class:`ControlProblemSpec` states, on
 x >= 0, so the objective is a parabola in the control whose coefficients are
 raw differences of v times per-node coefficients built once.  Its minimum over
-the uniform control grid is the control nearest the vertex where it is convex
-and the better endpoint elsewhere, taken separately for the controls upwinded
-forward and those upwinded backward, which equals the upwinded scan over every
-control (:class:`_LocalBellman`, which returns H).  The stiff nonlocal part in
+the control interval is the vertex clipped to it where it is convex and the
+better endpoint elsewhere, taken separately on the part upwinded forward and
+the part upwinded backward: a minimum of monotone schemes is monotone
+(:class:`_LocalBellman`, which returns H).  The stiff nonlocal part in
 the factor variable is linear and taken implicitly, by a stochastic matrix P
 built once per solve: each step of both solvers is ``v <- P (v (1 - c dt) -
 dt H)^T``, one matrix product, with P = (I - (dt/eps) L)^-1 in the stiff solve
@@ -88,47 +88,54 @@ def _require_uniform(name: str, nodes, min_nodes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlProblemSpec:
-    """Multiplicative single-asset model, control grid, and payoff of the control problem.
+    """Multiplicative single-asset model, control interval, and payoff of the control problem.
 
     The one statement of the model is its fields: the slow state moves as
     ``dX = X (beta0 + beta1 u) dt + SQRT2 X u sigma_of_y(Y) dW``, root-two
-    convention included (``jump_processes.SQRT2``).  The control is the
-    proportional exposure to the noise; a model whose noise is not controlled
-    is the one-control grid ``[1.0]``.  The coefficients vanish at x = 0, which
-    makes the x = 0 boundary characteristic: the schemes never impose a lateral
-    boundary condition there.  The spec has no methods: the grid solvers
-    (:class:`_LocalBellman`), :func:`hamiltonian_eval` and the path simulator
-    (``jump_processes.simulate_slow_system``) each read the fields.  The Bellman
-    objective is a parabola in u, and the solvers minimize it over the points
-    ``u_lo + k du``, so the control grid must be increasing and uniform; the spec
-    holds it as a read-only float copy.
+    convention included (``jump_processes.SQRT2``), with the control u in the
+    closed interval [u_lo, u_hi].  The control is the proportional exposure to
+    the noise; a model whose noise is not controlled is the one-point interval
+    [1, 1].  The coefficients vanish at x = 0, which makes the x = 0 boundary
+    characteristic: the schemes never impose a lateral boundary condition there.
+    The spec has no methods: the grid solvers (:class:`_LocalBellman`),
+    :func:`hamiltonian_eval` and the path simulator
+    (``jump_processes.simulate_slow_system``) each read the fields.
     """
 
     beta0: float
     beta1: float
     sigma_of_y: Callable[[np.ndarray], np.ndarray]
-    control_grid: np.ndarray
+    u_lo: float
+    u_hi: float
     payoff: Callable
     discount: float
     horizon: float
 
     def __post_init__(self):
-        require_finite("beta0", self.beta0)
-        require_finite("beta1", self.beta1)
+        for name in ("beta0", "beta1", "u_lo", "u_hi"):
+            require_finite(name, getattr(self, name))
+        if not self.u_lo <= self.u_hi:
+            raise UsageError(f"u_lo must not exceed u_hi, got [{self.u_lo}, {self.u_hi}]")
         require_nonnegative("discount", self.discount)
         require_positive("horizon", self.horizon)
-        grid = _require_uniform("control grid", self.control_grid, 1)
-        object.__setattr__(self, "control_grid", grid)
 
 
 def hamiltonian_eval(spec: ControlProblemSpec, x, y, p, X) -> tuple[float, float]:
-    """Bellman minimization over the finite control grid at one point; first index wins ties."""
-    x, u = float(x), spec.control_grid
+    """Bellman minimization over [u_lo, u_hi] at one point, and its minimiser: the vertex
+    clipped to the interval where the parabola in u is convex, else the better end (u_lo
+    on a tie)."""
+    x, lo, hi = float(x), spec.u_lo, spec.u_hi
     sigma = spec.sigma_of_y(np.asarray(y, dtype=float))
-    vol = SQRT2 * x * u * float(require_finite_array("sigma_of_y", sigma, ndim=None))
-    vals = -0.5 * vol * vol * X - x * (spec.beta0 + spec.beta1 * u) * p
-    k = int(np.argmin(vals))
-    return float(vals[k]), float(u[k])
+    sigma = float(require_finite_array("sigma_of_y", sigma, ndim=0))
+
+    def objective(u):
+        vol = SQRT2 * x * u * sigma
+        return -0.5 * vol * vol * X - x * (spec.beta0 + spec.beta1 * u) * p
+
+    a = -x * x * sigma * sigma * X  # the coefficient of u^2
+    u = (min(max(x * spec.beta1 * p / (2.0 * a), lo), hi) if a > 0.0
+         else hi if objective(hi) < objective(lo) else lo)
+    return float(objective(u)), float(u)
 
 
 @dataclass(frozen=True)
@@ -260,24 +267,25 @@ class _LocalBellman:
     """Explicit monotone evaluation of the local Bellman part on the grid.
 
     With x >= 0 the drift ``x (beta0 + beta1 u)`` has the sign of its affine
-    coefficient, so the sorted control grid splits into at most two runs: the
-    controls with coefficient >= 0 (forward difference) and the rest (backward
-    difference).  The grid-min is taken on each run and the smaller kept,
-    which equals the upwinded scan over every control.  On a run [lo, hi] the
-    objective is ``p u^2 + q (beta0 + beta1 u)`` with ``p = p_coef d2`` and
-    ``q = q_coef d``, d2 and d the raw second and upwind first differences of
-    v, and the grid constants in the coefficients built once:
-    ``p_coef = -x^2 sigma^2(y) / dx^2`` and ``q_coef = -x / dx``.  Where p > 0
-    the parabola is convex, so its grid-min is the control at index
-    ``rint(-beta1 q / (2 du p) - lo / du)`` clamped to the run; elsewhere it
-    is the better endpoint, hi iff ``p (lo + hi) + beta1 q < 0``.  Each array a
-    call writes starts a cache line, as a misaligned AVX-512 store spans two.
+    coefficient, which changes sign at most once, at u0 = -beta0 / beta1, so the
+    control interval splits into at most two closed runs: the controls with
+    coefficient >= 0 (forward difference) and those with coefficient <= 0
+    (backward difference), both holding u0, where the drift and its term vanish.
+    The minimum is taken on each run and the smaller kept, which equals the
+    upwinded minimum over the interval.  On a run [lo, hi] the objective is
+    ``p u^2 + q (beta0 + beta1 u)`` with ``p = p_coef d2`` and ``q = q_coef d``,
+    d2 and d the raw second and upwind first differences of v, and the grid
+    constants in the coefficients built once: ``p_coef = -x^2 sigma^2(y) / dx^2``
+    and ``q_coef = -x / dx``.  Where p > 0 the parabola is convex, so its minimum
+    is at the vertex ``-beta1 q / (2 p)`` clipped to the run; elsewhere it is the
+    better endpoint, hi iff ``p (lo + hi) + beta1 q < 0``.  Each array a call
+    writes starts a cache line, as a misaligned AVX-512 store spans two.
 
     It also owns the march's step: ``steps`` holds dt, n_t and the explicit step's
     positivity bound dt_bound = 1 / (2 a_max / dx^2 + b_max / dx + c), a_max and b_max
-    the largest diffusion and drift coefficients on the grid and c the ``discount`` it keeps.
-    dt is ``CFL_SAFETY`` times it (at most 0.9), shrunk so that n_t steps span the horizon:
-    dt / dt_bound is the margin.
+    the largest diffusion and drift coefficients on the grid, at an end of the interval,
+    and c the ``discount`` it keeps.  dt is ``CFL_SAFETY`` times the bound (at most 0.9),
+    shrunk so that n_t steps span the horizon: dt / dt_bound is the margin.
     """
 
     def __init__(self, spec: ControlProblemSpec, x: np.ndarray, y_vals: np.ndarray, cols: int):
@@ -291,15 +299,11 @@ class _LocalBellman:
         nx, ny = len(x), len(y_vals)
         self.p_coef = -(x**2)[:, None] * sig2[None, :] / dx**2
         self.q_coef = np.repeat(-x[:, None] / dx, cols, axis=1)
-        controls = spec.control_grid
-        u_lo, u_hi = float(controls[0]), float(controls[-1])
-        self.du = float(controls[1] - controls[0]) if len(controls) > 1 else 0.0
-        forward = self.beta0 + self.beta1 * controls >= 0.0
-        self.runs = [
-            (float(run[0]), float(run[-1]), len(run) - 1, fwd)
-            for run, fwd in ((controls[forward], True), (controls[~forward], False))
-            if len(run)
-        ]
+        u_lo, u_hi = float(spec.u_lo), float(spec.u_hi)
+        # the runs below and above u0, each upwinded by the drift's sign at its midpoint
+        cut = u_lo if self.beta1 == 0.0 else min(max(-self.beta0 / self.beta1, u_lo), u_hi)
+        runs = [(lo, hi) for lo, hi in ((u_lo, cut), (cut, u_hi)) if lo < hi] or [(u_lo, u_hi)]
+        self.runs = [(lo, hi, self.beta0 + self.beta1 * 0.5 * (lo + hi) >= 0.0) for lo, hi in runs]
         a_max = float(np.max(sig2)) * float(x[-1]) ** 2 * max(u_lo**2, u_hi**2)
         b_max = float(x[-1]) * max(abs(self.beta0 + self.beta1 * u) for u in (u_lo, u_hi))
         self.discount = spec.discount
@@ -313,7 +317,7 @@ class _LocalBellman:
         self.slopes[[0, -1]] = self.curv[[0, -1]] = 0.0
         self.fwd, self.bwd = self.slopes[1:], self.slopes[:-1]
         self.q, self.s = (_aligned_empty((nx, cols)) for _ in range(2))
-        self.p, self.index, self.h, self.run_h = (_aligned_empty((nx, ny)) for _ in range(4))
+        self.p, self.u, self.h, self.run_h = (_aligned_empty((nx, ny)) for _ in range(4))
         self.not_convex = _aligned_empty((nx, ny), bool)
 
     def hamiltonian(self, v: np.ndarray) -> np.ndarray:
@@ -331,24 +335,22 @@ class _LocalBellman:
         p = np.multiply(self.p_coef, self.curv, out=self.p)
         np.less_equal(p, 0.0, out=self.not_convex)
         h = None
-        for lo, hi, n, forward in self.runs:
+        for lo, hi, forward in self.runs:
             slope = self.fwd if forward else self.bwd
             q = np.multiply(self.q_coef, slope, out=self.q)
             run_h = self.h if h is None else self.run_h
-            if n == 0:
+            if lo == hi:
                 np.multiply(lo * lo, p, out=run_h)
                 run_h += np.multiply(self.beta0 + self.beta1 * lo, q, out=q)
             else:
-                s, j = np.multiply(self.beta1, q, out=self.s), self.index
+                s, u = np.multiply(self.beta1, q, out=self.s), self.u
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    np.divide(s, p, out=j)
-                    np.subtract(np.multiply(j, -0.5 / self.du, out=j), lo / self.du, out=j)
+                    np.multiply(np.divide(s, p, out=u), -0.5, out=u)
                     # where p <= 0 the endpoint test enters as +inf (hi) or -inf, and
                     # the nan of a tie as lo: fmax and fmin clamp all three
                     t = np.add(np.multiply(p, lo + hi, out=run_h), s, out=run_h)
-                    np.copyto(j, np.multiply(t, -np.inf, out=t), where=self.not_convex)
-                np.fmin(np.fmax(np.rint(j, out=j), 0.0, out=j), n, out=j)
-                u = np.add(lo, np.multiply(j, self.du, out=j), out=j)
+                    np.copyto(u, np.multiply(t, -np.inf, out=t), where=self.not_convex)
+                np.fmin(np.fmax(u, lo, out=u), hi, out=u)
                 np.multiply(np.add(np.multiply(p, u, out=run_h), s, out=run_h), u, out=run_h)
                 run_h += np.multiply(self.beta0, q, out=q)
             h = run_h if h is None else np.minimum(h, run_h, out=h)

@@ -140,7 +140,7 @@ class SlowSystemConfig:
     """Controlled slow state coupled to a fast factor.
 
     ``problem`` is a ``hjb_solvers.ControlProblemSpec``, which states the model;
-    the control is its first grid control.
+    the control is held at the lower end ``u_lo`` of its control interval.
     """
 
     problem: object
@@ -323,7 +323,7 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
     started at ``cfg.x0``: an Euler step that would overshoot zero is absorbed
     there, and x = 0 stays absorbing, so nonnegativity holds by construction.
     The Brownian stream is ``stream_rng(fast.seed, BROWNIAN_STREAM)``, one
-    increment per step, and u is the first grid control.
+    increment per step, and u is the lower end ``u_lo`` of the control interval.
     """
     fast, problem = cfg.fast, cfg.problem
     n, dt = fast.n_steps, fast.step
@@ -331,7 +331,7 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
     ys = np.concatenate(list(iter_fast_values(fast, 1)))
     y = ys[:-1]
     dw = stream_rng(fast.seed, BROWNIAN_STREAM).normal(0.0, math.sqrt(dt), size=n)
-    u = float(problem.control_grid[0])
+    u = float(problem.u_lo)
     vol = require_finite_array("sigma_of_y along the path",
                                SQRT2 * u * np.asarray(problem.sigma_of_y(y)), ndim=None)
     growth = np.maximum(1.0 + (problem.beta0 + problem.beta1 * u) * dt + vol * dw, 0.0)

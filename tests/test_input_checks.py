@@ -359,9 +359,11 @@ NAMED_ROWS |= {
     # "truth value of an array ... is ambiguous"
     "Grids x 2-D": ("x grid", lambda: hjb_solvers.Grids(x=np.tile(np.linspace(0.0, 1.0, 5),
                                                                    (4, 1)))),
-    # numpy's ValueError
-    "ControlProblemSpec control grid ragged": ("control grid", lambda: replace(
-        finance.merton_problem(MERTON), control_grid=RAGGED)),
+    # NaN fails the order check u_lo <= u_hi as well, which would not name the end
+    "ControlProblemSpec u_lo nan": ("u_lo", lambda: replace(
+        finance.merton_problem(MERTON), u_lo=math.nan)),
+    "ControlProblemSpec u_hi nan": ("u_hi", lambda: replace(
+        finance.merton_problem(MERTON), u_hi=math.nan)),
     # accepted
     "InvariantMeasure nodes 2-D": ("nodes", lambda: ergodicity.InvariantMeasure(
         np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))),
@@ -499,6 +501,15 @@ NAMED_ROWS |= {
     "hamiltonian_eval sigma_of_y nan": ("sigma_of_y", lambda: hjb_solvers.hamiltonian_eval(
         replace(finance.merton_problem(MERTON), sigma_of_y=sigma_above_half(math.nan)),
         1.0, 1.0, 1.0, -1.0)),
+    # a raw TypeError from float, where both grid solvers refuse a sigma of the wrong shape
+    "hamiltonian_eval sigma_of_y one-element array": ("sigma_of_y", lambda: (
+        hjb_solvers.hamiltonian_eval(replace(finance.merton_problem(MERTON),
+                                             sigma_of_y=lambda y: np.array([0.2])),
+                                     1.0, 1.0, 1.0, -1.0))),
+    "hamiltonian_eval sigma_of_y two-element array": ("sigma_of_y", lambda: (
+        hjb_solvers.hamiltonian_eval(replace(finance.merton_problem(MERTON),
+                                             sigma_of_y=lambda y: np.array([0.2, 0.3])),
+                                     1.0, 1.0, 1.0, -1.0))),
     # accepted: sup_norm_gap then read 3 of the 5 columns (0.0), or raised a raw
     # IndexError with the field as the reference
     "ValueField values (2, 5) on 2 x 3": ("values", lambda: hjb_solvers.ValueField(

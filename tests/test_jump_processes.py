@@ -439,16 +439,15 @@ def _toy_pricing(r, sigma_fn):
     """Single-asset model dX = r X dt + sqrt(2) sigma(y) X dW."""
     return ControlProblemSpec(
         beta0=r, beta1=0.0, sigma_of_y=sigma_fn,
-        control_grid=np.array([1.0]), payoff=lambda x: x, discount=0.0, horizon=1.0,
+        u_lo=1.0, u_hi=1.0, payoff=lambda x: x, discount=0.0, horizon=1.0,
     )
 
 
-def _toy_merton(r, alpha_drift, sigma_fn, controls):
-    """Wealth dW = W (r + (alpha - r) u) dt + sqrt(2) W u sigma(y) dB."""
+def _toy_merton(r, alpha_drift, sigma_fn, u_lo, u_hi):
+    """Wealth dW = W (r + (alpha - r) u) dt + sqrt(2) W u sigma(y) dB, u in [u_lo, u_hi]."""
     return ControlProblemSpec(
-        beta0=r, beta1=alpha_drift - r, sigma_of_y=sigma_fn,
-        control_grid=np.asarray(controls, dtype=float), payoff=lambda x: x, discount=0.0,
-        horizon=1.0,
+        beta0=r, beta1=alpha_drift - r, sigma_of_y=sigma_fn, u_lo=u_lo, u_hi=u_hi,
+        payoff=lambda x: x, discount=0.0, horizon=1.0,
     )
 
 
@@ -460,7 +459,7 @@ class TestSlowSystem:
         assert xs.values[-1] == pytest.approx(math.exp(0.05), rel=1e-5)
 
     def test_riskless_merton_growth(self):
-        prob = _toy_merton(0.05, 0.1, lambda y: 0.2, controls=[0.0])
+        prob = _toy_merton(0.05, 0.1, lambda y: 0.2, u_lo=0.0, u_hi=0.0)
         fast = FastProcessConfig(SYM15, lam=1.0, y0=0.0, horizon=2.0, dt=1e-3, seed=4)
         ws, _ = simulate_slow_system(SlowSystemConfig(prob, fast, x0=1.0))
         # u = 0 disables the noise entirely, so the growth is riskless
@@ -502,7 +501,7 @@ class TestSlowSystem:
         # one step at a time, X_{k+1} = X_k max(1 + b dt + s dW_k, 0), from x0 != 1:
         # the cumulative product must start at x0 to give the same bits
         x0, r, sigma_fn = 0.37, 0.05, lambda y: 0.3 + 0.1 * np.tanh(y)
-        prob = _toy_merton(r, 0.1, sigma_fn, controls=[1.5, 2.0])
+        prob = _toy_merton(r, 0.1, sigma_fn, u_lo=1.5, u_hi=2.0)
         fast = FastProcessConfig(SYM15, lam=20.0, y0=0.4, horizon=1.0, seed=7)
         xs, ys = simulate_slow_system(SlowSystemConfig(prob, fast, x0=x0))
         dt = fast.step
@@ -587,6 +586,16 @@ class TestOneKernel:
         # the spec's fields are the one statement of the model, read where it is used
         assert _readers("sigma_of_y") == {"hjb_solvers.__init__", "hjb_solvers.hamiltonian_eval",
                                           "jump_processes.simulate_slow_system"}
+
+    def test_control_set_has_one_statement(self):
+        # the interval is read by the spec's own check and by the model's three readers (the
+        # path simulator holds u at u_lo), and the kernel minimises over it by a clipped
+        # vertex, with no rounding to a grid
+        solvers = {"hjb_solvers.__post_init__", "hjb_solvers.__init__",
+                   "hjb_solvers.hamiltonian_eval"}
+        assert _readers("u_lo") == solvers | {"jump_processes.simulate_slow_system"}
+        assert _readers("u_hi") == solvers
+        assert not {r for r in _readers("rint") if r.startswith("hjb_solvers.")}
 
     def test_step_bound_has_one_statement(self):
         # the positivity bound is stated beside the coefficients it bounds, in _LocalBellman
