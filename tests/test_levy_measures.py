@@ -143,6 +143,7 @@ class TestTailMoment:
         assert tail_moment(one_sided(1.9), 0.9) == pytest.approx(1.0, rel=1e-14)
 
     @given(alpha=st.floats(0.1, 1.9), q=st.floats(0.01, 4.0))
+    @example(alpha=math.nextafter(0.1, 1.0), q=0.1)
     @settings(max_examples=80, deadline=None)
     def test_finite_iff_below_alpha(self, alpha, q):
         val = tail_moment(sym(alpha), q)
@@ -150,6 +151,13 @@ class TestTailMoment:
             assert math.isfinite(val) and val > 0.0
         else:
             assert val == INFINITE
+
+    def test_one_ulp_below_alpha_is_finite(self):
+        # |q - alpha| < 1e-12 once took the log branch, inf at b = inf, for a finite integral
+        m = sym(0.10000000000000002)
+        val = tail_moment(m, 0.1)
+        assert math.isfinite(val)
+        assert val == pytest.approx(m.sides * m.intensity / (m.alpha - 0.1), rel=1e-12)
 
     def test_quadrature_agrees_with_closed_form(self):
         m = one_sided(1.7, 0.8)
