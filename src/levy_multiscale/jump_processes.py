@@ -24,14 +24,14 @@ One CMS draw per path and step therefore gives states that are exact in law
 for any step (:func:`iter_fast_values`).  Every path functional of the factor
 is :func:`path_integral`, a weighted sum along these states.
 
-A batch fanned out over start points (``starts``) shares one driven run: the
-factor map is affine in its start, ``Y^y(t) = y e^{-lam t} + Y^0(t)``, so every
-start sees the same jumps.  The start memory ``y e^{-lam t}`` is kept for the
-first :data:`FORGET_EFOLDS` e-folds only, up to step k*; from then on every
-start reads the shared state ``Y^0``, and a path functional evaluates f once
-per state, not once per start.  A start's weighted sum of f then differs from
-its single-start run by at most ``L |y| sum_{k >= k*} |w_k| e^{-lam t_k}``, for
-an f with Lipschitz constant L.
+:func:`path_integral` fans one driven run out over start points (``starts``):
+the factor map is affine in its start, ``Y^y(t) = y e^{-lam t} + Y^0(t)``, so
+every start sees the same jumps.  The start memory ``y e^{-lam t}`` is kept for
+the first :data:`FORGET_EFOLDS` e-folds only, up to step k*; from then on every
+start reads the shared state ``Y^0``, and f is evaluated once per state, not
+once per start.  A start's weighted sum of f then differs from its single-start
+run by at most ``L |y| sum_{k >= k*} |w_k| e^{-lam t_k}``, for an f with
+Lipschitz constant L.
 
 Randomness derives from one 64-bit seed through numpy ``SeedSequence`` spawn
 keys: key ``(0,)`` feeds the jump stream (:func:`iter_fast_values`), ``(1,)``
@@ -45,8 +45,8 @@ batch is reproduced bit-for-bit from (seed, n_paths, dt, horizon).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain, islice
+from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -182,17 +182,14 @@ def sample_stable_increment(
     return out
 
 
-def iter_fast_values(
-    cfg: FastProcessConfig,
-    n_paths: int,
-    starts: Optional[np.ndarray] = None,
-) -> Iterator[np.ndarray]:
+def iter_fast_values(cfg: FastProcessConfig, n_paths: int) -> Iterator[np.ndarray]:
     """Stream the factor states at grid times 0, dt, 2*dt, ... across a path batch.
 
     This is the package's one fast-factor recursion, and path functionals
-    read it through :func:`path_integral`.  Yields the state *before* each
-    update, n_steps + 1 arrays in total, so consumers see left endpoints.
-    With tau = lam * dt the update is the exact transition of the factor,
+    read it through :func:`path_integral`.  Yields the ``(n_paths,)`` state
+    *before* each update, from ``cfg.y0``, n_steps + 1 arrays in total, so
+    consumers see left endpoints.  With tau = lam * dt the update is the exact
+    transition of the factor,
 
         Y_{k+1} = exp(-tau) Y_k + int_0^tau exp(-(tau - r)) dZ(r),
 
@@ -204,17 +201,6 @@ def iter_fast_values(
     ``drift ((1 - exp(-tau)) - tau_s)``.  So the states are exact in law
     for any step, and the step only sets which times are observed.  The
     jump stream is ``stream_rng(cfg.seed, JUMP_STREAM)``.
-
-    Without ``starts`` the batch starts at ``cfg.y0`` and each yield has shape
-    ``(n_paths,)``.  With a 1-D array ``starts`` the batch is driven from 0 and
-    fanned out over the start points, which the affine factor map allows:
-    ``Y^y(t_k) = y exp(-lam t_k) + Y^0(t_k)``, yielded with shape
-    ``(len(starts), n_paths)``.  Every start point then sees the same jumps.
-    The fan-out lasts up to step k*, the first whole step with
-    ``lam k dt >= FORGET_EFOLDS`` (to 1e-9 relative), where each start's
-    memory ``y exp(-lam t_k)`` is below ``|y| e^{-10}``.  From k* on the
-    shared state ``Y^0(t_k)``, bit-equal to the run from y0 = 0, is yielded
-    with shape ``(n_paths,)``.
     """
     require_count("n_paths", n_paths, 1)
     rng = stream_rng(cfg.seed, JUMP_STREAM)
@@ -222,20 +208,11 @@ def iter_fast_values(
     a = math.exp(-tau)
     tau_s = -math.expm1(-cfg.model.alpha * tau) / cfg.model.alpha
     shift = compensator_drift(cfg.model) * (-math.expm1(-tau) - tau_s)
-    fan_in = 0
-    if starts is not None:
-        starts = require_finite_array("starts", starts)[:, None]
-        # whole steps, not a test on decay: where lam k dt = FORGET_EFOLDS on a step, decay's
-        # rounding would pick k*
-        require_finite("10 / lam / dt", FORGET_EFOLDS / tau)
-        fan_in = math.ceil(FORGET_EFOLDS / tau * (1.0 - 1e-9))
-    y = np.full(n_paths, float(cfg.y0) if starts is None else 0.0)
-    decay = 1.0
-    for k in range(cfg.n_steps):
-        yield starts * decay + y if k < fan_in else y
+    y = np.full(n_paths, float(cfg.y0))
+    for _ in range(cfg.n_steps):
+        yield y
         y = a * y + sample_stable_increment(cfg.model, tau_s, rng, size=n_paths) + shift
-        decay *= a
-    yield starts * decay + y if cfg.n_steps < fan_in else y
+    yield y
 
 
 def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np.ndarray,
@@ -245,26 +222,29 @@ def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np
 
     The package's one path functional: the averages, the corrector and the
     pricer's integrated variance differ only in ``weights``, one per state of
-    :func:`iter_fast_values` (at most n_steps + 1; ``starts`` fans out the batch).
-    ``stops`` are step counts in [0, len(weights)], ``[len(weights)]`` by default;
-    the result has shape ``(len(stops),) + batch``.  Only the states the largest
-    stop needs are drawn.
+    :func:`iter_fast_values` (at most n_steps + 1).  ``stops`` are step counts
+    in [0, len(weights)], ``[len(weights)]`` by default; the result has shape
+    ``(len(stops),) + batch``.  Only the states the largest stop needs are
+    drawn, and each call of f must return one value per state or a scalar.
 
-    While the batch is fanned out, ``f`` gets one row of n_paths states at a
-    time, not the raveled batch, because of glibc's malloc: the raveled call's
-    temporaries (288 kB on 9 x 4,000 states) go back to the kernel when freed,
-    so the benchmark's Merton Hamiltonian took about 320 page faults and
-    0.96-1.27 ms a raveled call, against none and 0.67-0.96 ms for the 9 rows
-    (2-core Xeon host, glibc 2.36).  Raising ``MALLOC_MMAP_THRESHOLD_`` and
-    ``MALLOC_TRIM_THRESHOLD_`` removed the faults (0.58-0.65 ms raveled), but
-    the caller's malloc is not the library's to set.
-
-    From step k* on, where the batch has forgotten its starts
-    (:func:`iter_fast_values`), f is called once per state and
-    ``w_k f(Y^0_k)`` is added to every row.  So, up to rounding, row i differs
-    from its single-start run by at most
-    ``L |y_i| sum_{k* <= k < stop} |w_k| e^{-lam t_k}`` for an f with
-    Lipschitz constant L, and rows at stops up to k* are unchanged.
+    The batch is ``(n_paths,)`` from ``cfg.y0``, or, with a 1-D array ``starts``,
+    ``(len(starts), n_paths)`` driven from 0 and fanned out over the start
+    points by the affine map ``Y^y(t_k) = y e^{-lam t_k} + Y^0(t_k)``, so every
+    start sees the same jumps.  The fan-out lasts up to step k*, the first
+    whole step with ``lam k dt >= FORGET_EFOLDS`` (to 1e-9 relative), where
+    each start's memory is below ``|y| e^{-10}``.  Until then f gets one row
+    of n_paths states at a time, not the raveled batch, because of glibc's
+    malloc: the raveled call's temporaries (288 kB on 9 x 4,000 states) go
+    back to the kernel when freed, so the benchmark's Merton Hamiltonian took
+    about 320 page faults and 0.96-1.27 ms a raveled call, against none and
+    0.67-0.96 ms for the 9 rows (2-core Xeon host, glibc 2.36).  Raising
+    ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_`` removed the
+    faults (0.58-0.65 ms raveled), but the caller's malloc is not the
+    library's to set.  From k* on, f is called once on the shared state
+    ``Y^0_k``, bit-equal to the run from y0 = 0, and ``w_k f(Y^0_k)`` is added
+    to every row.  So, up to rounding, row i differs from its single-start run
+    by at most ``L |y_i| sum_{k* <= k < stop} |w_k| e^{-lam t_k}`` for an f
+    with Lipschitz constant L, and rows at stops up to k* are unchanged.
     """
     weights = require_finite_array("weights", weights)
     stops = np.asarray([len(weights)] if stops is None else stops)
@@ -272,18 +252,34 @@ def path_integral(cfg: FastProcessConfig, f: Callable, n_paths: int, weights: np
             or np.any((stops < 0) | (stops > len(weights)))):
         raise UsageError(f"need at most one weight per state ({cfg.n_steps + 1}), "
                          "and 1-D integer stops in [0, len(weights)]")
+    require_count("n_paths", n_paths, 1)
+    tau = cfg.lam * cfg.step
+    batch, fan_in = (n_paths,), 0
+    if starts is not None:
+        starts = require_finite_array("starts", starts)
+        # whole steps, not a test on decay: where lam k dt = FORGET_EFOLDS on a step, decay's
+        # rounding would pick k*
+        require_finite("10 / lam / dt", FORGET_EFOLDS / tau)
+        fan_in = math.ceil(FORGET_EFOLDS / tau * (1.0 - 1e-9))
+        batch, cfg = (len(starts), n_paths), replace(cfg, y0=0.0)
+
+    def values(y):  # InvariantMeasure.mean_of's rule: (n, 1) would broadcast to (n, n)
+        if (v := np.asarray(f(y), dtype=float)).shape not in ((), y.shape):
+            raise UsageError(f"f must return one value per state or a scalar, got {v.shape}")
+        return v
+
     last = int(stops.max(initial=0))
-    ys = iter_fast_values(cfg, n_paths, starts=starts)
-    first = next(ys)  # the start state needs no draw, and reading it checks starts
-    acc = np.zeros(first.shape)
-    out = np.empty((len(stops),) + acc.shape)
-    for k, y in enumerate(islice(chain([first], ys), last)):
+    acc = np.zeros(batch)
+    out = np.empty((len(stops),) + batch)
+    a, decay = math.exp(-tau), 1.0
+    for k, y in enumerate(islice(iter_fast_values(cfg, n_paths), last)):
         out[stops == k] = acc
-        if y.ndim == 1:  # one state for every row, broadcast over them
-            acc += weights[k] * np.asarray(f(y), dtype=float)
-        else:
-            for row_acc, row in zip(acc, y):
-                row_acc += weights[k] * np.asarray(f(row), dtype=float)
+        if k < fan_in:
+            for row_acc, row in zip(acc, starts[:, None] * decay + y):
+                row_acc += weights[k] * values(row)
+        else:  # one state for every row, broadcast over them
+            acc += weights[k] * values(y)
+        decay *= a
     out[stops == last] = acc
     return out
 
@@ -335,6 +331,9 @@ def simulate_slow_system(cfg: SlowSystemConfig) -> tuple[PathSample, PathSample]
     u = float(problem.u_lo)
     vol = require_finite_array("sigma_of_y along the path",
                                SQRT2 * u * np.asarray(problem.sigma_of_y(y)), ndim=None)
+    if vol.shape not in ((), y.shape):  # a column would broadcast the growth to (n, n)
+        raise UsageError("sigma_of_y along the path must be one value per state or a scalar, "
+                         f"got {vol.shape}")
     growth = np.maximum(1.0 + (problem.beta0 + problem.beta1 * u) * dt + vol * dw, 0.0)
     # x0 leads the product, so each state has the bits of the step-by-step loop
     xs = np.cumprod(np.concatenate([[float(cfg.x0)], growth]))

@@ -373,8 +373,8 @@ NAMED_ROWS |= {
     "measure_from_samples inf": ("samples", lambda: ergodicity.measure_from_samples(
         np.array([0.0, 1.0, math.inf]))),
     # numpy's ValueError
-    "iter_fast_values starts ragged": ("starts", lambda: next(
-        jump_processes.iter_fast_values(fast(SYM), 2, starts=RAGGED))),
+    "path_integral starts ragged": ("starts", lambda: jump_processes.path_integral(
+        fast(SYM), np.cos, 2, np.ones(3), starts=RAGGED)),
     # rows of NaN and of inf
     "path_integral weights nan": ("weights", lambda: jump_processes.path_integral(
         fast(SYM), np.cos, 3, [math.nan, 1.0])),
@@ -441,9 +441,10 @@ NAMED_ROWS |= {
         jump_processes.FastProcessConfig(SYM, lam=1e308, y0=0.0, horizon=1.0))),
     "discount_horizon delta 1e-300": ("10 / delta / dt", lambda: (
         jump_processes.discount_horizon(1e-300, 1e-10))),
-    "iter_fast_values fan-in at lam 1e-310": ("10 / lam / dt", lambda: next(
-        jump_processes.iter_fast_values(jump_processes.FastProcessConfig(
-            SYM, lam=1e-310, y0=0.0, horizon=1.0, dt=0.5), 2, starts=np.array([0.0])))),
+    "path_integral fan-in at lam 1e-310": ("10 / lam / dt", lambda: (
+        jump_processes.path_integral(jump_processes.FastProcessConfig(
+            SYM, lam=1e-310, y0=0.0, horizon=1.0, dt=0.5), np.cos, 2, np.ones(3),
+            starts=np.array([0.0])))),
 }
 
 #: Public functions whose scalar or array arguments reached their formulas unguarded.
@@ -491,6 +492,26 @@ NAMED_ROWS |= {
         finance.effective_vol_harmonic(sigma_column, MU3))),
     "merton_hbar sigma_fn a column": ("f", lambda: finance.merton_hbar(
         replace(MERTON, sigma_fn=sigma_column), MU3)),
+    # numpy's "non-broadcastable output operand" ValueError, for a column and a short array
+    # alike; one value for three paths was taken as a constant
+    "path_integral f a column": ("f", lambda: jump_processes.path_integral(
+        fast(SYM), lambda y: y[:, None], 3, np.ones(3))),
+    "path_integral f one value short": ("f", lambda: jump_processes.path_integral(
+        fast(SYM), lambda y: y[:-1], 3, np.ones(3))),
+    "path_integral f one-element array": ("f", lambda: jump_processes.path_integral(
+        fast(SYM), lambda y: np.array([1.0]), 3, np.ones(3))),
+    "approximate_corrector H_eval a column": ("f", lambda: (
+        nonlocal_generator.approximate_corrector(corrector_query(),
+                                                 lambda x, y, p, X: (y**2)[:, None]))),
+    "price_mc sigma_fn a column": ("f", lambda: finance.price_mc(
+        replace(PRICING, sigma_fn=sigma_column), 0.1, FAST_PRICING, 1000)),
+    # accepted, and averaged as the constant 1.0 on every path
+    "ergodic_time_average f one-element array": ("f", lambda: (
+        ergodicity.ergodic_time_average(fast(SYM), lambda y: np.array([1.0]), 1.0, 4))),
+    # numpy's ValueError from concatenate, where both grid solvers refuse this sigma by name
+    "simulate_slow_system sigma_of_y a column": ("sigma_of_y along the path", lambda: (
+        jump_processes.simulate_slow_system(jump_processes.SlowSystemConfig(
+            replace(finance.merton_problem(MERTON), sigma_of_y=sigma_column), fast(SYM), 1.0)))),
     # NaN both, with numpy's invalid-value RuntimeWarning from the log
     "bs_call strike -1": ("strike", lambda: finance.bs_call(1.0, -1.0, 0.05, 0.02)),
     "bs_call strike nan": ("strike", lambda: finance.bs_call(1.0, math.nan, 0.05, 0.02)),

@@ -271,8 +271,16 @@ class TestStartFanOut:
     STARTS = np.array([-1.5, 0.0, 0.7, 3.0])
 
     def test_each_row_is_the_run_from_that_start(self):
-        fanned = np.stack(list(iter_fast_values(self.CFG, 64, starts=self.STARTS)))
-        assert fanned.shape == (101, len(self.STARTS), 64)
+        rows = []
+
+        def f(y):
+            rows.append(y.copy())
+            return y
+
+        # k* = 500 lies past the 100 steps here, so every call of f is one start's row
+        path_integral(self.CFG, f, 64, np.ones(101), starts=self.STARTS)
+        assert len(rows) == 101 * len(self.STARTS)
+        fanned = np.reshape(rows, (101, len(self.STARTS), 64))
         for i, s in enumerate(self.STARTS):
             single = np.stack(list(iter_fast_values(replace(self.CFG, y0=s), 64)))
             # same jumps; the two differ only by rounding
@@ -280,12 +288,12 @@ class TestStartFanOut:
 
     def test_starts_must_be_one_dimensional(self):
         with pytest.raises(UsageError):
-            next(iter_fast_values(self.CFG, 8, starts=self.STARTS.reshape(2, 2)))
+            path_integral(self.CFG, np.sin, 8, np.ones(3), starts=self.STARTS.reshape(2, 2))
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_starts_must_be_finite(self, bad):
         with pytest.raises(UsageError):
-            next(iter_fast_values(self.CFG, 8, starts=np.array([0.0, bad])))
+            path_integral(self.CFG, np.sin, 8, np.ones(3), starts=np.array([0.0, bad]))
 
 
 def _draw_counter(monkeypatch):
@@ -417,11 +425,18 @@ class TestFanIn:
         assert set(calls) == {(4,)}  # every call still gets a full row of paths
 
     def test_shared_state_is_the_run_from_zero(self):
-        fanned = list(iter_fast_values(self.CFG, 16, starts=self.STARTS))
+        args = []
+
+        def f(y):
+            args.append(y.copy())
+            return y
+
+        path_integral(self.CFG, f, 16, self.WEIGHTS, starts=self.STARTS)
         zero = list(iter_fast_values(self.CFG, 16))
-        assert len(fanned) == len(zero) == self.N + 1
-        assert all(y.shape == (len(self.STARTS), 16) for y in fanned[:self.K])
-        for y, y0 in zip(fanned[self.K:], zero[self.K:]):
+        fanned = len(self.STARTS) * self.K
+        assert len(args) == fanned + len(zero) - self.K
+        assert all(y.shape == (16,) for y in args[:fanned])
+        for y, y0 in zip(args[fanned:], zero[self.K:]):
             assert y.shape == (16,) and np.array_equal(y, y0)
 
     def test_rows_agree_with_their_start_up_to_the_fan_in_step(self):
@@ -663,8 +678,12 @@ class TestOneKernel:
     def test_ten_efolds_have_one_statement(self):
         # the discounted runs' truncation and the fan-in of a start batch read one constant
         assert _readers("FORGET_EFOLDS") == {"jump_processes.discount_horizon",
-                                             "jump_processes.iter_fast_values",
+                                             "jump_processes.path_integral",
                                              "ergodicity.abel_average"}
+
+    def test_start_fan_out_has_one_owner(self):
+        # the factor recursion knows no start points: the path functional fans out and in
+        assert _readers("starts") == {"jump_processes.path_integral"}
 
     def test_whole_step_rule_has_one_statement(self):
         # a run's step divides its horizon: checked where the run's config is built, and
