@@ -2,21 +2,24 @@
 
 Both solvers march the terminal payoff backwards with a monotone explicit
 treatment of the local Bellman part (central second differences, first-order
-upwind first differences, a step at the positivity bound :class:`_LocalBellman` owns).
+upwind first differences, a step of ``CFL_SAFETY`` = 0.9 times the positivity
+bound :class:`_LocalBellman` owns; both x end rows have zero curvature, the last
+zero forward and the first zero backward slope, a closure also where x[0] > 0).
 The model is the multiplicative one that :class:`ControlProblemSpec` states, on
 x >= 0, so the objective is a parabola in the control whose coefficients are
 raw differences of v times per-node coefficients built once.  Its minimum over
 the control interval is the vertex clipped to it where it is convex and the
 better endpoint elsewhere, taken separately on the part upwinded forward and
 the part upwinded backward: a minimum of monotone schemes is monotone
-(:class:`_LocalBellman`, which returns H).  The stiff nonlocal part in
-the factor variable is linear and taken implicitly, by a stochastic matrix P
-built once per solve: each step of both solvers is ``v <- P (v (1 - c dt) -
-dt H)^T``, one matrix product, with P = (I - (dt/eps) L)^-1 in the stiff solve
-and its eps -> 0 limit 1 mu^T (on a one-column v, the row of weights) in the
-averaged one.  P's LU and the products run on scipy's BLAS: the numpy and
-scipy wheels may each bundle an OpenBLAS with its own thread pool, and
-alternating between the two makes them compete.  Every buffer a step writes
+(:class:`_LocalBellman`, which returns H; one control makes it a fixed stencil).
+The stiff nonlocal part in the factor variable is linear and taken implicitly,
+by a stochastic matrix P built once per solve: each step of both solvers is
+``v <- (1 - c dt) P (v - kappa H)^T``, kappa = dt / (1 - c dt), one product
+whose scalar factor carries the discount, with P = (I - (dt/eps) L)^-1 in the
+stiff solve and its eps -> 0 limit 1 mu^T (on a one-column v, the row of
+weights) in the averaged one.  P's LU and the products run on scipy's BLAS:
+the numpy and scipy wheels may each bundle an OpenBLAS with its own thread pool,
+and alternating between the two makes them compete.  Every buffer a step writes
 starts a 64-byte cache line (:func:`_aligned_empty`): a misaligned AVX-512 store
 spans two lines, doubling a store-bound pass (2-vCPU Sapphire Rapids, 61 x 129:
 a multiply 6.1-7.5 us misaligned, 2.9-3.1 us aligned; an x-difference 5.7 vs 3.3 us).
@@ -276,10 +279,13 @@ class _LocalBellman:
     ``p u^2 + q (beta0 + beta1 u)`` with ``p = p_coef d2`` and ``q = q_coef d``,
     d2 and d the raw second and upwind first differences of v, and the grid
     constants in the coefficients built once: ``p_coef = -x^2 sigma^2(y) / dx^2``
-    and ``q_coef = -x / dx``.  Where p > 0 the parabola is convex, so its minimum
-    is at the vertex ``-beta1 q / (2 p)`` clipped to the run; elsewhere it is the
-    better endpoint, hi iff ``p (lo + hi) + beta1 q < 0``.  Each array a call
-    writes starts a cache line, as a misaligned AVX-512 store spans two.
+    and ``q_coef = -x / dx`` times beta0 and beta1.  Where p > 0 the parabola is
+    convex, so its minimum is at the vertex ``-beta1 q / (2 p)`` clipped to the run;
+    elsewhere it is the better endpoint, hi iff ``p (lo + hi) + beta1 q < 0``.  On the
+    one-point interval [u, u] H is ``A fwd - B bwd``, with A = c2 + c1 and B = c2 on a
+    forward run, A = c2 and B = c2 - c1 on a backward one, ``c2 = u^2 p_coef`` (0 on
+    both end rows, as the curvature is) and ``c1 = (beta0 + beta1 u) q_coef``.  Each
+    array a call writes starts a cache line, as a misaligned AVX-512 store spans two.
 
     It also owns the march's step: ``steps`` holds dt, n_t and the explicit step's
     positivity bound dt_bound = 1 / (2 a_max / dx^2 + b_max / dx + c), a_max and b_max
@@ -295,17 +301,23 @@ class _LocalBellman:
         sig2 = require_finite_array("sigma_of_y", spec.sigma_of_y(y_vals), ndim=None) ** 2
         if sig2.shape != np.shape(y_vals):
             raise UsageError(f"sigma_of_y must return one value per factor node, got {sig2.shape}")
-        self.beta0, self.beta1 = spec.beta0, spec.beta1
+        beta0, beta1 = spec.beta0, spec.beta1
         nx, ny = len(x), len(y_vals)
         self.p_coef = -(x**2)[:, None] * sig2[None, :] / dx**2
-        self.q_coef = np.repeat(-x[:, None] / dx, cols, axis=1)
+        q_coef = np.repeat(-x[:, None] / dx, cols, axis=1)
         u_lo, u_hi = float(spec.u_lo), float(spec.u_hi)
         # the runs below and above u0, each upwinded by the drift's sign at its midpoint
-        cut = u_lo if self.beta1 == 0.0 else min(max(-self.beta0 / self.beta1, u_lo), u_hi)
+        cut = u_lo if beta1 == 0.0 else min(max(-beta0 / beta1, u_lo), u_hi)
         runs = [(lo, hi) for lo, hi in ((u_lo, cut), (cut, u_hi)) if lo < hi] or [(u_lo, u_hi)]
-        self.runs = [(lo, hi, self.beta0 + self.beta1 * 0.5 * (lo + hi) >= 0.0) for lo, hi in runs]
+        self.runs = [(lo, hi, beta0 + beta1 * 0.5 * (lo + hi) >= 0.0) for lo, hi in runs]
+        if u_lo == u_hi:  # the one run [u, u]: H = A fwd - B bwd (see above)
+            c2, c1 = u_lo * u_lo * self.p_coef, (beta0 + beta1 * u_lo) * q_coef
+            c2[[0, -1]] = 0.0
+            self.stencil = (c2 + c1, c2) if self.runs[0][2] else (c2, c2 - c1)
+        else:
+            self.stencil, self.q0, self.q1 = None, beta0 * q_coef, beta1 * q_coef
         a_max = float(np.max(sig2)) * float(x[-1]) ** 2 * max(u_lo**2, u_hi**2)
-        b_max = float(x[-1]) * max(abs(self.beta0 + self.beta1 * u) for u in (u_lo, u_hi))
+        b_max = float(x[-1]) * max(abs(beta0 + beta1 * u) for u in (u_lo, u_hi))
         self.discount = spec.discount
         denom = 2.0 * (a_max / dx**2) + b_max / dx + self.discount
         dt_bound = math.inf if denom == 0.0 else 1.0 / denom
@@ -331,28 +343,27 @@ class _LocalBellman:
         The result is H, not dt H, held in this object's arrays until the next call.
         """
         diff = np.subtract(v[1:], v[:-1], out=self.slopes[1:-1])
+        if self.stencil is not None:
+            a, b = self.stencil
+            h = np.multiply(a, self.fwd, out=self.h)
+            return np.subtract(h, np.multiply(b, self.bwd, out=self.run_h), out=h)
         np.subtract(diff[1:], diff[:-1], out=self.curv[1:-1])
         p = np.multiply(self.p_coef, self.curv, out=self.p)
         np.less_equal(p, 0.0, out=self.not_convex)
         h = None
         for lo, hi, forward in self.runs:
             slope = self.fwd if forward else self.bwd
-            q = np.multiply(self.q_coef, slope, out=self.q)
+            s, u = np.multiply(self.q1, slope, out=self.s), self.u
             run_h = self.h if h is None else self.run_h
-            if lo == hi:
-                np.multiply(lo * lo, p, out=run_h)
-                run_h += np.multiply(self.beta0 + self.beta1 * lo, q, out=q)
-            else:
-                s, u = np.multiply(self.beta1, q, out=self.s), self.u
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    np.multiply(np.divide(s, p, out=u), -0.5, out=u)
-                    # where p <= 0 the endpoint test enters as +inf (hi) or -inf, and
-                    # the nan of a tie as lo: fmax and fmin clamp all three
-                    t = np.add(np.multiply(p, lo + hi, out=run_h), s, out=run_h)
-                    np.copyto(u, np.multiply(t, -np.inf, out=t), where=self.not_convex)
-                np.fmin(np.fmax(u, lo, out=u), hi, out=u)
-                np.multiply(np.add(np.multiply(p, u, out=run_h), s, out=run_h), u, out=run_h)
-                run_h += np.multiply(self.beta0, q, out=q)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                np.multiply(np.divide(s, p, out=u), -0.5, out=u)
+                # where p <= 0 the endpoint test enters as +inf (hi) or -inf, and
+                # the nan of a tie as lo: fmax and fmin clamp all three
+                t = np.add(np.multiply(p, lo + hi, out=run_h), s, out=run_h)
+                np.copyto(u, np.multiply(t, -np.inf, out=t), where=self.not_convex)
+            np.fmin(np.fmax(u, lo, out=u), hi, out=u)
+            np.multiply(np.add(np.multiply(p, u, out=run_h), s, out=run_h), u, out=run_h)
+            run_h += np.multiply(self.q0, slope, out=self.q)
             h = run_h if h is None else np.minimum(h, run_h, out=h)
         return h
 
@@ -378,17 +389,18 @@ def _propagator(gen: np.ndarray, dt_over_eps: float) -> np.ndarray:
 
 
 def _march(local: _LocalBellman, v: np.ndarray, propagator: np.ndarray):
-    """March ``v`` from t = T back to 0 in n_t steps ``state <- P (state (1 - c dt) - dt H)^T``.
+    """March ``v`` from t = T back to 0 in n_t steps ``state <- (1 - c dt) P (state - kappa H)^T``.
 
-    dt, n_t and c are the kernel's own (``local.steps``, ``local.discount``).  P, the
-    ``propagator``, is a Fortran-ordered stochastic (cols, ny) matrix: (I - (dt/eps) L)^-1
-    in the stiff solve, and its eps -> 0 limit, the row of atom weights, on the one-column
-    state of the averaged solve.  Returns the checkpoint times and the slices kept there,
-    shaped as ``v``.  A non-finite slice raises :class:`NumericalError` whose ``partial``
-    is the pair (times, slices) of the checkpoints already filled, all of them finite.
-    The buffers start a cache line, as a misaligned AVX-512 store spans two.
+    dt, n_t and c are the kernel's own (``local.steps``, ``local.discount``), kappa is
+    dt / (1 - c dt), and P, the ``propagator``, is a Fortran-ordered stochastic (cols, ny)
+    matrix: (I - (dt/eps) L)^-1 in the stiff solve, and its eps -> 0 limit, the row of atom
+    weights, on the one-column state of the averaged solve.  Returns the checkpoint times and
+    the slices kept there, shaped as ``v``.  A non-finite slice raises :class:`NumericalError`
+    whose ``partial`` is the pair (times, slices) of the checkpoints already filled, all of
+    them finite.  The buffers start a cache line, as a misaligned AVX-512 store spans two.
     """
     dt, n_t, c = local.steps["dt"], local.steps["n_t"], local.discount
+    shrink = 1.0 - c * dt  # at least 0.1, since dt is at most 0.9 times the bound 1 / c
     keep = np.unique(np.linspace(0, n_t, min(N_CHECKPOINTS, n_t + 1)).round().astype(int))
     times, values, marks = keep * dt, np.empty((len(keep),) + v.shape), keep.tolist()
     if not np.all(np.isfinite(v)):
@@ -401,10 +413,8 @@ def _march(local: _LocalBellman, v: np.ndarray, propagator: np.ndarray):
     dgemm = linalg.blas.dgemm
     for k in range(n_t - 1, -1, -1):
         h = local.hamiltonian(state)
-        if c > 0.0:
-            state *= 1.0 - c * dt
-        np.subtract(state, np.multiply(dt, h, out=work), out=work)
-        state = dgemm(1.0, propagator, work.T, c=state.T, overwrite_c=True).T
+        np.subtract(state, np.multiply(dt / shrink, h, out=work), out=work)
+        state = dgemm(shrink, propagator, work.T, c=state.T, overwrite_c=True).T
         if not np.isfinite(state, out=finite).all():
             raise NumericalError(f"backward march diverged at step {k}",
                                  partial=(times[j:], values[j:]))

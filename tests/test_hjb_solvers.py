@@ -470,6 +470,10 @@ BELLMAN_ROUTES = {
     "pricing": pricing_problem(pricing_spec(lambda x: np.asarray(x, dtype=float))),
     # shorting: the drift changes sign on [-2, 2], so a backward run joins the forward one
     "merton-two-runs": merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=-2.0, R=2.0)),
+    # the single control u = 1/2 under a negative drift: the one run upwinds backward
+    "one-control-backward": dataclasses.replace(
+        pricing_problem(pricing_spec(lambda x: np.asarray(x, dtype=float))),
+        beta0=-0.05, u_lo=0.5, u_hi=0.5),
 }
 each_bellman_route = pytest.mark.parametrize("route", list(BELLMAN_ROUTES))
 
@@ -585,7 +589,7 @@ class TestBellmanRoutes:
                           for v in (sine, np.repeat(ramp, len(y), axis=1))
                           for fwd, bwd, d2 in [self.slopes(v)]
                           for i, xi in enumerate(self.x) for j, yj in enumerate(y)])
-        interior = (nodes[:, 0] > 0.0) & (nodes[:, 0] < self.x[-1])
+        interior = (nodes[:, 0] > self.x[0]) & (nodes[:, 0] < self.x[-1])
         fwd, bwd, d2 = nodes[interior, 2:].T
         assert np.any(d2 > 0.0) and np.any(d2 < 0.0)
         assert np.any((d2 == 0.0) & (fwd == 0.0) & (bwd == 0.0))
@@ -624,7 +628,7 @@ class TestBellmanRoutes:
         one block cannot all start a line.  The 61 x 9 block is above 4 KiB,
         where glibc may serve it by mmap, 16 bytes past a line.
         """
-        x, y = np.linspace(0.0, 3.0, nx), np.linspace(-2.0, 2.0, ny)
+        x, y = np.linspace(self.x[0], self.x[-1], nx), np.linspace(-2.0, 2.0, ny)
         local = _LocalBellman(BELLMAN_ROUTES[route], x, y, 1 if weighted else len(y))
         states, steps, products = [], [], []
         hamiltonian, dgemm = local.hamiltonian, hjb_solvers.linalg.blas.dgemm
@@ -652,6 +656,14 @@ class TestBellmanRoutes:
         assert [a.ctypes.data % 64 for a in written] == [0] * len(written)
         # the product is written into the state it replaces
         assert len({a.ctypes.data for a in states + products}) == 1
+
+
+class TestBellmanRoutesOffZero(TestBellmanRoutes):
+    """Every route check again on a grid starting above 0, where the coefficients do not
+    vanish on row 0: the kernel must close it as it closes the far edge, with zero curvature
+    and, on row 0, zero backward slope."""
+
+    x = np.linspace(0.5, 3.5, 13)
 
 
 class TestAlignedBuffers:
@@ -689,6 +701,9 @@ class TestPropagator:
     prob = merton_problem(merton_spec(sigma_fn=tanh_sigma(0.2, 0.1), R1=0.0, R=1.0))
     # Merton has no discount; the call at c = 0.05 takes the march's discounted update
     discounted = pricing_problem(pricing_spec(CallPayoff(1.0), c=0.05))
+    # c dt >= 0.3 on both solvers: the product's factor 1 - c dt and the explicit step's
+    # dt / (1 - c dt) both far from their undiscounted values
+    heavily_discounted = pricing_problem(pricing_spec(CallPayoff(1.0), c=100.0, T=0.02))
     grids = Grids(x=np.linspace(0.0, 3.0, 21), y=np.linspace(-4.0, 4.0, 17))
 
     def reference_march(self, prob, model, epsilon, dt, n_t):
@@ -716,6 +731,29 @@ class TestPropagator:
             assert steps[-1] == n_t
             want = np.stack([ref[k] for k in steps])
             assert np.max(np.abs(field.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("solver", ["pide", "effective"])
+    def test_heavy_discount_matches_the_unfolded_step(self, solver):
+        prob, mu = self.heavily_discounted, two_atom_measure(-1.0, 1.0)
+        if solver == "pide":
+            field = pide_solve(prob, SYM15, 0.05, self.grids)
+        else:
+            field = effective_solve(prob, mu, Grids(x=self.grids.x))
+        dt, n_t = field.diagnostics["dt"], field.diagnostics["n_t"]
+        assert prob.discount * dt >= 0.3
+        if solver == "pide":
+            ref = self.reference_march(prob, SYM15, 0.05, dt, n_t)
+        else:  # the averaged step: the explicit one, then the mean over mu's atoms
+            atoms = mu.coarsen(hjb_solvers.MAX_ATOMS)
+            local = _LocalBellman(prob, self.grids.x, atoms.nodes, 1)
+            ref = {n_t: prob.payoff(self.grids.x)[:, None]}
+            for k in range(n_t - 1, -1, -1):
+                v = ref[k + 1]
+                ref[k] = (v - dt * (local.hamiltonian(v) + prob.discount * v)) @ atoms.weights[:, None]
+        steps = np.rint(field.t_grid / dt).astype(int)
+        assert steps[-1] == n_t
+        want = np.stack([ref[k].reshape(field.values.shape[1:]) for k in steps])
+        assert np.max(np.abs(field.values - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("model", [SYM15, ONE15], ids=["sym15", "one15"])
     @pytest.mark.parametrize("epsilon", [1.0, 0.05, 1e-3])
